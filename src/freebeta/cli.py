@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -107,33 +108,40 @@ def _emit(command: str, params: dict, results, provenance,
 # Subcommands
 # --------------------------------------------------------------------------
 
+def _require_positive_n(n: int) -> None:
+    if n < 1:
+        raise FreeBetaError(f"--n must be >= 1, got {n}")
+
+
 def _cmd_moments(args) -> int:
     fam, params = _build_family(args)
     n = args.n
+    _require_positive_n(n)
     routes = ([args.route] if args.route != "all"
               else ["ncl", "series", "fock", "transform"])
     if args.route != "series" and args.family != "fbp":
         raise FreeBetaError(
             "routes other than 'series' are defined for --family fbp"
         )
+    columns = {}
+    if "ncl" in routes:
+        ncl.check_ncl_size(n)
+        columns["ncl"] = [ncl.fbp_moment(fam.a, fam.b, k)
+                          for k in range(n + 1)]
+    if "series" in routes:
+        columns["series"] = distributions.moment_series(fam, n)
+    if "fock" in routes:
+        columns["fock"] = fock.vacuum_moments(
+            fock.fbp_operator(fam.a, fam.b, n), n)
+    if "transform" in routes:
+        ma = distributions.moment_series(distributions.FreePoisson(fam.a), n)
+        mb = distributions.moment_series(
+            distributions.InverseFreePoisson(fam.b), n)
+        columns["transform"] = transforms.free_mult_convolve(ma, mb)
     table = []
     for k in range(1, n + 1):
-        row = {"n": k}
-        values = {}
-        if "ncl" in routes:
-            values["ncl"] = ncl.fbp_moment(fam.a, fam.b, k)
-        if "series" in routes:
-            values["series"] = distributions.moment_series(fam, n)[k]
-        if "fock" in routes:
-            vac = fock.vacuum_moments(fock.fbp_operator(fam.a, fam.b, n), n)
-            values["fock"] = vac[k]
-        if "transform" in routes:
-            ma = distributions.moment_series(
-                distributions.FreePoisson(fam.a), n)
-            mb = distributions.moment_series(
-                distributions.InverseFreePoisson(fam.b), n)
-            values["transform"] = transforms.free_mult_convolve(ma, mb)[k]
-        row.update(values)
+        values = {route: columns[route][k] for route in routes}
+        row = {"n": k, **values}
         if len(values) > 1:
             row["agree"] = len(set(values.values())) == 1
         table.append(row)
@@ -144,13 +152,28 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _parse_grid(spec: str) -> tuple[float, float, int]:
+    """Parse a ``lo:hi:count`` grid with finite ends and count >= 2."""
+    parts = spec.split(":")
+    try:
+        if len(parts) != 3:
+            raise ValueError
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise FreeBetaError(f"--grid must be lo:hi:count, got {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise FreeBetaError(f"--grid ends must be finite, got {spec!r}")
+    if count < 2:
+        raise FreeBetaError(f"--grid count must be >= 2, got {count}")
+    return lo, hi, count
+
+
 def _cmd_density(args) -> int:
     fam, params = _build_family(args)
     spec = distributions.measure_of(fam)
     lo, hi = spec.support
     if args.grid:
-        glo, ghi, count = args.grid.split(":")
-        glo, ghi, count = float(glo), float(ghi), int(count)
+        glo, ghi, count = _parse_grid(args.grid)
     else:
         glo, ghi, count = lo, hi, 201
     xs = [glo + (ghi - glo) * k / (count - 1) for k in range(count)]
@@ -210,8 +233,11 @@ def _cmd_ncl_stats(args) -> int:
 
 
 def _cmd_gamma_gf(args) -> int:
+    _require_positive_n(args.n)
     routes = ([args.route] if args.route != "all"
               else ["brute", "cf", "closed"])
+    if "brute" in routes:
+        ncl.check_ncl_size(args.n)
     table = []
     for k in range(1, args.n + 1):
         row = {"n": k}
@@ -242,7 +268,7 @@ def _cmd_t_coeffs(args) -> int:
 
 def _cmd_meixner(args) -> int:
     std = distributions.standardize_to_meixner(args.a, args.b)
-    label = distributions.classify_meixner(std.theta, float(std.tau))
+    label = std.classify()
     _emit("meixner", {"a": args.a, "b": args.b},
           {"theta": std.theta, "tau": std.tau,
            "theta_sq": std.theta_sq, "discriminant": std.discriminant,

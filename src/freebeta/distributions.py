@@ -524,6 +524,10 @@ class MeixnerStandardization:
     mean: Fraction
     variance: Fraction
 
+    def classify(self) -> str:
+        """Class label, decided from the exact theta_sq and tau."""
+        return _meixner_class(self.theta_sq, self.tau)
+
 
 def standardize_to_meixner(a, b) -> MeixnerStandardization:
     """Shape parameters of the standardized free beta prime law."""
@@ -555,16 +559,22 @@ _CLASS_LABELS = (
 
 
 def classify_meixner(theta, tau) -> str:
-    """Class label of the free Meixner law with shape (theta, tau)."""
-    theta = _frac(theta) if not isinstance(theta, float) else theta
-    tau = _frac(tau) if not isinstance(tau, float) else tau
+    """Class label of the free Meixner law with shape (theta, tau).
+
+    Float inputs are converted exactly, so the label is decided in exact
+    arithmetic on the values given.
+    """
+    return _meixner_class(_frac(theta) ** 2, _frac(tau))
+
+
+def _meixner_class(theta_sq: Fraction, tau: Fraction) -> str:
     if tau < -1:
         raise InvalidTau("tau must be >= -1")
     if tau < 0:
         return "free binomial"
     if tau == 0:
-        return "semicircle" if theta == 0 else "free Poisson"
-    disc = theta * theta - 4 * tau
+        return "semicircle" if theta_sq == 0 else "free Poisson"
+    disc = theta_sq - 4 * tau
     if disc > 0:
         return "free negative binomial"
     if disc == 0:

@@ -16,9 +16,11 @@ against each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     InvalidParameters,
@@ -34,6 +36,7 @@ __all__ = [
     "NclStatistics",
     "WeightedMotzkinScheme",
     "validate_ncl",
+    "check_ncl_size",
     "enumerate_ncl",
     "motzkin_paths",
     "path_arrangements",
@@ -49,7 +52,10 @@ __all__ = [
     "NCL_SIZE_LIMIT",
 ]
 
-NCL_SIZE_LIMIT = 12
+# Largest n with an exhaustive NCL(n).  One enumerate-and-validate pass
+# takes ~4.5 s at n = 9 and ~26 s at n = 10 (Python 3.11, 2-vCPU x86_64);
+# n = 11 has five times as many partitions and takes minutes.
+NCL_SIZE_LIMIT = 10
 
 
 def _frac(x) -> Fraction:
@@ -235,12 +241,17 @@ def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:
     return LinkedPartition(n, tuple(done))
 
 
-def enumerate_ncl(n: int) -> list[LinkedPartition]:
-    """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
+def check_ncl_size(n: int) -> None:
+    """Raise unless NCL(n) is small enough to enumerate exhaustively."""
     if not 1 <= n <= NCL_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"exhaustive enumeration capped at n = {NCL_SIZE_LIMIT}"
         )
+
+
+def enumerate_ncl(n: int) -> list[LinkedPartition]:
+    """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
+    check_ncl_size(n)
     out = []
     for path in motzkin_paths(n):
         for cards in path_arrangements(path):
@@ -282,6 +293,38 @@ def statistics(p: LinkedPartition) -> NclStatistics:
     sg = sum(1 for b in p.blocks if len(b) == 1)
     sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
     return NclStatistics(dc=dc, sc=sc, sg=sg)
+
+
+# --------------------------------------------------------------------------
+# Per-n tables: NCL(n) enumerated once per process
+# --------------------------------------------------------------------------
+
+class _NclTable(NamedTuple):
+    """Multiplicities over NCL(n) as immutable (key, count) pairs.
+
+    ``stats`` is keyed by the (dc, sc, sg) triple, ``profiles`` by the
+    sorted block sizes, whose length is the number of blocks.
+    """
+
+    stats: tuple[tuple[tuple[int, int, int], int], ...]
+    profiles: tuple[tuple[tuple[int, ...], int], ...]
+
+
+@lru_cache(maxsize=None)  # at most NCL_SIZE_LIMIT entries
+def _ncl_table(n: int) -> _NclTable:
+    """Tabulate NCL(n) in one pass over :func:`enumerate_ncl`.
+
+    Each partition goes through the validating :func:`statistics`, so the
+    triples come from the blocks and not from the cards.  Only the counts
+    are kept, never the partitions.
+    """
+    stats: Counter = Counter()
+    profiles: Counter = Counter()
+    for p in enumerate_ncl(n):
+        st = statistics(p)
+        stats[st.dc, st.sc, st.sg] += 1
+        profiles[tuple(sorted(len(b) for b in p.blocks))] += 1
+    return _NclTable(tuple(stats.items()), tuple(profiles.items()))
 
 
 def doubly_covered_types(
@@ -465,23 +508,20 @@ def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:
 def gamma_poly(n: int, alpha, beta, gamma, route: str = "cf") -> Fraction:
     """Gamma_n(alpha, beta, gamma) = sum over NCL(n) of alpha^dc beta^sc gamma^sg.
 
-    Routes: ``brute`` sums the statistics over the exhaustive enumeration
-    (n <= 12), ``cf`` expands the weighted continued fraction, ``closed``
-    expands the explicit algebraic solution of the defining quadratic.
+    Routes: ``brute`` sums the tabulated statistics of the exhaustive
+    enumeration (n <= NCL_SIZE_LIMIT), ``cf`` expands the weighted
+    continued fraction, ``closed`` expands the explicit algebraic solution
+    of the defining quadratic.
     """
     if n == 0:
         return Fraction(1)
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     if route == "brute":
-        if n > NCL_SIZE_LIMIT:
-            raise SizeLimitExceeded(
-                f"brute route capped at n = {NCL_SIZE_LIMIT}"
-            )
-        total = Fraction(0)
-        for p in enumerate_ncl(n):
-            st = statistics(p)
-            total += alpha ** st.dc * beta ** st.sc * gamma ** st.sg
-        return total
+        return sum(
+            (count * alpha ** dc * beta ** sc * gamma ** sg
+             for (dc, sc, sg), count in _ncl_table(n).stats),
+            Fraction(0),
+        )
     if route in ("cf", "closed"):
         return gamma_series(n, alpha, beta, gamma, route=route)[n]
     raise ValueError(f"unknown route {route!r}")
@@ -495,16 +535,14 @@ def moment_via_ncl(alphas: TCoefficients, n: int) -> Fraction:
     """m_n = sum over NCL(n) of alpha_0^{n - #blocks} prod_B alpha_{|B|-1}."""
     if n == 0:
         return Fraction(1)
-    if n > NCL_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"capped at n = {NCL_SIZE_LIMIT}")
     if alphas.order < n - 1:
         raise ValueError("need alpha_k through k = n - 1")
     a0 = alphas[0]
     total = Fraction(0)
-    for p in enumerate_ncl(n):
-        prod = a0 ** (n - len(p))
-        for block in p.blocks:
-            prod *= alphas[len(block) - 1]
+    for sizes, count in _ncl_table(n).profiles:
+        prod = count * a0 ** (n - len(sizes))
+        for size in sizes:
+            prod *= alphas[size - 1]
         total += prod
     return total
 
@@ -524,11 +562,12 @@ def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
 def fbp_moment(a, b, n: int) -> Fraction:
     """n-th moment of the free beta prime law by the linked-partition sum.
 
-    Equals (su)^n * Gamma_n(t/s, t/(su), 1/u) with (s, t, u) from
-    :func:`fbp_t_params`; evaluated by the brute enumeration route.
+    Evaluates :func:`moment_via_ncl` at the T-coefficients alpha_0 = s,
+    alpha_k = t*u^k; this equals (su)^n * Gamma_n(t/s, t/(su), 1/u) with
+    (s, t, u) from :func:`fbp_t_params`.
     """
-    if n > NCL_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"capped at n = {NCL_SIZE_LIMIT}")
-    s, t, u = fbp_t_params(a, b)
-    scale = s * u
-    return scale ** n * gamma_poly(n, t / s, t / scale, 1 / u, route="brute")
+    # distributions imports this module, so its names are bound per call
+    from .distributions import FreeBetaPrime, t_coeffs_of
+
+    alphas = t_coeffs_of(FreeBetaPrime(a, b), max(n - 1, 0))
+    return moment_via_ncl(alphas, n)

@@ -219,7 +219,7 @@ def criterion_meixner() -> tuple[bool, str]:
             want = (b - 1) / (a * (a + b - 1))
             if std.discriminant != want:
                 return False, f"(a,b)=({a},{b}): disc {std.discriminant}"
-            label = distributions.classify_meixner(std.theta, float(std.tau))
+            label = std.classify()
             if label != "free negative binomial":
                 return False, f"(a,b)=({a},{b}) classified {label}"
     return True, "5x5 grid: exact discriminants, all free negative binomial"

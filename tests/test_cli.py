@@ -1,6 +1,7 @@
 """Tests for the command-line interface: JSON envelope, CSV, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -156,3 +157,68 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         code, _, _ = run_cli(capsys, "support", "--family", "ft", "--m", "2")
         assert code == 0
+
+
+class TestInputGuards:
+    def assert_one_error_line(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        return elapsed
+
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_moments_rejects_nonpositive_n(self, capsys, n):
+        self.assert_one_error_line(
+            capsys, "moments", "--family", "fbp", "--a", "2", "--b", "3",
+            "--n", n,
+        )
+
+    def test_gamma_gf_rejects_nonpositive_n(self, capsys):
+        self.assert_one_error_line(
+            capsys, "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--n", "0",
+        )
+
+    @pytest.mark.parametrize("route", ["ncl", "all"])
+    def test_moments_size_guard_fires_first(self, capsys, route):
+        elapsed = self.assert_one_error_line(
+            capsys, "moments", "--family", "fbp", "--a", "2", "--b", "3",
+            "--n", "13", "--route", route,
+        )
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("route", ["brute", "all"])
+    def test_gamma_gf_size_guard_fires_first(self, capsys, route):
+        elapsed = self.assert_one_error_line(
+            capsys, "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--n", "13", "--route", route,
+        )
+        assert elapsed < 0.5
+
+    def test_series_route_is_not_size_capped(self, capsys):
+        payload = run_json(
+            capsys, "moments", "--family", "fbp", "--a", "2", "--b", "3",
+            "--n", "13", "--route", "series",
+        )
+        assert len(payload["results"]["moments"]) == 13
+
+    @pytest.mark.parametrize(
+        "grid", ["1:2:1", "1:2:0", "1:2", "1:2:3:4", "a:2:3", "1:2:1.5",
+                 "nan:2:3", "1:inf:3"],
+    )
+    def test_density_bad_grid(self, capsys, grid):
+        self.assert_one_error_line(
+            capsys, "density", "--family", "fbp", "--a", "2", "--b", "3",
+            "--grid", grid,
+        )
+
+    def test_meixner_class_is_exact(self, capsys):
+        # theta^2 - 4 tau = 1/1000000000001000000 > 0, below float resolution
+        payload = run_json(capsys, "meixner", "--a", "1000000",
+                           "--b", "1000001/1000000")
+        res = payload["results"]
+        assert res["discriminant"] == "1/1000000000001000000"
+        assert res["class"] == "free negative binomial"

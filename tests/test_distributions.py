@@ -317,3 +317,21 @@ class TestMeixner:
                 assert std.discriminant > 0
                 label = classify_meixner(std.theta, float(std.tau))
                 assert label == "free negative binomial"
+                assert std.classify() == "free negative binomial"
+
+    @pytest.mark.parametrize("a,b", [
+        (F(10 ** 6), F(10 ** 6 + 1, 10 ** 6)),
+        (F(10 ** 8), 1 + F(1, 10 ** 9)),
+    ])
+    def test_classification_is_exact_near_zero_discriminant(self, a, b):
+        std = standardize_to_meixner(a, b)
+        assert 0 < std.discriminant < F(1, 10 ** 12)
+        assert std.classify() == "free negative binomial"
+
+    def test_float_inputs_are_classified_exactly(self):
+        # in floats theta * theta - 4 tau rounds to 0 here; the exact
+        # value of the two given floats is negative
+        theta = math.sqrt(2)
+        tau = theta * theta / 4
+        assert theta * theta - 4 * tau == 0
+        assert classify_meixner(theta, tau) == "pure free Meixner"

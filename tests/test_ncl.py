@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
+from freebeta.distributions import FreeBetaPrime, t_coeffs_of
 from freebeta.errors import MalformedInput, SizeLimitExceeded
 from freebeta.ncl import (
+    NCL_SIZE_LIMIT,
     LinkedPartition,
     NclStatistics,
     WeightedMotzkinScheme,
@@ -29,7 +31,9 @@ from freebeta.ncl import (
     statistics,
     validate_ncl,
 )
+from freebeta.ncl import _ncl_table
 from freebeta.transforms import TCoefficients
+from freebeta.verification import _FBP_PARAMS
 
 F = Fraction
 
@@ -297,3 +301,77 @@ class TestMomentViaNcl:
             for p in enumerate_ncl(3)
         )
         assert got == brute
+
+
+class TestNclTable:
+    TRIPLES = [
+        (F(2), F(3, 2), F(5)),
+        (F(1, 3), F(7, 2), F(2, 9)),
+        (F(-1, 2), F(4), F(0)),
+        (F(0), F(1), F(-3, 7)),
+    ]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_brute_gamma_equals_direct_sum(self, n):
+        stats = [statistics(p) for p in enumerate_ncl(n)]
+        for alpha, beta, gamma in self.TRIPLES:
+            direct = sum(
+                alpha ** st.dc * beta ** st.sc * gamma ** st.sg
+                for st in stats
+            )
+            assert gamma_poly(n, alpha, beta, gamma, route="brute") == direct
+
+    @pytest.mark.parametrize("a,b", _FBP_PARAMS)
+    def test_fbp_moment_is_the_ncl_moment_sum(self, a, b):
+        alphas = t_coeffs_of(FreeBetaPrime(a, b), 8)
+        for n in range(1, 9):
+            assert fbp_moment(a, b, n) == moment_via_ncl(alphas, n)
+
+    @pytest.mark.parametrize("a,b", _FBP_PARAMS)
+    def test_fbp_moment_is_the_scaled_gamma_polynomial(self, a, b):
+        # the block-profile sum and the statistics sum are separate tables
+        s, t, u = fbp_t_params(a, b)
+        for n in range(1, 9):
+            gamma = gamma_poly(n, t / s, t / (s * u), 1 / u, route="brute")
+            assert fbp_moment(a, b, n) == (s * u) ** n * gamma
+
+    def test_block_profiles_match_enumeration(self):
+        for n in range(1, 7):
+            want = {}
+            for p in enumerate_ncl(n):
+                key = tuple(sorted(len(b) for b in p.blocks))
+                want[key] = want.get(key, 0) + 1
+            assert dict(_ncl_table(n).profiles) == want
+
+    def test_repeated_calls_agree(self):
+        abc = (F(3, 4), F(5, 3), F(2))
+        first = [gamma_poly(n, *abc, route="brute") for n in range(1, 8)]
+        again = [gamma_poly(n, *abc, route="brute") for n in range(1, 8)]
+        assert first == again
+        assert [fbp_moment(2, 3, n) for n in range(1, 8)] == [
+            fbp_moment(2, 3, n) for n in range(1, 8)
+        ]
+        assert _ncl_table(6) == _ncl_table(6)
+
+    def test_cached_table_is_immutable(self):
+        table = _ncl_table(4)
+        snapshot = (tuple(table.stats), tuple(table.profiles))
+        with pytest.raises(TypeError):
+            table.stats[0] = ((0, 0, 0), 1)
+        with pytest.raises(TypeError):
+            table.profiles[0][1] += 1
+        with pytest.raises(AttributeError):
+            table.stats = ()
+        assert (_ncl_table(4).stats, _ncl_table(4).profiles) == snapshot
+
+    def test_size_limit_applies_to_every_sum(self):
+        n = NCL_SIZE_LIMIT + 1
+        alphas = TCoefficients((F(1),) * n)
+        with pytest.raises(SizeLimitExceeded):
+            gamma_poly(n, 1, 1, 1, route="brute")
+        with pytest.raises(SizeLimitExceeded):
+            moment_via_ncl(alphas, n)
+        with pytest.raises(SizeLimitExceeded):
+            fbp_moment(2, 3, n)
+        with pytest.raises(SizeLimitExceeded):
+            fbp_moment(2, 3, -1)
