@@ -81,6 +81,8 @@ def _build_family(args):
             raise FreeBetaError(
                 f"family {args.family} requires --{name}"
             )
+        if isinstance(v, float) and not math.isfinite(v):
+            raise FreeBetaError(f"--{name} must be finite, got {v}")
         values.append(v)
     return _FAMILY_TYPES[args.family](*values), dict(zip(names, values))
 
@@ -257,6 +259,8 @@ def _cmd_gamma_gf(args) -> int:
 
 
 def _cmd_t_coeffs(args) -> int:
+    if args.order < 0:
+        raise FreeBetaError(f"--order must be >= 0, got {args.order}")
     fam = distributions.FreeBetaPrime(args.a, args.b)
     coeffs = distributions.t_coeffs_of(fam, args.order)
     s, t, u = ncl.fbp_t_params(args.a, args.b)
@@ -278,9 +282,11 @@ def _cmd_meixner(args) -> int:
 
 
 def _cmd_score_check(args) -> int:
+    k = args.points
+    if k < 1:
+        raise FreeBetaError(f"--points must be >= 1, got {k}")
     fam, params = _build_family(args)
     lo, hi = distributions.support_of(fam)
-    k = args.points
     worst = 0.0
     rows = []
     for i in range(1, k + 1):

@@ -62,6 +62,10 @@ class FisherSampleConfig:
             raise ValueError("p must be positive")
         if self.entry_law != "standard_gaussian":
             raise ValueError("only standard_gaussian entries are supported")
+        if self.a <= 0:
+            raise ValueError("need a > 0")
+        if self.n1 < 1:
+            raise ValueError("need n1 = round(a * p) >= 1")
         if self.b <= 1:
             raise ValueError("need b > 1 so that n2 > p")
 

@@ -136,16 +136,20 @@ class PowerSeries:
         return PowerSeries(tuple(-a for a in self.coefficients))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
+        # Scale each operand to integer numerators over one common
+        # denominator, convolve the integers, and reduce once per output
+        # coefficient instead of twice per term product.
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            out.append(
-                sum(
-                    (self[i] * other[k - i] for i in range(k + 1)),
-                    Fraction(0),
-                )
-            )
-        return PowerSeries(tuple(out))
+        a, b = self.coefficients[: n + 1], other.coefficients[: n + 1]
+        da = math.lcm(*(c.denominator for c in a))
+        db = math.lcm(*(c.denominator for c in b))
+        ia = [c.numerator * (da // c.denominator) for c in a]
+        ib = [c.numerator * (db // c.denominator) for c in b]
+        den = da * db
+        return PowerSeries(tuple(
+            Fraction(sum(ia[i] * ib[k - i] for i in range(k + 1)), den)
+            for k in range(n + 1)
+        ))
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         if other.coefficients[0] == 0:
@@ -194,19 +198,19 @@ def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
 def ps_reversion(f: PowerSeries) -> PowerSeries:
     """Compositional inverse: returns g with f(g(z)) = z to order.
 
-    Fixed-point iteration on g = (z - h(g))/f'(0), where h collects the
-    terms of f of degree >= 2; each sweep is exact and gains one order.
+    Lagrange inversion: with phi = z/f(z), g_k = [z^(k-1)] phi^k / k, so
+    the n coefficients cost one series division and n-1 products.
     """
     if f.order < 1 or f[0] != 0 or f[1] == 0:
         raise NotInvertibleSeries("reversion needs f(0) = 0 and f'(0) != 0")
     n = f.order
-    f1 = f[1]
-    h = PowerSeries((Fraction(0), Fraction(0)) + f.coefficients[2:])
-    z = PowerSeries.identity(n)
-    g = z.scale(Fraction(1, 1) / f1)
-    for _ in range(n - 1):
-        g = (z - ps_compose(h, g)).scale(Fraction(1, 1) / f1)
-    return g
+    phi = PowerSeries.constant(1, n - 1) / f.shift_down()
+    power = phi
+    out = [Fraction(0), phi[0]]
+    for k in range(2, n + 1):
+        power = power * phi
+        out.append(power[k - 1] / k)
+    return PowerSeries(tuple(out))
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction:
@@ -288,7 +292,9 @@ def cf_expand(spec: ContinuedFractionSpec, order: int) -> PowerSeries:
             return one
         t = one - z.scale(spec.diagonal[i])
         if tail is not None:
-            t = t - (z * z * tail).scale(spec.subdiagonal_products[i])
+            t = t - tail.shift_up().shift_up().scale(
+                spec.subdiagonal_products[i]
+            )
         return t
 
     tail: PowerSeries | None = None

@@ -18,7 +18,7 @@ from .errors import (
     ZeroConstantS,
     ZeroMeanError,
 )
-from .series import PowerSeries, ps_compose, ps_reversion
+from .series import PowerSeries, ps_reversion
 
 __all__ = [
     "MomentSequence",
@@ -109,10 +109,6 @@ class TCoefficients:
         return self.alphas[k]
 
 
-def _m_series(m: MomentSequence) -> PowerSeries:
-    return PowerSeries(m.moments)
-
-
 def moments_to_phi(m: MomentSequence) -> PowerSeries:
     """Phi(z) = sum_{n>=1} m_n z^n — the moment series without constant."""
     return PowerSeries((Fraction(0),) + m.moments[1:])
@@ -121,15 +117,14 @@ def moments_to_phi(m: MomentSequence) -> PowerSeries:
 def moments_to_r(m: MomentSequence) -> FreeCumulants:
     """Free cumulants r_1..r_n from moments m_1..m_n.
 
-    Uses M(z) = C(z M(z)) with C(z) = 1 + sum r_k z^k, solved by composing
-    M with the compositional inverse of w(z) = z M(z).
+    Uses M(z) = C(z M(z)) with C(z) = 1 + sum r_k z^k: the inverse of
+    w(z) = z M(z) is u / C(u), so one reversion gives C.
     """
     n = m.order
     if n < 1:
         raise InsufficientOrder("need at least one moment")
-    mser = _m_series(m)
-    w = mser.shift_up()  # z*M(z), exact to order n
-    c = ps_compose(mser, ps_reversion(w))
+    w = PowerSeries((Fraction(0),) + m.moments)  # z*M(z), exact to order n+1
+    c = PowerSeries.constant(1, n) / ps_reversion(w).shift_down()
     return FreeCumulants(c.coefficients[1:])
 
 
@@ -185,17 +180,17 @@ def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 def r_to_moments(r: FreeCumulants, route: str = "series") -> MomentSequence:
     """Moments from free cumulants by one of two independent routes.
 
-    ``series`` iterates M = C(z M(z)); ``nc_sum`` evaluates the free
-    moment-cumulant formula m_n = sum over non-crossing partitions of the
-    product of r_{|B|} over blocks.
+    ``series`` reverts u / C(u) into w = z M(z); ``nc_sum`` evaluates the
+    free moment-cumulant formula m_n = sum over non-crossing partitions of
+    the product of r_{|B|} over blocks.
     """
     n = r.order + 1
     if route == "series":
         c = PowerSeries((Fraction(1),) + r.cumulants)
-        mser = PowerSeries.constant(1, n)
-        for _ in range(n):
-            mser = ps_compose(c, mser.shift_up())
-        return MomentSequence(mser.coefficients)
+        u_over_c = PowerSeries(
+            (Fraction(0),) + (PowerSeries.constant(1, n) / c).coefficients
+        )
+        return MomentSequence(ps_reversion(u_over_c).shift_down().coefficients)
     if route == "nc_sum":
         moments = [Fraction(1)]
         for k in range(1, n + 1):

@@ -29,39 +29,56 @@ _FBP_PARAMS = (
     (Fraction(1, 2), Fraction(2)),
     (Fraction(3), Fraction(3, 2)),
 )
+# Exact series routes are checked to _DEEP_ORDER; the NCL brute sums, whose
+# cost grows like the large Schroeder numbers, stop at _NCL_ORDER.
+_DEEP_ORDER = 16
+_NCL_ORDER = 8
 
 
 def criterion_triple_route_moments() -> tuple[bool, str]:
-    """NCL sum, closed-form series, and Fock vacuum agree exactly, n <= 8."""
+    """Closed-form series and Fock vacuum agree exactly to n = 16; NCL to 8."""
     for a, b in _FBP_PARAMS:
         fam = FreeBetaPrime(a, b)
-        series = distributions.moment_series(fam, 8)
-        op = fock.fbp_operator(a, b, 8)
-        vac = fock.vacuum_moments(op, 8)
-        for n in range(1, 9):
-            m_ncl = ncl.fbp_moment(a, b, n)
-            if not m_ncl == series[n] == vac[n]:
+        series = distributions.moment_series(fam, _DEEP_ORDER)
+        op = fock.fbp_operator(a, b, _DEEP_ORDER)
+        vac = fock.vacuum_moments(op, _DEEP_ORDER)
+        for n in range(1, _DEEP_ORDER + 1):
+            if series[n] != vac[n]:
                 return False, (
-                    f"(a,b)=({a},{b}) n={n}: ncl={m_ncl} "
+                    f"(a,b)=({a},{b}) n={n}: "
                     f"series={series[n]} fock={vac[n]}"
+                )
+            if n <= _NCL_ORDER and ncl.fbp_moment(a, b, n) != series[n]:
+                return False, (
+                    f"(a,b)=({a},{b}) n={n}: "
+                    f"ncl={ncl.fbp_moment(a, b, n)} series={series[n]}"
                 )
         m1 = a / (b - 1)
         m2 = m1 * m1 + a * (a + b - 1) / (b - 1) ** 3
         if series[1] != m1 or series[2] != m2:
             return False, f"(a,b)=({a},{b}): spot moments m1/m2 wrong"
-    return True, "3 parameter sets, n=1..8, identical rationals"
+    return True, (
+        "3 parameter sets, series == fock for n=1..16, "
+        "ncl too for n=1..8, identical rationals"
+    )
 
 
 def criterion_mult_convolution() -> tuple[bool, str]:
     """Multiplicative free convolution of the Poisson factors rebuilds fbp."""
     for a, b in _FBP_PARAMS:
-        ma = distributions.moment_series(FreePoisson(a), 8)
-        mb = distributions.moment_series(InverseFreePoisson(b), 8)
+        ma = distributions.moment_series(FreePoisson(a), _DEEP_ORDER)
+        mb = distributions.moment_series(InverseFreePoisson(b), _DEEP_ORDER)
         conv = transforms.free_mult_convolve(ma, mb)
-        for n in range(1, 9):
-            if conv[n] != ncl.fbp_moment(a, b, n):
-                return False, f"(a,b)=({a},{b}) n={n}: {conv[n]}"
-    return True, "S-product route equals NCL route, n=1..8"
+        series = distributions.moment_series(FreeBetaPrime(a, b), _DEEP_ORDER)
+        for n in range(1, _DEEP_ORDER + 1):
+            if conv[n] != series[n]:
+                return False, f"(a,b)=({a},{b}) n={n}: {conv[n]} vs series"
+            if n <= _NCL_ORDER and conv[n] != ncl.fbp_moment(a, b, n):
+                return False, f"(a,b)=({a},{b}) n={n}: {conv[n]} vs ncl"
+    return True, (
+        "S-product route equals closed-form series for n=1..16 "
+        "and NCL route for n=1..8"
+    )
 
 
 def criterion_gamma_routes() -> tuple[bool, str]:
@@ -234,20 +251,21 @@ def criterion_monte_carlo() -> tuple[bool, str]:
 
 
 def criterion_semigroup() -> tuple[bool, str]:
-    """Free Poisson semigroup and the two convolution identities, order 8."""
+    """Free Poisson semigroup and the two convolution identities, order 16."""
     a, b = Fraction(3, 2), Fraction(5, 4)
-    ma = distributions.moment_series(FreePoisson(a), 8)
-    mb = distributions.moment_series(FreePoisson(b), 8)
-    mab = distributions.moment_series(FreePoisson(a + b), 8)
+    n = _DEEP_ORDER
+    ma = distributions.moment_series(FreePoisson(a), n)
+    mb = distributions.moment_series(FreePoisson(b), n)
+    mab = distributions.moment_series(FreePoisson(a + b), n)
     if transforms.free_add_convolve(ma, mb).moments != mab.moments:
         return False, "free Poisson semigroup broken"
-    delta0 = transforms.MomentSequence((Fraction(1),) + (Fraction(0),) * 8)
-    delta1 = transforms.MomentSequence((Fraction(1),) * 9)
+    delta0 = transforms.MomentSequence((Fraction(1),) + (Fraction(0),) * n)
+    delta1 = transforms.MomentSequence((Fraction(1),) * (n + 1))
     if transforms.free_add_convolve(ma, delta0).moments != ma.moments:
         return False, "delta_0 is not the additive identity"
     if transforms.free_mult_convolve(ma, delta1).moments != ma.moments:
         return False, "delta_1 is not the multiplicative identity"
-    return True, "semigroup and both identities exact to order 8"
+    return True, "semigroup and both identities exact to order 16"
 
 
 CRITERIA = (

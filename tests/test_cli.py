@@ -215,6 +215,38 @@ class TestInputGuards:
             "--grid", grid,
         )
 
+    def test_score_check_rejects_no_points(self, capsys):
+        elapsed = self.assert_one_error_line(
+            capsys, "score-check", "--family", "fbp", "--a", "2", "--b", "3",
+            "--points", "0",
+        )
+        assert elapsed < 0.5
+
+    def test_t_coeffs_rejects_negative_order(self, capsys):
+        elapsed = self.assert_one_error_line(
+            capsys, "t-coeffs", "--a", "2", "--b", "3", "--order", "-1",
+        )
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "command, theta, tau",
+        [("density", "nan", "1"), ("support", "1", "inf"),
+         ("support", "inf", "1")],
+    )
+    def test_meixner_rejects_non_finite(self, capsys, command, theta, tau):
+        elapsed = self.assert_one_error_line(
+            capsys, command, "--family", "meixner", "--theta", theta,
+            "--tau", tau,
+        )
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("a", ["0", "-1", "1/1000"])
+    def test_mc_fisher_rejects_empty_first_sample(self, capsys, a):
+        elapsed = self.assert_one_error_line(
+            capsys, "mc-fisher", "--p", "50", "--a", a, "--b", "3",
+        )
+        assert elapsed < 0.5
+
     def test_meixner_class_is_exact(self, capsys):
         # theta^2 - 4 tau = 1/1000000000001000000 > 0, below float resolution
         payload = run_json(capsys, "meixner", "--a", "1000000",

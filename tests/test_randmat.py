@@ -30,6 +30,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             FisherSampleConfig(p=10, a=2, b=3, seed=0, entry_law="uniform")
 
+    @pytest.mark.parametrize("a", [0, -1, 0.01])
+    def test_rejects_empty_first_sample(self, a):
+        # a <= 0, or n1 = round(a * p) = 0, would draw no usable samples
+        with pytest.raises(ValueError):
+            FisherSampleConfig(p=10, a=a, b=3, seed=0)
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("FREEBETA_THREADS", "3")
         assert worker_count() == 3

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freebeta.distributions import (
+    FreeBetaPrime,
+    FreePoisson,
+    InverseFreePoisson,
+    moment_series,
+)
 from freebeta.errors import (
     DivisionByZeroSeries,
     InsufficientDepth,
     NonzeroConstantInner,
     NotInvertibleSeries,
 )
+from freebeta.ncl import gamma_series
 from freebeta.series import (
     ContinuedFractionSpec,
     PowerSeries,
@@ -91,6 +98,24 @@ class TestBasicArithmetic:
         assert a.scale(2).coefficients == (F(0), F(2), F(4), F(6))
         assert poly(1, 2).shift_up().coefficients == (F(0), F(1))
 
+    @given(
+        series_strategy(max_order=8),
+        st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=30)
+            | st.just(F(0)),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+    def test_mul_is_plain_fraction_convolution(self, a, coeffs):
+        b = PowerSeries.from_coefficients(coeffs)
+        n = min(a.order, b.order)
+        want = tuple(
+            sum((a[i] * b[k - i] for i in range(k + 1)), F(0))
+            for k in range(n + 1)
+        )
+        assert (a * b).coefficients == want
+
     @given(series_strategy(), series_strategy())
     def test_mul_commutes(self, a, b):
         assert a * b == b * a
@@ -147,6 +172,20 @@ class TestReversion:
         g = ps_reversion(f)
         assert ps_compose(f, g) == PowerSeries.identity(f.order)
         assert ps_compose(g, f) == PowerSeries.identity(f.order)
+
+    @pytest.mark.parametrize("order", [1, 2, 24, 32])
+    @pytest.mark.parametrize(
+        "family",
+        [FreePoisson(2), InverseFreePoisson(3), FreeBetaPrime(F(1, 2), 2)],
+    )
+    def test_phi_series_round_trip(self, family, order):
+        """Composition, an independent algorithm, undoes the reversion."""
+        m = moment_series(family, order)
+        f = PowerSeries((F(0),) + m.moments[1:])
+        g = ps_reversion(f)
+        z = PowerSeries.identity(order)
+        assert ps_compose(f, g) == z
+        assert ps_compose(g, f) == z
 
     @given(series_strategy(min_order=2, max_order=6), small_fracs)
     def test_lagrange_inversion_oracle(self, tail, f1):
@@ -253,6 +292,13 @@ class TestContinuedFraction:
         g = cf_expand(spec, 6)
         brute = brute_motzkin_gf(up, flat, 6)
         assert list(g.coefficients) == brute
+
+    @pytest.mark.parametrize(
+        "abc", [(F(2), F(1, 2), F(3)), (F(1, 3), F(4), F(2, 5))]
+    )
+    def test_gamma_cf_matches_closed_at_order_64(self, abc):
+        cf = gamma_series(64, *abc, route="cf")
+        assert cf == gamma_series(64, *abc, route="closed")
 
     def test_insufficient_depth_raises(self):
         spec = ContinuedFractionSpec(

@@ -93,6 +93,19 @@ class TestMomentCumulant:
         via_sum = r_to_moments(r, route="nc_sum")
         assert via_series.moments == via_sum.moments
 
+    def test_series_route_matches_nc_sum_to_order_10(self):
+        r = FreeCumulants(tuple(F((-1) ** k * (k + 2), k + 1) for k in range(10)))
+        assert r_to_moments(r, route="series").moments == \
+            r_to_moments(r, route="nc_sum").moments
+
+    def test_round_trip_order_24(self):
+        m = MomentSequence(
+            (F(1),) + tuple(F(k * k - 3, k + 2) for k in range(1, 25))
+        )
+        r = moments_to_r(m)
+        assert r.order == 23
+        assert r_to_moments(r).moments == m.moments
+
     @given(moment_strategy)
     def test_round_trip(self, m):
         back = r_to_moments(moments_to_r(m))
