@@ -11,32 +11,21 @@ substitution x = lo + (hi - lo) sin^2(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from scipy.integrate import quad
 
 from .distributions import (
     Family,
-    FreeBeta,
-    FreeBetaPrime,
-    FreeF,
-    FreeMeixnerStd,
-    FreePoisson,
     FreeT,
-    InverseFreePoisson,
     MeasureSpec,
     cauchy_eval,
     measure_of,
     support_of,
 )
-from .errors import (
-    OutsideDomain,
-    OutsideSupport,
-    QuadratureFailure,
-    UnsupportedFamily,
-)
+from .errors import OutsideSupport, QuadratureFailure
 
 __all__ = [
     "EpsilonLadder",
@@ -52,10 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EpsilonLadder:
-    """Decreasing positive offsets with an extrapolation mode."""
+    """Strictly decreasing positive offsets, extrapolated to zero."""
 
     values: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    extrapolation: str = "richardson"
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -63,8 +51,6 @@ class EpsilonLadder:
             vals[i] <= vals[i + 1] for i in range(len(vals) - 1)
         ):
             raise ValueError("ladder must be strictly decreasing, positive")
-        if self.extrapolation not in ("none", "richardson"):
-            raise ValueError("extrapolation must be 'none' or 'richardson'")
         object.__setattr__(self, "values", vals)
 
 
@@ -82,12 +68,6 @@ def _extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
     return tab[0]
 
 
-def _limit(ladder: EpsilonLadder, values: Sequence[float]) -> float:
-    if ladder.extrapolation == "none":
-        return values[-1]
-    return _extrapolate(ladder.values, values)
-
-
 def _require_interior(f: Family, x: float) -> None:
     lo, hi = support_of(f)
     if not lo < x < hi:
@@ -103,7 +83,7 @@ def stieltjes_density(
         -cauchy_eval(f, complex(x, eps)).imag / math.pi
         for eps in ladder.values
     ]
-    return _limit(ladder, vals)
+    return _extrapolate(ladder.values, vals)
 
 
 def hilbert_score(
@@ -114,42 +94,15 @@ def hilbert_score(
     vals = [
         2 * cauchy_eval(f, complex(x, eps)).real for eps in ladder.values
     ]
-    return _limit(ladder, vals)
+    return _extrapolate(ladder.values, vals)
 
 
 def potential_derivative(f: Family, x: float) -> float:
     """Closed-form V'(x) of the classical potential matched by the score."""
-    if isinstance(f, FreeBetaPrime):
-        if x <= 0:
-            raise OutsideDomain("the beta prime potential lives on x > 0")
-        a, b = float(f.a), float(f.b)
-        return ((b + 1) * x + (1 - a)) / (x * (1 + x))
-    if isinstance(f, FreeT):
-        m = float(f.m)
-        return (m + 1) * x / (m + x * x)
-    if isinstance(f, FreeBeta):
-        if not 0 < x < 1:
-            raise OutsideDomain("the beta potential lives on 0 < x < 1")
-        a, b = float(f.a), float(f.b)
-        return ((a + b - 2) * x + (1 - a)) / (x * (1 - x))
-    raise UnsupportedFamily(
-        f"no classical potential recorded for {type(f).__name__}"
-    )
+    return f._v_prime(x)
 
 
 _ATOM_LADDER = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
-
-
-def _atom_candidates(f: Family) -> tuple[float, ...]:
-    if isinstance(f, (FreePoisson, FreeBetaPrime, FreeF)):
-        return (0.0,)
-    if isinstance(f, FreeBeta):
-        return (0.0, 1.0)
-    if isinstance(f, (FreeT, InverseFreePoisson)):
-        return ()
-    if isinstance(f, FreeMeixnerStd):
-        return tuple(loc for loc, _ in measure_of(f).atoms)
-    raise UnsupportedFamily(f"{type(f).__name__}")
 
 
 def atom_masses(f: Family, threshold: float = 1e-9) -> list[tuple[float, float]]:
@@ -160,7 +113,7 @@ def atom_masses(f: Family, threshold: float = 1e-9) -> list[tuple[float, float]]
     treated as removable singularities and dropped.
     """
     out = []
-    for x0 in _atom_candidates(f):
+    for x0 in f._atom_sites:
         vals = [
             y * abs(cauchy_eval(f, complex(x0, y))) for y in _ATOM_LADDER
         ]

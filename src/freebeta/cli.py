@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from . import analysis, distributions, fock, ncl, randmat, transforms
@@ -41,17 +42,7 @@ def _fmt(value):
     return value
 
 
-_FAMILY_PARAMS = {
-    "fp": ("lam",),
-    "ifp": ("b",),
-    "fbp": ("a", "b"),
-    "ff": ("a", "b"),
-    "ft": ("m",),
-    "fb": ("a", "b"),
-    "meixner": ("theta", "tau"),
-}
-
-_FAMILY_TYPES = {
+_FAMILIES = {
     "fp": distributions.FreePoisson,
     "ifp": distributions.InverseFreePoisson,
     "fbp": distributions.FreeBetaPrime,
@@ -63,28 +54,28 @@ _FAMILY_TYPES = {
 
 
 def _add_family_flags(p: argparse.ArgumentParser, families) -> None:
+    """--family plus one flag per parameter field of any family."""
     p.add_argument("--family", required=True, choices=families)
-    p.add_argument("--a", type=_rat)
-    p.add_argument("--b", type=_rat)
-    p.add_argument("--lam", type=_rat)
-    p.add_argument("--m", type=_rat)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--tau", type=float)
+    flags = {}
+    for cls in _FAMILIES.values():
+        for f in fields(cls):
+            flags[f.name] = float if f.type == "float" else _rat
+    for name, kind in flags.items():
+        p.add_argument(f"--{name}", type=kind)
 
 
 def _build_family(args):
-    names = _FAMILY_PARAMS[args.family]
-    values = []
-    for name in names:
-        v = getattr(args, name)
+    params = {}
+    for f in fields(_FAMILIES[args.family]):
+        v = getattr(args, f.name)
         if v is None:
             raise FreeBetaError(
-                f"family {args.family} requires --{name}"
+                f"family {args.family} requires --{f.name}"
             )
         if isinstance(v, float) and not math.isfinite(v):
-            raise FreeBetaError(f"--{name} must be finite, got {v}")
-        values.append(v)
-    return _FAMILY_TYPES[args.family](*values), dict(zip(names, values))
+            raise FreeBetaError(f"--{f.name} must be finite, got {v}")
+        params[f.name] = v
+    return _FAMILIES[args.family](**params), params
 
 
 def _emit(command: str, params: dict, results, provenance,
@@ -204,6 +195,7 @@ def _fmt_partition(p: ncl.LinkedPartition) -> str:
 
 
 def _cmd_enumerate_ncl(args) -> int:
+    _require_positive_n(args.n)
     parts = ncl.enumerate_ncl(args.n)
     results = {"n": args.n, "count": len(parts)}
     if args.list:
@@ -305,6 +297,8 @@ def _cmd_score_check(args) -> int:
 
 
 def _cmd_mc_fisher(args) -> int:
+    if args.bins < 1:
+        raise FreeBetaError(f"--bins must be >= 1, got {args.bins}")
     cfg = randmat.FisherSampleConfig(
         p=args.p, a=float(args.a), b=float(args.b), seed=args.seed
     )
@@ -343,8 +337,15 @@ def _cmd_verify(args) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as exceptions, for main's one-line error."""
+
+    def error(self, message):
+        raise FreeBetaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freebeta",
         description="Free beta prime computations by independent routes",
     )
@@ -363,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("ncl", "series", "fock", "transform", "all"))
 
     p = add("density", _cmd_density, help="density grid of a family")
-    _add_family_flags(p, tuple(_FAMILY_PARAMS))
+    _add_family_flags(p, tuple(_FAMILIES))
     p.add_argument("--grid", help="lo:hi:count (default: the support)")
 
     p = add("support", _cmd_support, help="support endpoints and atoms")
-    _add_family_flags(p, tuple(_FAMILY_PARAMS))
+    _add_family_flags(p, tuple(_FAMILIES))
 
     p = add("enumerate-ncl", _cmd_enumerate_ncl,
             help="enumerate linked partitions")
@@ -418,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # an OverflowError comes from a rational flag too large for a float
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (FreeBetaError, ValueError) as exc:
+    except (FreeBetaError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,24 +13,34 @@ transform is real.
 Exact-rational moment sequences come from series-expanding the same closed
 forms with :func:`freebeta.series.ps_sqrt`; the discriminants' constant
 terms are rational squares, so no algebraic numbers appear.
+
+Each family is one frozen dataclass carrying its own pieces (Cauchy
+parameters, support, measure, moments, S-transform, potential V', atom
+sites); the functions here and in :mod:`freebeta.analysis` make one call
+on it.  The free F, inverse free Poisson and free T delegate to a base law
+by a dilation, a reciprocal and a symmetric square.  Densities, V', atom
+sites and moment series are written out per family, never derived from the
+Cauchy parameters, so checks against the Cauchy transform compare
+independent routes.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 from .errors import (
     InvalidParameters,
     InvalidTau,
     OnSupportError,
+    OutsideDomain,
     UnsupportedFamily,
 )
-from .series import PowerSeries, ps_sqrt
-from .transforms import MomentSequence, TCoefficients
+from .series import PowerSeries, _poly, ps_sqrt
+from .transforms import MomentSequence, TCoefficients, _frac
 from .ncl import fbp_t_params
 
 __all__ = [
@@ -52,112 +62,6 @@ __all__ = [
     "t_coeffs_of",
     "standardize_to_meixner",
     "classify_meixner",
-]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-# --------------------------------------------------------------------------
-# Families
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreePoisson:
-    """Marchenko–Pastur law with rate lam > 0."""
-
-    lam: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _frac(self.lam))
-        if self.lam <= 0:
-            raise InvalidParameters("free Poisson needs lam > 0")
-
-
-@dataclass(frozen=True)
-class InverseFreePoisson:
-    """Law of the inverse of a free Poisson variable; needs b > 1."""
-
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.b <= 1:
-            raise InvalidParameters("inverse free Poisson needs b > 1")
-
-
-@dataclass(frozen=True)
-class FreeBetaPrime:
-    """Free beta prime law, the free multiplicative ratio of Poissons."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.a <= 0 or self.b <= 1:
-            raise InvalidParameters("free beta prime needs a > 0, b > 1")
-
-
-@dataclass(frozen=True)
-class FreeF:
-    """Free F law: the free beta prime dilated by b/a."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.a <= 0 or self.b <= 1:
-            raise InvalidParameters("free F needs a > 0, b > 1")
-
-
-@dataclass(frozen=True)
-class FreeT:
-    """Free T law with m > 1 degrees of freedom; symmetric."""
-
-    m: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _frac(self.m))
-        if self.m <= 1:
-            raise InvalidParameters("free T needs m > 1")
-
-
-@dataclass(frozen=True)
-class FreeBeta:
-    """Free beta law on [0, 1]; needs a, b > 0 with a + b > 1."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if self.a <= 0 or self.b <= 0 or self.a + self.b <= 1:
-            raise InvalidParameters("free beta needs a, b > 0, a + b > 1")
-
-
-@dataclass(frozen=True)
-class FreeMeixnerStd:
-    """Standardized free Meixner law with shape (theta, tau), tau >= -1."""
-
-    theta: float
-    tau: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "tau", float(self.tau))
-        if self.tau < -1:
-            raise InvalidTau("free Meixner needs tau >= -1")
-
-
-Family = Union[
-    FreePoisson, InverseFreePoisson, FreeBetaPrime, FreeF, FreeT,
-    FreeBeta, FreeMeixnerStd,
 ]
 
 
@@ -185,61 +89,6 @@ class _Pieces:
     poles: tuple[float, ...]
 
 
-def _pieces(f: Family) -> _Pieces:
-    if isinstance(f, FreePoisson):
-        lam = float(f.lam)
-        rt = math.sqrt(lam)
-        return _Pieces(1 - lam, 1.0, 1.0, (1 - rt) ** 2, (1 + rt) ** 2,
-                       lambda z: 2 * z, (0.0,))
-    if isinstance(f, FreeBetaPrime):
-        a, b = float(f.a), float(f.b)
-        gm, gp = _fbp_endpoints(f.a, f.b)
-        return _Pieces(1 - a, b + 1, (b - 1) ** 2, gm, gp,
-                       lambda z: 2 * z * (1 + z), (0.0, -1.0))
-    if isinstance(f, FreeT):
-        m = float(f.m)
-        edge = 2 * m / (m - 1)
-        return _Pieces(0.0, m + 1, (m - 1) ** 2, -edge, edge,
-                       lambda z: 2 * (m + z * z), ())
-    if isinstance(f, FreeBeta):
-        a, b = float(f.a), float(f.b)
-        km, kp = _fbeta_endpoints(f.a, f.b)
-        return _Pieces(1 - a, a + b - 2, (a + b) ** 2, km, kp,
-                       lambda z: 2 * z * (1 - z), (0.0, 1.0))
-    if isinstance(f, FreeMeixnerStd):
-        th, tau = f.theta, f.tau
-        half = 2 * math.sqrt(1 + tau)
-        return _Pieces(th, 1 + 2 * tau, 1.0, th - half, th + half,
-                       lambda z: 2 * (tau * z * z + th * z + 1),
-                       _meixner_poles(th, tau))
-    raise UnsupportedFamily(f"{type(f).__name__} has no direct closed form")
-
-
-def _fbp_endpoints(a: Fraction, b: Fraction) -> tuple[float, float]:
-    ra = math.sqrt(float(a * b))
-    rb = math.sqrt(float(a + b - 1))
-    den = float(b - 1)
-    return ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2
-
-
-def _fbeta_endpoints(a: Fraction, b: Fraction) -> tuple[float, float]:
-    ra = math.sqrt(float(a * (a + b - 1)))
-    rb = math.sqrt(float(b))
-    den = float(a + b)
-    return ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2
-
-
-def _meixner_poles(theta: float, tau: float) -> tuple[float, ...]:
-    # real roots of tau z^2 + theta z + 1
-    if tau == 0:
-        return (-1 / theta,) if theta != 0 else ()
-    disc = theta * theta - 4 * tau
-    if disc < 0:
-        return ()
-    r = math.sqrt(disc)
-    return tuple(sorted(((-theta - r) / (2 * tau), (-theta + r) / (2 * tau))))
-
-
 def _cut_sqrt(z: complex, lead: float, e_minus: float,
               e_plus: float) -> complex:
     """sqrt(lead*(z - e_minus)(z - e_plus)), analytic off [e_minus, e_plus].
@@ -258,140 +107,380 @@ def _eval_pieces(p: _Pieces, z: complex) -> complex:
 _REAL_TOL = 1e-12
 
 
-def _guard_real(z: float, p: _Pieces) -> None:
-    tol = _REAL_TOL * (1 + abs(z))
-    if p.e_minus - tol <= z <= p.e_plus + tol:
-        raise OnSupportError(f"{z} lies on the support")
-    for pole in p.poles:
-        if abs(z - pole) <= tol:
-            raise OnSupportError(f"{z} is an atom/pole location")
+def _guard_real(x: float, lo: float, hi: float,
+                poles: tuple[float, ...] = ()) -> None:
+    tol = _REAL_TOL * (1 + abs(x))
+    if lo - tol <= x <= hi + tol:
+        raise OnSupportError(f"{x} lies on the support")
+    for pole in poles:
+        if abs(x - pole) <= tol:
+            raise OnSupportError(f"{x} is an atom/pole location")
 
 
-def cauchy_eval(f: Family, z: complex) -> complex:
-    """G(z) = integral of dmu(x)/(z - x), on either half-plane or off-support.
-
-    Real z strictly off the support (and away from pole locations) is
-    evaluated as the boundary limit, which is real.
-    """
-    z = complex(z)
-    if z.imag < 0:
-        return cauchy_eval(f, z.conjugate()).conjugate()
-    if isinstance(f, FreeF):
-        c = float(f.a) / float(f.b)
-        return c * cauchy_eval(FreeBetaPrime(f.a, f.b), c * z)
-    if isinstance(f, InverseFreePoisson):
-        lo, hi = support_of(f)
-        if z.imag == 0:
-            x = z.real
-            tol = _REAL_TOL * (1 + abs(x))
-            if lo - tol <= x <= hi + tol:
-                raise OnSupportError(f"{x} lies on the support")
-            if abs(x) <= tol:
-                return complex(-float(f.b), 0.0)  # exact limit at 0
-        w = 1 / z
-        # the reciprocal flips the half-plane; the recursion conjugates back
-        return 1 / z - (1 / (z * z)) * cauchy_eval(FreePoisson(f.b), w)
-    p = _pieces(f)
-    if z.imag == 0:
-        _guard_real(z.real, p)
-        g = _eval_pieces(p, complex(z.real, 0.0))
-        return complex(g.real, 0.0)
-    return _eval_pieces(p, z)
-
-
-# --------------------------------------------------------------------------
-# Measures
-# --------------------------------------------------------------------------
-
-def support_of(f: Family) -> tuple[float, float]:
-    """Endpoints of the continuous support."""
-    if isinstance(f, FreeF):
-        lo, hi = support_of(FreeBetaPrime(f.a, f.b))
-        c = float(f.b) / float(f.a)
-        return c * lo, c * hi
-    if isinstance(f, InverseFreePoisson):
-        lo, hi = support_of(FreePoisson(f.b))
-        return 1 / hi, 1 / lo
-    p = _pieces(f)
-    return p.e_minus, p.e_plus
-
-
-def _interval_density(
-    lo: float, hi: float, body: Callable[[float], float]
-) -> Callable[[float], float]:
+def _measure_on(lo: float, hi: float, body: Callable[[float], float],
+                atoms=()) -> MeasureSpec:
+    """Density ``body`` on (lo, hi), plus the atoms of positive mass."""
     def density(x: float) -> float:
         if not lo < x < hi:
             return 0.0
         return body(x)
 
-    return density
+    return MeasureSpec(density, (lo, hi),
+                       tuple(atom for atom in atoms if atom[1] > 0))
 
 
-def measure_of(f: Family) -> MeasureSpec:
-    """The measure: closed-form continuous density, support, atom list."""
-    if isinstance(f, FreePoisson):
-        lam = float(f.lam)
-        lo, hi = support_of(f)
-        dens = _interval_density(
+# --------------------------------------------------------------------------
+# Families
+# --------------------------------------------------------------------------
+
+def _lacks(what: str):
+    """The default of a family operation: raise UnsupportedFamily."""
+    def missing(self, *args):
+        raise UnsupportedFamily(f"{type(self).__name__} has no {what}")
+
+    return missing
+
+
+# Coercion of a family parameter, by its field annotation.
+_COERCE = {"Fraction": _frac, "float": float}
+
+
+class Family:
+    """Base class of the families, each a frozen dataclass.
+
+    The fields are the parameters, coerced by annotation and then checked
+    by ``_check``.  The underscore members are the family's operations
+    (``_atom_sites`` holds the candidate atom locations); the defaults raise
+    UnsupportedFamily, but ``_cauchy`` and ``_support`` use ``_pieces``.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _COERCE[f.type](getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    _pieces = _lacks("direct closed form")
+    _measure = _lacks("measure")
+    _moments = _lacks("exact moment series")
+    _s_transform = _lacks("S-transform")
+    _t_coeffs = _lacks("T-coefficients")
+    _v_prime = _lacks("classical potential")
+    _atom_sites = property(_lacks("atom candidates"))
+
+    def _cauchy(self, z: complex) -> complex:
+        """G on the closed upper half-plane, from the closed-form pieces."""
+        p = self._pieces()
+        if z.imag == 0:
+            _guard_real(z.real, p.e_minus, p.e_plus, p.poles)
+            g = _eval_pieces(p, complex(z.real, 0.0))
+            return complex(g.real, 0.0)
+        return _eval_pieces(p, z)
+
+    def _support(self) -> tuple[float, float]:
+        p = self._pieces()
+        return p.e_minus, p.e_plus
+
+
+@dataclass(frozen=True)
+class FreePoisson(Family):
+    """Marchenko–Pastur law with rate lam > 0."""
+
+    lam: Fraction
+    _atom_sites = (0.0,)
+
+    def _check(self) -> None:
+        if self.lam <= 0:
+            raise InvalidParameters("free Poisson needs lam > 0")
+
+    def _pieces(self) -> _Pieces:
+        lam = float(self.lam)
+        rt = math.sqrt(lam)
+        return _Pieces(1 - lam, 1.0, 1.0, (1 - rt) ** 2, (1 + rt) ** 2,
+                       lambda z: 2 * z, (0.0,))
+
+    def _measure(self) -> MeasureSpec:
+        lo, hi = support_of(self)
+        return _measure_on(
             lo, hi,
             lambda x: math.sqrt(max(-(x - lo) * (x - hi), 0.0))
             / (2 * math.pi * x),
+            [(0.0, 1 - float(self.lam))],
         )
-        atom = max(1 - lam, 0.0)
-        atoms = ((0.0, atom),) if atom > 0 else ()
-        return MeasureSpec(dens, (lo, hi), atoms)
-    if isinstance(f, InverseFreePoisson):
-        inner = measure_of(FreePoisson(f.b))
-        lo, hi = support_of(f)
-        dens = _interval_density(
-            lo, hi, lambda x: inner.density(1 / x) / (x * x)
-        )
-        return MeasureSpec(dens, (lo, hi), ())
-    if isinstance(f, FreeBetaPrime):
-        a, b = float(f.a), float(f.b)
-        lo, hi = support_of(f)
-        dens = _interval_density(
+
+    def _moments(self, order: int) -> MomentSequence:
+        lam = self.lam
+        n = order + 1
+        disc = _poly(n, 1, -2 * (1 + lam), (1 - lam) ** 2)
+        num = _poly(n, 0, 1 - lam) + _poly(n, 1) - ps_sqrt(disc, branch=1)
+        m = num.shift_down().scale(Fraction(1, 2))
+        return MomentSequence(m.coefficients)
+
+    def _s_transform(self, order: int) -> PowerSeries:
+        return _poly(order, 1) / _poly(order, self.lam, 1)
+
+
+@dataclass(frozen=True)
+class InverseFreePoisson(Family):
+    """Law of the inverse of a free Poisson variable; needs b > 1.
+
+    Delegates to FreePoisson(b) through the reciprocal x -> 1/x.
+    """
+
+    b: Fraction
+    _atom_sites = ()
+
+    def _check(self) -> None:
+        if self.b <= 1:
+            raise InvalidParameters("inverse free Poisson needs b > 1")
+
+    def _cauchy(self, z: complex) -> complex:
+        if z.imag == 0:
+            _guard_real(z.real, *support_of(self))
+            if abs(z.real) <= _REAL_TOL * (1 + abs(z.real)):
+                return complex(-float(self.b), 0.0)  # exact limit at 0
+        w = 1 / z
+        # the reciprocal flips the half-plane; cauchy_eval conjugates back
+        return 1 / z - (1 / (z * z)) * cauchy_eval(FreePoisson(self.b), w)
+
+    def _support(self) -> tuple[float, float]:
+        lo, hi = support_of(FreePoisson(self.b))
+        return 1 / hi, 1 / lo
+
+    def _measure(self) -> MeasureSpec:
+        inner = measure_of(FreePoisson(self.b))
+        lo, hi = support_of(self)
+        return _measure_on(lo, hi,
+                           lambda x: inner.density(1 / x) / (x * x))
+
+    def _moments(self, order: int) -> MomentSequence:
+        # m_k = -[z^(k-1)] of the Taylor series at 0 of the free Poisson G
+        b, n = self.b, order + 1
+        disc = _poly(n, (1 - b) ** 2, -2 * (1 + b), 1)
+        num = _poly(n, 1 - b, 1) - ps_sqrt(disc, branch=-1)
+        g = num.shift_down().scale(Fraction(1, 2))
+        m = _poly(order, 1) - g.truncate(order).shift_up()
+        return MomentSequence(m.coefficients)
+
+    def _s_transform(self, order: int) -> PowerSeries:
+        return _poly(order, self.b - 1, -1)
+
+
+@dataclass(frozen=True)
+class FreeBetaPrime(Family):
+    """Free beta prime law, the free multiplicative ratio of Poissons."""
+
+    a: Fraction
+    b: Fraction
+    _atom_sites = (0.0,)
+
+    def _check(self) -> None:
+        if self.a <= 0 or self.b <= 1:
+            raise InvalidParameters("free beta prime needs a > 0, b > 1")
+
+    def _pieces(self) -> _Pieces:
+        a, b = float(self.a), float(self.b)
+        ra = math.sqrt(float(self.a * self.b))
+        rb = math.sqrt(float(self.a + self.b - 1))
+        den = float(self.b - 1)
+        return _Pieces(1 - a, b + 1, (b - 1) ** 2,
+                       ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2,
+                       lambda z: 2 * z * (1 + z), (0.0, -1.0))
+
+    def _measure(self) -> MeasureSpec:
+        a, b = float(self.a), float(self.b)
+        lo, hi = support_of(self)
+        return _measure_on(
             lo, hi,
             lambda x: (b - 1) * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
             / (2 * math.pi * x * (1 + x)),
+            [(0.0, 1 - a)],
         )
-        atom = max(1 - a, 0.0)
-        atoms = ((0.0, atom),) if atom > 0 else ()
-        return MeasureSpec(dens, (lo, hi), atoms)
-    if isinstance(f, FreeF):
-        inner = measure_of(FreeBetaPrime(f.a, f.b))
-        c = float(f.a) / float(f.b)  # x -> c*x maps back to the fbp scale
-        lo, hi = support_of(f)
-        dens = _interval_density(lo, hi, lambda x: c * inner.density(c * x))
-        return MeasureSpec(dens, (lo, hi), inner.atoms)
-    if isinstance(f, FreeT):
-        m = float(f.m)
-        lo, hi = support_of(f)
+
+    def _moments(self, order: int) -> MomentSequence:
+        a, b = self.a, self.b
+        disc = (_poly(order, b - 1, -(1 + a)) * _poly(order, b - 1, -(1 + a))
+                - _poly(order, 0, 4 * a) * _poly(order, 1, 1))
+        num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc, branch=1)
+        m = num / _poly(order, 2, 2)
+        return MomentSequence(m.coefficients)
+
+    def _s_transform(self, order: int) -> PowerSeries:
+        return _poly(order, self.b - 1, -1) / _poly(order, self.a, 1)
+
+    def _t_coeffs(self, order: int) -> TCoefficients:
+        s, t, u = fbp_t_params(self.a, self.b)
+        return TCoefficients(
+            (s,) + tuple(t * u ** k for k in range(1, order + 1))
+        )
+
+    def _v_prime(self, x: float) -> float:
+        if x <= 0:
+            raise OutsideDomain("the beta prime potential lives on x > 0")
+        a, b = float(self.a), float(self.b)
+        return ((b + 1) * x + (1 - a)) / (x * (1 + x))
+
+
+@dataclass(frozen=True)
+class FreeF(Family):
+    """Free F law: the free beta prime dilated by b/a."""
+
+    a: Fraction
+    b: Fraction
+    _atom_sites = (0.0,)
+
+    def _check(self) -> None:
+        if self.a <= 0 or self.b <= 1:
+            raise InvalidParameters("free F needs a > 0, b > 1")
+
+    def _cauchy(self, z: complex) -> complex:
+        c = float(self.a) / float(self.b)
+        return c * cauchy_eval(FreeBetaPrime(self.a, self.b), c * z)
+
+    def _support(self) -> tuple[float, float]:
+        lo, hi = support_of(FreeBetaPrime(self.a, self.b))
+        c = float(self.b) / float(self.a)
+        return c * lo, c * hi
+
+    def _measure(self) -> MeasureSpec:
+        inner = measure_of(FreeBetaPrime(self.a, self.b))
+        c = float(self.a) / float(self.b)  # x -> c*x maps back to the base
+        lo, hi = support_of(self)
+        return _measure_on(lo, hi, lambda x: c * inner.density(c * x),
+                           inner.atoms)
+
+    def _moments(self, order: int) -> MomentSequence:
+        base = moment_series(FreeBetaPrime(self.a, self.b), order)
+        c = self.b / self.a
+        return MomentSequence(
+            tuple(c ** k * base[k] for k in range(order + 1))
+        )
+
+    def _s_transform(self, order: int) -> PowerSeries:
+        base = s_transform_of(FreeBetaPrime(self.a, self.b), order)
+        return base.scale(self.a / self.b)  # dilation by c divides S by c
+
+
+@dataclass(frozen=True)
+class FreeT(Family):
+    """Free T law with m > 1 degrees of freedom; symmetric."""
+
+    m: Fraction
+    _atom_sites = ()
+
+    def _check(self) -> None:
+        if self.m <= 1:
+            raise InvalidParameters("free T needs m > 1")
+
+    def _pieces(self) -> _Pieces:
+        m = float(self.m)
+        edge = 2 * m / (m - 1)
+        return _Pieces(0.0, m + 1, (m - 1) ** 2, -edge, edge,
+                       lambda z: 2 * (m + z * z), ())
+
+    def _measure(self) -> MeasureSpec:
+        m = float(self.m)
+        lo, hi = support_of(self)
         ratio = (m - 1) / m
-        dens = _interval_density(
+        return _measure_on(
             lo, hi,
             lambda x: math.sqrt(max(4 - (ratio * x) ** 2, 0.0))
             / (2 * math.pi * (1 + x * x / m)),
         )
-        return MeasureSpec(dens, (lo, hi), ())
-    if isinstance(f, FreeBeta):
-        a, b = float(f.a), float(f.b)
-        lo, hi = support_of(f)
-        dens = _interval_density(
+
+    def _moments(self, order: int) -> MomentSequence:
+        # the square of a free T variable is m times a free beta prime(1, m)
+        half = moment_series(FreeBetaPrime(Fraction(1), self.m), order // 2)
+        return MomentSequence(tuple(
+            self.m ** (k // 2) * half[k // 2] if k % 2 == 0 else Fraction(0)
+            for k in range(order + 1)
+        ))
+
+    def _v_prime(self, x: float) -> float:
+        m = float(self.m)
+        return (m + 1) * x / (m + x * x)
+
+
+@dataclass(frozen=True)
+class FreeBeta(Family):
+    """Free beta law on [0, 1]; needs a, b > 0 with a + b > 1."""
+
+    a: Fraction
+    b: Fraction
+    _atom_sites = (0.0, 1.0)
+
+    def _check(self) -> None:
+        if self.a <= 0 or self.b <= 0 or self.a + self.b <= 1:
+            raise InvalidParameters("free beta needs a, b > 0, a + b > 1")
+
+    def _pieces(self) -> _Pieces:
+        a, b = float(self.a), float(self.b)
+        ra = math.sqrt(float(self.a * (self.a + self.b - 1)))
+        rb = math.sqrt(float(self.b))
+        den = float(self.a + self.b)
+        return _Pieces(1 - a, a + b - 2, (a + b) ** 2,
+                       ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2,
+                       lambda z: 2 * z * (1 - z), (0.0, 1.0))
+
+    def _measure(self) -> MeasureSpec:
+        a, b = float(self.a), float(self.b)
+        lo, hi = support_of(self)
+        return _measure_on(
             lo, hi,
             lambda x: (a + b) * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
             / (2 * math.pi * x * (1 - x)),
+            [(0.0, 1 - a), (1.0, 1 - b)],
         )
-        atoms = []
-        if a < 1:
-            atoms.append((0.0, 1 - a))
-        if b < 1:
-            atoms.append((1.0, 1 - b))
-        return MeasureSpec(dens, (lo, hi), tuple(atoms))
-    if isinstance(f, FreeMeixnerStd):
-        p = _pieces(f)
+
+    def _moments(self, order: int) -> MomentSequence:
+        a, b = self.a, self.b
+        mid = a * b + a * a - a + b
+        disc = _poly(order, (a + b) ** 2, -2 * mid, (a - 1) ** 2)
+        num = _poly(order, a + b - 2, 1 - a) - ps_sqrt(disc, branch=1)
+        m = num / _poly(order, -2, 2)
+        return MomentSequence(m.coefficients)
+
+    def _v_prime(self, x: float) -> float:
+        if not 0 < x < 1:
+            raise OutsideDomain("the beta potential lives on 0 < x < 1")
+        a, b = float(self.a), float(self.b)
+        return ((a + b - 2) * x + (1 - a)) / (x * (1 - x))
+
+
+@dataclass(frozen=True)
+class FreeMeixnerStd(Family):
+    """Standardized free Meixner law with shape (theta, tau), tau >= -1."""
+
+    theta: float
+    tau: float
+
+    def _check(self) -> None:
+        if self.tau < -1:
+            raise InvalidTau("free Meixner needs tau >= -1")
+
+    def _poles(self) -> tuple[float, ...]:
+        # real roots of tau z^2 + theta z + 1
+        theta, tau = self.theta, self.tau
+        if tau == 0:
+            return (-1 / theta,) if theta != 0 else ()
+        disc = theta * theta - 4 * tau
+        if disc < 0:
+            return ()
+        r = math.sqrt(disc)
+        return tuple(sorted(((-theta - r) / (2 * tau),
+                             (-theta + r) / (2 * tau))))
+
+    def _pieces(self) -> _Pieces:
+        th, tau = self.theta, self.tau
+        half = 2 * math.sqrt(1 + tau)
+        return _Pieces(th, 1 + 2 * tau, 1.0, th - half, th + half,
+                       lambda z: 2 * (tau * z * z + th * z + 1),
+                       self._poles())
+
+    def _measure(self) -> MeasureSpec:
+        p = self._pieces()
         lo, hi = p.e_minus, p.e_plus
-        th, tau = f.theta, f.tau
+        th, tau = self.theta, self.tau
 
         def body(x: float) -> float:
             return math.sqrt(max(4 * (1 + tau) - (x - th) ** 2, 0.0)) / (
@@ -406,108 +495,64 @@ def measure_of(f: Family) -> MeasureSpec:
             num = (p.p1 * pole + p.p0
                    - _cut_sqrt(complex(pole, 0.0), p.lead, lo, hi).real)
             dq = 2 * (2 * tau * pole + th)
+            if dq == 0:
+                # a double root of Q (theta^2 = 4 tau): the numerator
+                # vanishes there too, G stays bounded and has no atom
+                continue
             mass = num / dq
             if mass > 1e-12:
                 atoms.append((pole, mass))
-        return MeasureSpec(
-            _interval_density(lo, hi, body), (lo, hi), tuple(atoms)
-        )
-    raise UnsupportedFamily(f"no measure for {type(f).__name__}")
+        return _measure_on(lo, hi, body, atoms)
+
+    @property
+    def _atom_sites(self) -> tuple[float, ...]:
+        return tuple(loc for loc, _ in measure_of(self).atoms)
 
 
 # --------------------------------------------------------------------------
-# Exact moment sequences by series-expanding the closed forms
+# The family operations
 # --------------------------------------------------------------------------
 
-def _poly(n: int, *coeffs) -> PowerSeries:
-    return PowerSeries.from_coefficients(
-        list(coeffs) + [0] * (n + 1 - len(coeffs))
-    )
+def cauchy_eval(f: Family, z: complex) -> complex:
+    """G(z) = integral of dmu(x)/(z - x), on either half-plane or off-support.
+
+    Real z strictly off the support (and away from pole locations) is
+    evaluated as the boundary limit, which is real.
+    """
+    z = complex(z)
+    if z.imag < 0:
+        return cauchy_eval(f, z.conjugate()).conjugate()
+    return f._cauchy(z)
 
 
-def _mp_taylor_g(b: Fraction, order: int) -> PowerSeries:
-    """Taylor series at 0 of the free Poisson Cauchy transform, b > 1."""
-    n = order + 1
-    disc = _poly(n, (1 - b) ** 2, -2 * (1 + b), 1)
-    num = _poly(n, 1 - b, 1) - ps_sqrt(disc, branch=-1)
-    return num.shift_down().scale(Fraction(1, 2))
+def support_of(f: Family) -> tuple[float, float]:
+    """Endpoints of the continuous support."""
+    return f._support()
+
+
+def measure_of(f: Family) -> MeasureSpec:
+    """The measure: closed-form continuous density, support, atom list."""
+    return f._measure()
 
 
 def moment_series(f: Family, order: int) -> MomentSequence:
     """Exact rational moments m_0..m_order from the closed forms."""
-    if isinstance(f, FreePoisson):
-        lam = f.lam
-        n = order + 1
-        disc = _poly(n, 1, -2 * (1 + lam), (1 - lam) ** 2)
-        num = _poly(n, 0, 1 - lam) + _poly(n, 1) - ps_sqrt(disc, branch=1)
-        m = num.shift_down().scale(Fraction(1, 2))
-        return MomentSequence(m.coefficients)
-    if isinstance(f, InverseFreePoisson):
-        g = _mp_taylor_g(f.b, order)
-        m = _poly(order, 1) - g.truncate(order).shift_up()
-        return MomentSequence(m.coefficients)
-    if isinstance(f, FreeBetaPrime):
-        a, b = f.a, f.b
-        disc = (_poly(order, b - 1, -(1 + a)) * _poly(order, b - 1, -(1 + a))
-                - _poly(order, 0, 4 * a) * _poly(order, 1, 1))
-        num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc, branch=1)
-        m = num / _poly(order, 2, 2)
-        return MomentSequence(m.coefficients)
-    if isinstance(f, FreeF):
-        base = moment_series(FreeBetaPrime(f.a, f.b), order)
-        c = f.b / f.a
-        return MomentSequence(
-            tuple(c ** k * base[k] for k in range(order + 1))
-        )
-    if isinstance(f, FreeT):
-        # the square of a free T variable is m times a free beta prime(1, m)
-        half = moment_series(FreeBetaPrime(Fraction(1), f.m), order // 2)
-        out = []
-        for k in range(order + 1):
-            out.append(f.m ** (k // 2) * half[k // 2] if k % 2 == 0
-                       else Fraction(0))
-        return MomentSequence(tuple(out))
-    if isinstance(f, FreeBeta):
-        a, b = f.a, f.b
-        mid = a * b + a * a - a + b
-        disc = _poly(order, (a + b) ** 2, -2 * mid, (a - 1) ** 2)
-        num = _poly(order, a + b - 2, 1 - a) - ps_sqrt(disc, branch=1)
-        m = num / _poly(order, -2, 2)
-        return MomentSequence(m.coefficients)
-    raise UnsupportedFamily(
-        f"no exact moment series for {type(f).__name__}"
-    )
+    return f._moments(order)
 
-
-# --------------------------------------------------------------------------
-# S/T transforms and Meixner standardization
-# --------------------------------------------------------------------------
 
 def s_transform_of(f: Family, order: int) -> PowerSeries:
     """Series expansion of the closed-form S-transform."""
-    if isinstance(f, FreePoisson):
-        return _poly(order, 1) / _poly(order, f.lam, 1)
-    if isinstance(f, InverseFreePoisson):
-        return _poly(order, f.b - 1, -1)
-    if isinstance(f, FreeBetaPrime):
-        return _poly(order, f.b - 1, -1) / _poly(order, f.a, 1)
-    if isinstance(f, FreeF):
-        base = s_transform_of(FreeBetaPrime(f.a, f.b), order)
-        return base.scale(f.a / f.b)  # dilation by c divides S by c
-    raise UnsupportedFamily(
-        f"S-transform not provided for {type(f).__name__}"
-    )
+    return f._s_transform(order)
 
 
 def t_coeffs_of(f: FreeBetaPrime, order: int) -> TCoefficients:
     """Exact T-transform coefficients alpha_0 = s, alpha_k = t*u^k."""
-    if not isinstance(f, FreeBetaPrime):
-        raise UnsupportedFamily("T-coefficients are for the free beta prime")
-    s, t, u = fbp_t_params(f.a, f.b)
-    return TCoefficients(
-        (s,) + tuple(t * u ** k for k in range(1, order + 1))
-    )
+    return f._t_coeffs(order)
 
+
+# --------------------------------------------------------------------------
+# Meixner standardization
+# --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MeixnerStandardization:
@@ -546,16 +591,6 @@ def standardize_to_meixner(a, b) -> MeixnerStandardization:
         mean=mean,
         variance=variance,
     )
-
-
-_CLASS_LABELS = (
-    "semicircle",
-    "free Poisson",
-    "free negative binomial",
-    "free gamma",
-    "pure free Meixner",
-    "free binomial",
-)
 
 
 def classify_meixner(theta, tau) -> str:

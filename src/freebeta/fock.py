@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import InvalidParameters, TruncationTooSmall
 from .ncl import WeightedMotzkinScheme, fbp_t_params
 from .series import _sqrt_fraction
+from .transforms import _frac
 
 __all__ = [
     "TruncatedFockOperator",
@@ -24,10 +25,6 @@ __all__ = [
     "fbp_operator",
     "symmetric_form_operator",
 ]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -57,15 +54,6 @@ class TruncatedFockOperator:
     def truncation(self) -> int:
         """N, the highest retained level."""
         return self.dim - 1
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return self.diagonal[i]
-        if i == j + 1:
-            return self.raising[j]
-        if i == j - 1:
-            return self.lowering[j - 1]
-        return Fraction(0)
 
     def apply(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         out = []

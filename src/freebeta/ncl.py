@@ -29,7 +29,8 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .series import ContinuedFractionSpec, PowerSeries, cf_expand, ps_sqrt
-from .transforms import TCoefficients
+from .series import _poly
+from .transforms import TCoefficients, _frac
 
 __all__ = [
     "LinkedPartition",
@@ -56,10 +57,6 @@ __all__ = [
 # takes ~4.5 s at n = 9 and ~26 s at n = 10 (Python 3.11, 2-vCPU x86_64);
 # n = 11 has five times as many partitions and takes minutes.
 NCL_SIZE_LIMIT = 10
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -443,12 +440,6 @@ def gamma_series(order: int, alpha, beta, gamma,
     if route == "closed":
         return _gamma_closed(order, alpha, beta, gamma)
     raise ValueError(f"unknown series route {route!r}")
-
-
-def _poly(n: int, *coeffs) -> PowerSeries:
-    return PowerSeries.from_coefficients(
-        list(coeffs) + [0] * (n + 1 - len(coeffs))
-    )
 
 
 def _gamma_quadratic(n: int, alpha: Fraction, beta: Fraction,

@@ -30,38 +30,24 @@ __all__ = [
     "ks_distance",
     "histogram_rows",
     "median_ks",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Worker cap from FREEBETA_THREADS, defaulting to machine parallelism."""
-    env = os.environ.get("FREEBETA_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError("FREEBETA_THREADS must be an integer") from None
-        if n >= 1:
-            return n
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
 class FisherSampleConfig:
-    """Sampling plan: dimension p, target ratios a, b, and the RNG seed."""
+    """Sampling plan: dimension p, target ratios a, b, and the RNG seed.
+
+    Both data matrices have independent standard Gaussian entries.
+    """
 
     p: int
     a: float
     b: float
     seed: int
-    entry_law: str = "standard_gaussian"
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be positive")
-        if self.entry_law != "standard_gaussian":
-            raise ValueError("only standard_gaussian entries are supported")
         if self.a <= 0:
             raise ValueError("need a > 0")
         if self.n1 < 1:
@@ -169,7 +155,7 @@ def median_ks(p: int, a: float, b: float, seeds) -> float:
                                                          seed=seed))
         return ks_distance(eigs, fam)
 
-    with ThreadPoolExecutor(max_workers=min(worker_count(),
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1,
                                             len(seeds))) as pool:
         values = list(pool.map(one, seeds))
     return float(np.median(values))

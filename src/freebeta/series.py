@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import (
     DivisionByZeroSeries,
@@ -21,13 +21,11 @@ from .errors import (
     NotInvertibleSeries,
 )
 
-Rational = Fraction
 RationalLike = Union[int, str, Fraction]
 
 __all__ = [
     "PowerSeries",
     "ContinuedFractionSpec",
-    "ps_arith",
     "ps_compose",
     "ps_reversion",
     "ps_sqrt",
@@ -167,17 +165,11 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
 
-def ps_arith(a: PowerSeries, b: PowerSeries, op: str) -> PowerSeries:
-    """Dispatch ``add``/``sub``/``mul``/``div`` by name."""
-    try:
-        return {
-            "add": a.__add__,
-            "sub": a.__sub__,
-            "mul": a.__mul__,
-            "div": a.__truediv__,
-        }[op](b)
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
+def _poly(n: int, *coeffs) -> PowerSeries:
+    """The polynomial with the given low coefficients, padded to order n."""
+    return PowerSeries.from_coefficients(
+        list(coeffs) + [0] * (n + 1 - len(coeffs))
+    )
 
 
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:

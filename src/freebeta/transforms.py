@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     InsufficientOrder,
@@ -36,8 +36,12 @@ __all__ = [
 ]
 
 
+def _frac(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def _fracs(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
+    return tuple(_frac(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,6 @@ class MomentSequence:
         object.__setattr__(self, "moments", _fracs(self.moments))
         if not self.moments or self.moments[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
-
-    @classmethod
-    def from_values(cls, values: Sequence, order: int | None = None) -> "MomentSequence":
-        m = cls(_fracs(values))
-        return m if order is None else m.truncate(order)
 
     @property
     def order(self) -> int:

@@ -42,9 +42,9 @@ class TestLadder:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EpsilonLadder(values=(1e-6, 1e-2), extrapolation="richardson")
+            EpsilonLadder(values=(1e-6, 1e-2))
         with pytest.raises(ValueError):
-            EpsilonLadder(values=(1e-2,), extrapolation="cubic")
+            EpsilonLadder(values=(1e-2, 0.0))
 
 
 class TestStieltjesDensity:

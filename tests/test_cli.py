@@ -1,11 +1,15 @@
 """Tests for the command-line interface: JSON envelope, CSV, exit codes."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freebeta.cli import main
+from freebeta.cli import _FAMILIES, main
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +244,43 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_enumerate_ncl_rejects_nonpositive_n(self, capsys, n):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate-ncl", "--n", n)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be >= 1, got {n}\n"
+
+    def test_mc_fisher_rejects_no_bins_before_sampling(self, capsys):
+        elapsed = self.assert_one_error_line(
+            capsys, "mc-fisher", "--p", "800", "--a", "2", "--b", "3",
+            "--bins", "0",
+        )
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--family", "fp", "--lam", "zebra"],
+        ["density", "--family", "meixner", "--theta", "-inf", "--tau", "1"],
+        ["support", "--family", "zebra"],
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3"],
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n", "x"],
+        ["score-check", "--family", "fbp", "--a", "2", "--b", "3",
+         "--zebra"],
+        ["zebra"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_usage_errors_are_one_line(self, capsys, argv):
+        elapsed = self.assert_one_error_line(capsys, *argv)
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv", [["--help"], ["density", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
     @pytest.mark.parametrize("a", ["0", "-1", "1/1000"])
     def test_mc_fisher_rejects_empty_first_sample(self, capsys, a):
         elapsed = self.assert_one_error_line(
@@ -254,3 +295,110 @@ class TestInputGuards:
         res = payload["results"]
         assert res["discriminant"] == "1/1000000000001000000"
         assert res["class"] == "free negative binomial"
+
+
+# --------------------------------------------------------------------------
+# Fuzzing: every argv ends in exit code 0 or 2 with one JSON envelope (or
+# CSV table) on stdout, or one "error:" line on stderr.  Sizes are bounded
+# (--n <= 6, --p <= 40, --points <= 5, --order <= 12, grids of <= 5 points,
+# mc-fisher ratios <= 3) so each case runs well under a second; `verify`
+# is left out because it takes seconds.  Most drawn values are admissible,
+# so that the success paths are reached as well as the error paths.
+# --------------------------------------------------------------------------
+
+def _mostly(usual, edge):
+    """Values from ``usual``, and one time in five from ``edge``."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(edge if k == 0 else usual))
+
+
+_RATIONALS = _mostly(
+    ["2", "3", "1/2", "3/2", "7/3", "5", "2.5"],
+    ["1", "0", "-1", "-3/4", "1e-9", "1e400", "zebra", "1/0", ""])
+_FLOATS = st.integers(0, 4).flatmap(
+    lambda k: st.floats(-5, 5).map(repr) if k else st.sampled_from(
+        ["-1", "-2", "nan", "inf", "-inf", "1e308", "zebra"]))
+_SMALL_N = _mostly([str(n) for n in range(1, 7)],
+                   ["0", "-1", "2.5", "zebra"])
+
+
+def _family_flags(*keys):
+    return {
+        "--family": _mostly(keys, ["meixner", "zebra"]),
+        "--a": _RATIONALS, "--b": _RATIONALS, "--lam": _RATIONALS,
+        "--m": _RATIONALS, "--theta": _FLOATS, "--tau": _FLOATS,
+        "--format": _mostly(["json", "csv"], ["zebra"]),
+    }
+
+
+_ALL_FAMILIES = tuple(_FAMILIES)
+_COMMANDS = {
+    # only fbp has every route, so it is drawn as often as all others
+    "moments": {**_family_flags("fbp", "fbp", "fbp", "fbp", "fbp", "fp",
+                                "ifp", "ff", "ft", "fb"),
+                "--n": _SMALL_N, "--route": _mostly(
+                    ["ncl", "series", "fock", "transform", "all"],
+                    ["zebra"])},
+    "density": {**_family_flags(*_ALL_FAMILIES), "--grid": _mostly(
+        ["0.5:2:3", "0:1:5", "-1:20:4", "-2:2:2"],
+        ["1:2:1", "1:2", "a:b:c", "nan:1:3", ""])},
+    "support": _family_flags(*_ALL_FAMILIES),
+    "score-check": {**_family_flags("fbp", "ft", "fb"),
+                    "--points": _mostly(["1", "2", "5"], ["0", "-1"])},
+    "enumerate-ncl": {"--n": _SMALL_N, "--list": None},
+    "ncl-stats": {"--n": _SMALL_N, "--partition": _mostly(
+        ["1,2|3", "1,3|2,4", "1,2,3|3,4", "1", "1,2|2,3|3,4|4,5|5,6"],
+        ["1,zebra", "|", "", "0,1", "1,1"])},
+    "gamma-gf": {"--n": _SMALL_N, "--alpha": _RATIONALS,
+                 "--beta": _RATIONALS, "--gamma": _RATIONALS,
+                 "--route": _mostly(["brute", "cf", "closed", "all"],
+                                    ["zebra"])},
+    "t-coeffs": {"--a": _RATIONALS, "--b": _RATIONALS,
+                 "--order": _mostly([str(k) for k in range(13)],
+                                    ["-1", "zebra"])},
+    "meixner": {"--a": _RATIONALS, "--b": _RATIONALS},
+    "mc-fisher": {"--p": _mostly(["1", "2", "10", "40"], ["0", "-1"]),
+                  "--a": _mostly(["2", "3", "1/2"],
+                                 ["0", "-1", "1e400", "zebra"]),
+                  "--b": _mostly(["3", "2", "3/2"], ["1", "1/2", "zebra"]),
+                  "--seed": st.integers(-1, 5).map(str),
+                  "--bins": _mostly(["1", "5", "12"], ["0", "-1"])},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag, values in _COMMANDS[command].items():
+        if draw(st.integers(0, 9)):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    if draw(st.integers(0, 19)) == 0:
+        argv.append("--zebra")
+    return argv
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=150, deadline=2000)
+@given(_argvs())
+def test_fuzzed_argv_ends_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == ""
+        if "csv" in argv:
+            assert out.endswith("\n") and "," in out
+        else:
+            payload = json.loads(out, parse_constant=_strict_constant)
+            assert payload["command"] == argv[0]
+    else:
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

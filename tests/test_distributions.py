@@ -3,10 +3,13 @@
 import cmath
 import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+from freebeta.analysis import atom_masses, potential_derivative
+from freebeta.cli import _FAMILIES
 from freebeta.distributions import (
     FreeBeta,
     FreeBetaPrime,
@@ -178,6 +181,13 @@ class TestSupportAndMeasure:
         assert dict(fb.atoms) == pytest.approx({0.0: 0.5, 1.0: 0.25})
         assert measure_of(FreeT(2)).atoms == ()
 
+    @pytest.mark.parametrize("theta,tau", [(2.0, 1.0), (4.0, 4.0)])
+    def test_free_gamma_double_pole_has_no_atom(self, theta, tau):
+        # theta^2 = 4 tau: Q has a double root outside the support
+        fam = FreeMeixnerStd(theta, tau)
+        assert measure_of(fam).atoms == ()
+        assert atom_masses(fam) == []
+
     def test_density_positive_inside_support(self):
         for fam in ALL_FAMILIES:
             spec = measure_of(fam)
@@ -335,3 +345,48 @@ class TestMeixner:
         tau = theta * theta / 4
         assert theta * theta - 4 * tau == 0
         assert classify_meixner(theta, tau) == "pure free Meixner"
+
+
+# The CLI family keys that answer each operation; every other pair raises.
+_ANSWERS = {
+    "moment_series": {"fp", "ifp", "fbp", "ff", "ft", "fb"},
+    "s_transform_of": {"fp", "ifp", "fbp", "ff"},
+    "t_coeffs_of": {"fbp"},
+    "potential_derivative": {"fbp", "ft", "fb"},
+    "measure_of": set(_FAMILIES),
+    "support_of": set(_FAMILIES),
+    "cauchy_eval": set(_FAMILIES),
+    "atom_masses": set(_FAMILIES),
+}
+
+_CALLS = {
+    "moment_series": lambda f: moment_series(f, 4),
+    "s_transform_of": lambda f: s_transform_of(f, 4),
+    "t_coeffs_of": lambda f: t_coeffs_of(f, 4),
+    "potential_derivative": lambda f: potential_derivative(f, 0.5),
+    "measure_of": measure_of,
+    "support_of": support_of,
+    "cauchy_eval": lambda f: cauchy_eval(f, complex(3, 1)),
+    "atom_masses": atom_masses,
+}
+
+_PARAMS = {"lam": 2, "a": 2, "b": 3, "m": 2, "theta": 1.5, "tau": 0.5}
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("key", sorted(_FAMILIES))
+    @pytest.mark.parametrize("op", sorted(_ANSWERS))
+    def test_operation_support(self, key, op):
+        cls = _FAMILIES[key]
+        fam = cls(**{f.name: _PARAMS[f.name] for f in fields(cls)})
+        if key in _ANSWERS[op]:
+            _CALLS[op](fam)
+        else:
+            with pytest.raises(UnsupportedFamily):
+                _CALLS[op](fam)
+
+    def test_field_coercion(self):
+        meixner = FreeMeixnerStd(Fraction(3, 2), 1)
+        assert type(meixner.theta) is float and type(meixner.tau) is float
+        free_t = FreeT(2.5)
+        assert free_t.m == Fraction(5, 2) and type(free_t.m) is Fraction

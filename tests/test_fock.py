@@ -19,27 +19,31 @@ F = Fraction
 
 class TestOperatorStructure:
     def test_tridiagonal_entries(self):
+        """Column j of the matrix, X e_j, is zero outside rows j-1..j+1."""
         op = build_operator(F(2), F(3), F(5), 4)
-        for i in range(op.dim):
-            for j in range(op.dim):
+        for j in range(op.dim):
+            column = op.apply(tuple(F(int(i == j)) for i in range(op.dim)))
+            for i in range(op.dim):
                 if abs(i - j) > 1:
-                    assert op.entry(i, j) == 0
+                    assert column[i] == 0
 
     def test_band_values(self):
         alpha, beta, gamma = F(2), F(3), F(5)
         op = build_operator(alpha, beta, gamma, 4)
+        assert len(op.raising) == len(op.lowering) == 4
+        assert len(op.diagonal) == 5
         # diagonal: flat weights; subdiagonal pair products: up weights
-        assert op.entry(0, 0) == gamma
-        assert op.entry(1, 1) == 1 + alpha + gamma
-        assert op.entry(1, 0) * op.entry(0, 1) == beta
-        assert op.entry(2, 1) * op.entry(1, 2) == alpha + beta
+        assert op.diagonal[0] == gamma
+        assert op.diagonal[1] == 1 + alpha + gamma
+        assert op.raising[0] * op.lowering[0] == beta
+        assert op.raising[1] * op.lowering[1] == alpha + beta
 
     def test_apply_is_matrix_action(self):
-        op = build_operator(F(0), F(1), F(0), 3)
-        e0 = (F(1), F(0), F(0), F(0))
-        v = op.apply(e0)
-        assert v[0] == op.entry(0, 0)
-        assert v[1] == op.entry(1, 0)
+        op = build_operator(F(2), F(3), F(5), 3)
+        e1 = (F(0), F(1), F(0), F(0))
+        v = op.apply(e1)
+        # column 1 holds the entries (0, 1), (1, 1) and (2, 1)
+        assert v == (op.lowering[0], op.diagonal[1], op.raising[1], F(0))
 
     def test_band_length_validation(self):
         with pytest.raises(ValueError):
@@ -111,10 +115,9 @@ class TestSymmetricForm:
         op = symmetric_form_operator(alpha, beta, gamma, 5)
         ref = build_operator(alpha, beta, gamma, 5)
         for i in range(op.dim - 1):
-            assert (op.entry(i + 1, i) * op.entry(i, i + 1)
-                    == ref.entry(i + 1, i) * ref.entry(i, i + 1))
-        for i in range(op.dim):
-            assert op.entry(i, i) == ref.entry(i, i)
+            assert (op.raising[i] * op.lowering[i]
+                    == ref.raising[i] * ref.lowering[i])
+        assert op.diagonal == ref.diagonal
 
     def test_requires_square_beta(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from freebeta.randmat import (
     median_ks,
     sample_fisher_spectrum,
     theoretical_cdf,
-    worker_count,
 )
 
 
@@ -27,21 +26,12 @@ class TestConfig:
             FisherSampleConfig(p=0, a=2, b=3, seed=0)
         with pytest.raises(ValueError):
             FisherSampleConfig(p=10, a=2, b=1, seed=0)
-        with pytest.raises(ValueError):
-            FisherSampleConfig(p=10, a=2, b=3, seed=0, entry_law="uniform")
 
     @pytest.mark.parametrize("a", [0, -1, 0.01])
     def test_rejects_empty_first_sample(self, a):
         # a <= 0, or n1 = round(a * p) = 0, would draw no usable samples
         with pytest.raises(ValueError):
             FisherSampleConfig(p=10, a=a, b=3, seed=0)
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("FREEBETA_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("FREEBETA_THREADS", "zebra")
-        with pytest.raises(ValueError):
-            worker_count()
 
 
 class TestSampling:
@@ -116,6 +106,16 @@ class TestKsDistance:
         values = [median_ks(p, 2, 3, seeds) for p in (100, 250, 500)]
         assert values[0] > values[-1]
         assert values[-1] < 0.05
+
+    def test_pooled_median_matches_sequential(self):
+        """The thread pool returns the same KS values as one thread."""
+        seeds = [4, 11, 23]
+        sequential = [
+            ks_distance(sample_fisher_spectrum(
+                FisherSampleConfig(p=80, a=2, b=3, seed=s)), FreeF(2, 3))
+            for s in seeds
+        ]
+        assert median_ks(80, 2, 3, seeds) == float(np.median(sequential))
 
     def test_gross_mismatch_detected(self):
         eigs = sample_fisher_spectrum(

@@ -24,7 +24,6 @@ from freebeta.series import (
     ContinuedFractionSpec,
     PowerSeries,
     cf_expand,
-    ps_arith,
     ps_compose,
     ps_reversion,
     ps_sqrt,
@@ -82,15 +81,6 @@ class TestBasicArithmetic:
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             PowerSeries.from_coefficients([0.5, 1])
-
-    def test_ps_arith_dispatch(self):
-        a, b = poly(2, 1), poly(1, 1)
-        assert ps_arith(a, b, "add") == a + b
-        assert ps_arith(a, b, "sub") == a - b
-        assert ps_arith(a, b, "mul") == a * b
-        assert ps_arith(a, b, "div") == a / b
-        with pytest.raises(ValueError):
-            ps_arith(a, b, "pow")
 
     def test_shift_and_scale(self):
         a = poly(0, 1, 2, 3)
