@@ -11,7 +11,6 @@ substitution x = lo + (hi - lo) sin^2(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,9 +26,19 @@ from .distributions import (
 )
 from .errors import OutsideSupport, QuadratureFailure
 
+# Imaginary offsets of the boundary limits, extrapolated to zero: the
+# density and score ladder, and the ladder of the atom limit y*|G(x0 + iy)|.
+_LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_ATOM_LADDER = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
+# Extrapolated masses at or below this are removable singularities.
+_ATOM_THRESHOLD = 1e-9
+_QUAD_REL_TOL = 1e-9
+# The free T parameters and the grid of t_density_limits.
+_T_M_LARGE = Fraction(10_000)
+_T_M_NEAR_ONE = Fraction(1_000_001, 1_000_000)
+_T_GRID = tuple(-1.9 + k * 3.8 / 380 for k in range(381))
+
 __all__ = [
-    "EpsilonLadder",
-    "DEFAULT_LADDER",
     "stieltjes_density",
     "hilbert_score",
     "potential_derivative",
@@ -37,24 +46,6 @@ __all__ = [
     "quadrature_moment",
     "t_density_limits",
 ]
-
-
-@dataclass(frozen=True)
-class EpsilonLadder:
-    """Strictly decreasing positive offsets, extrapolated to zero."""
-
-    values: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(v <= 0 for v in vals) or any(
-            vals[i] <= vals[i + 1] for i in range(len(vals) - 1)
-        ):
-            raise ValueError("ladder must be strictly decreasing, positive")
-        object.__setattr__(self, "values", vals)
-
-
-DEFAULT_LADDER = EpsilonLadder()
 
 
 def _extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -74,27 +65,23 @@ def _require_interior(f: Family, x: float) -> None:
         raise OutsideSupport(f"{x} not strictly inside [{lo}, {hi}]")
 
 
-def stieltjes_density(
-    f: Family, x: float, ladder: EpsilonLadder = DEFAULT_LADDER
-) -> float:
+def stieltjes_density(f: Family, x: float) -> float:
     """density(x) = -(1/pi) * lim Im G(x + i*eps), extrapolated to eps = 0."""
     _require_interior(f, x)
     vals = [
         -cauchy_eval(f, complex(x, eps)).imag / math.pi
-        for eps in ladder.values
+        for eps in _LADDER
     ]
-    return _extrapolate(ladder.values, vals)
+    return _extrapolate(_LADDER, vals)
 
 
-def hilbert_score(
-    f: Family, x: float, ladder: EpsilonLadder = DEFAULT_LADDER
-) -> float:
+def hilbert_score(f: Family, x: float) -> float:
     """The free score 2*H(x): twice the boundary real part of G."""
     _require_interior(f, x)
     vals = [
-        2 * cauchy_eval(f, complex(x, eps)).real for eps in ladder.values
+        2 * cauchy_eval(f, complex(x, eps)).real for eps in _LADDER
     ]
-    return _extrapolate(ladder.values, vals)
+    return _extrapolate(_LADDER, vals)
 
 
 def potential_derivative(f: Family, x: float) -> float:
@@ -102,15 +89,12 @@ def potential_derivative(f: Family, x: float) -> float:
     return f._v_prime(x)
 
 
-_ATOM_LADDER = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
-
-
-def atom_masses(f: Family, threshold: float = 1e-9) -> list[tuple[float, float]]:
+def atom_masses(f: Family) -> list[tuple[float, float]]:
     """Atom locations and masses by the limit y*|G(x0 + iy)|, y -> 0+.
 
     Candidate locations come from the closed forms (0, 1, Meixner poles);
-    the limit is extrapolated in y and masses below ``threshold`` are
-    treated as removable singularities and dropped.
+    the limit is extrapolated in y and masses below ``_ATOM_THRESHOLD``
+    are treated as removable singularities and dropped.
     """
     out = []
     for x0 in f._atom_sites:
@@ -118,16 +102,12 @@ def atom_masses(f: Family, threshold: float = 1e-9) -> list[tuple[float, float]]
             y * abs(cauchy_eval(f, complex(x0, y))) for y in _ATOM_LADDER
         ]
         mass = _extrapolate(_ATOM_LADDER, vals)
-        if mass > threshold:
+        if mass > _ATOM_THRESHOLD:
             out.append((x0, mass))
     return out
 
 
-def quadrature_moment(
-    spec: MeasureSpec,
-    n: int,
-    rel_tol: float = 1e-9,
-) -> float:
+def quadrature_moment(spec: MeasureSpec, n: int) -> float:
     """integral of x^n over the measure: quadrature + atom sum.
 
     The substitution x = lo + (hi - lo) sin^2(theta) absorbs the
@@ -143,7 +123,7 @@ def quadrature_moment(
         return spec.density(x) * width * math.sin(2 * theta) * x ** n
 
     value, err = quad(integrand, 0.0, math.pi / 2, limit=200,
-                      epsabs=1e-12, epsrel=rel_tol)
+                      epsabs=1e-12, epsrel=_QUAD_REL_TOL)
     if err > max(1e-9, abs(value) * 1e-6):
         raise QuadratureFailure(
             f"estimated error {err} too large for moment {n}"
@@ -153,32 +133,26 @@ def quadrature_moment(
     return value
 
 
-def t_density_limits(
-    x_grid: Sequence[float] | None = None,
-    m_large=Fraction(10_000),
-    m_near_one=Fraction(1_000_001, 1_000_000),
-) -> dict[str, float]:
+def t_density_limits() -> dict[str, float]:
     """Sup-norm distances of the free T density from its two limit laws.
 
     For large m the density approaches the semicircle; for m near 1 it
     approaches the standard Cauchy density.  Both are compared on a grid
     interior to the semicircle support.
     """
-    if x_grid is None:
-        x_grid = [-1.9 + k * 3.8 / 380 for k in range(381)]
-    semi = measure_of(FreeT(m_large))
-    cauchy = measure_of(FreeT(m_near_one))
+    semi = measure_of(FreeT(_T_M_LARGE))
+    cauchy = measure_of(FreeT(_T_M_NEAR_ONE))
     sup_semi = max(
         abs(semi.density(x) - math.sqrt(4 - x * x) / (2 * math.pi))
-        for x in x_grid
+        for x in _T_GRID
     )
     sup_cauchy = max(
         abs(cauchy.density(x) - 1 / (math.pi * (1 + x * x)))
-        for x in x_grid
+        for x in _T_GRID
     )
     return {
-        "m_large": float(m_large),
-        "m_near_one": float(m_near_one),
+        "m_large": float(_T_M_LARGE),
+        "m_near_one": float(_T_M_NEAR_ONE),
         "sup_semicircle": sup_semi,
         "sup_cauchy": sup_cauchy,
     }

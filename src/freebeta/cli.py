@@ -255,7 +255,7 @@ def _cmd_t_coeffs(args) -> int:
         raise FreeBetaError(f"--order must be >= 0, got {args.order}")
     fam = distributions.FreeBetaPrime(args.a, args.b)
     coeffs = distributions.t_coeffs_of(fam, args.order)
-    s, t, u = ncl.fbp_t_params(args.a, args.b)
+    s, t, u = distributions.fbp_t_params(args.a, args.b)
     _emit("t-coeffs", {"a": args.a, "b": args.b, "order": args.order},
           {"alphas": list(coeffs.alphas), "s": s, "t": t, "u": u},
           ["closed-form"], fmt=args.format)

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .series import PowerSeries, _poly, ps_sqrt
 from .transforms import MomentSequence, TCoefficients, _frac
-from .ncl import fbp_t_params
 
 __all__ = [
     "FreePoisson",
@@ -60,6 +59,7 @@ __all__ = [
     "moment_series",
     "s_transform_of",
     "t_coeffs_of",
+    "fbp_t_params",
     "standardize_to_meixner",
     "classify_meixner",
 ]
@@ -264,6 +264,18 @@ class InverseFreePoisson(Family):
 
     def _s_transform(self, order: int) -> PowerSeries:
         return _poly(order, self.b - 1, -1)
+
+
+def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
+    """The (s, t, u) parameters of the free beta prime T-transform.
+
+    alpha_0 = s = a/(b-1); alpha_k = t*u^k for k >= 1 with
+    t = (a+b-1)/(b-1) and u = 1/(b-1).
+    """
+    a, b = _frac(a), _frac(b)
+    if a <= 0 or b <= 1:
+        raise InvalidParameters("need a > 0 and b > 1")
+    return a / (b - 1), (a + b - 1) / (b - 1), 1 / (b - 1)
 
 
 @dataclass(frozen=True)
@@ -491,15 +503,15 @@ class FreeMeixnerStd(Family):
         for pole in p.poles:
             if lo < pole < hi:
                 continue
-            # residue of (P - sqrt(D))/Q at a simple real pole of Q
-            num = (p.p1 * pole + p.p0
-                   - _cut_sqrt(complex(pole, 0.0), p.lead, lo, hi).real)
-            dq = 2 * (2 * tau * pole + th)
-            if dq == 0:
-                # a double root of Q (theta^2 = 4 tau): the numerator
-                # vanishes there too, G stays bounded and has no atom
+            # residue of (P - sqrt(D))/Q at a real pole of Q.  At a root of
+            # Q, P^2 = D, so P - sqrt(D) is exactly 0 or 2P: decide by sign,
+            # since the float difference leaves a rounding residue that a
+            # near-double root would divide into a spurious atom.  At a
+            # double root (theta^2 = 4 tau) P = sqrt(D), and G has no atom.
+            pv = p.p1 * pole + p.p0
+            if pv * _cut_sqrt(complex(pole, 0.0), p.lead, lo, hi).real >= 0:
                 continue
-            mass = num / dq
+            mass = pv / (2 * tau * pole + th)  # 2P / Q'
             if mass > 1e-12:
                 atoms.append((pole, mass))
         return _measure_on(lo, hi, body, atoms)

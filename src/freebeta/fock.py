@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameters, TruncationTooSmall
-from .ncl import WeightedMotzkinScheme, fbp_t_params
-from .series import _sqrt_fraction
+from .distributions import fbp_t_params
+from .errors import TruncationTooSmall
+from .ncl import level_weights
 from .transforms import _frac
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "build_operator",
     "vacuum_moments",
     "fbp_operator",
-    "symmetric_form_operator",
 ]
 
 
@@ -71,11 +70,9 @@ def build_operator(alpha, beta, gamma, n_levels: int) -> TruncatedFockOperator:
     """The canonical operator truncated to levels 0..n_levels."""
     if n_levels < 1:
         raise ValueError("need at least one excited level")
-    scheme = WeightedMotzkinScheme.ncl_weights(alpha, beta, gamma)
+    flat, up = level_weights(alpha, beta, gamma, n_levels + 1)
     return TruncatedFockOperator(
-        raising=tuple(scheme.weight_up(k) for k in range(n_levels)),
-        diagonal=tuple(scheme.weight_flat(k) for k in range(n_levels + 1)),
-        lowering=tuple(scheme.weight_down(k) for k in range(n_levels)),
+        raising=up, diagonal=flat, lowering=(Fraction(1),) * n_levels
     )
 
 
@@ -111,29 +108,4 @@ def fbp_operator(a, b, n_levels: int) -> TruncatedFockOperator:
         raising=tuple(c * x for x in base.raising),
         diagonal=tuple(c * x for x in base.diagonal),
         lowering=tuple(c * x for x in base.lowering),
-    )
-
-
-def symmetric_form_operator(alpha, beta, gamma,
-                            n_levels: int) -> TruncatedFockOperator:
-    """A symmetric-band variant with the same vacuum distribution.
-
-    Conjugating the canonical operator by the diagonal gauge
-    d_k = beta^{k/2} balances the raising/lowering bands into
-    sqrt(beta)*(l + l*) + l l* + alpha*(1 + l/sqrt(beta)) l l* + gamma*1
-    without changing any vacuum moment (each matched up/down product of a
-    Motzkin path keeps its value: sqrt(beta)*(sqrt(beta) + alpha/sqrt(beta))
-    = alpha + beta).  Requires beta to be the square of a rational.
-    """
-    if n_levels < 1:
-        raise ValueError("need at least one excited level")
-    alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-    if beta <= 0:
-        raise InvalidParameters("the symmetric form needs beta > 0")
-    root = _sqrt_fraction(beta)
-    up = [root] + [root + alpha / root] * (n_levels - 1)
-    down = [root] * n_levels
-    diag = [gamma] + [1 + alpha + gamma] * n_levels
-    return TruncatedFockOperator(
-        raising=tuple(up), diagonal=tuple(diag), lowering=tuple(down)
     )

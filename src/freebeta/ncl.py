@@ -22,20 +22,20 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
+from .distributions import FreeBetaPrime, t_coeffs_of
 from .errors import (
-    InvalidParameters,
     InvalidPartition,
     MalformedInput,
     SizeLimitExceeded,
 )
-from .series import ContinuedFractionSpec, PowerSeries, cf_expand, ps_sqrt
+from .series import PowerSeries, cf_expand, ps_sqrt
 from .series import _poly
 from .transforms import TCoefficients, _frac
 
 __all__ = [
     "LinkedPartition",
     "NclStatistics",
-    "WeightedMotzkinScheme",
+    "level_weights",
     "validate_ncl",
     "check_ncl_size",
     "enumerate_ncl",
@@ -49,7 +49,6 @@ __all__ = [
     "gamma_quadratic_residual",
     "moment_via_ncl",
     "fbp_moment",
-    "fbp_t_params",
     "NCL_SIZE_LIMIT",
 ]
 
@@ -347,86 +346,24 @@ def doubly_covered_types(
 
 
 # --------------------------------------------------------------------------
-# Weight scheme and the Gamma generating polynomial
+# Jacobi weights and the Gamma generating polynomial
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightedMotzkinScheme:
-    """Step weights for weighted Motzkin path sums.
+def level_weights(alpha, beta, gamma, levels: int
+                  ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The (flat, up) Jacobi weights of levels 0..levels-1 for NCL statistics.
 
-    Each sequence lists initial values and its last entry repeats for all
-    higher levels.  ``up[i]``/``flat[i]`` weight a step leaving height i;
-    ``down[i]`` weights a step arriving back at height i.
+    Up steps carry beta from the ground and alpha + beta above (the extra
+    alpha is the linked-opening card); flat steps carry gamma on the ground
+    and 1 + alpha + gamma above (continue, singleton, or linked split); down
+    steps carry 1, so ``up[i]`` is also the weight of a matched up/down pair
+    between levels i and i+1.  Path sums with these weights generate the
+    linked-partition statistics.
     """
-
-    up: tuple[Fraction, ...]
-    down: tuple[Fraction, ...]
-    flat: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        for name in ("up", "down", "flat"):
-            seq = tuple(_frac(x) for x in getattr(self, name))
-            if not seq:
-                raise ValueError(f"{name} weights must be nonempty")
-            object.__setattr__(self, name, seq)
-
-    @classmethod
-    def ncl_weights(cls, alpha, beta, gamma) -> "WeightedMotzkinScheme":
-        """The scheme whose path sums generate linked-partition statistics.
-
-        Up steps carry beta from the ground and alpha + beta above (the
-        extra alpha is the linked-opening card); flat steps carry gamma on
-        the ground and 1 + alpha + gamma above (continue, singleton, or
-        linked split); down steps carry 1.
-        """
-        alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-        return cls(
-            up=(beta, alpha + beta),
-            down=(Fraction(1),),
-            flat=(gamma, 1 + alpha + gamma),
-        )
-
-    @staticmethod
-    def _at(seq: tuple[Fraction, ...], i: int) -> Fraction:
-        return seq[min(i, len(seq) - 1)]
-
-    def weight_up(self, i: int) -> Fraction:
-        return self._at(self.up, i)
-
-    def weight_down(self, i: int) -> Fraction:
-        return self._at(self.down, i)
-
-    def weight_flat(self, i: int) -> Fraction:
-        return self._at(self.flat, i)
-
-    def path_weight(self, path: Sequence[str]) -> Fraction:
-        w = Fraction(1)
-        h = 0
-        for step in path:
-            if step == "u":
-                w *= self.weight_up(h)
-                h += 1
-            elif step == "t":
-                w *= self.weight_flat(h)
-            elif step == "d":
-                h -= 1
-                if h < 0:
-                    raise ValueError("path dips below the ground")
-                w *= self.weight_down(h)
-            else:
-                raise ValueError(f"unknown step {step!r}")
-        if h != 0:
-            raise ValueError("path does not return to the ground")
-        return w
-
-    def continued_fraction(self, depth: int) -> ContinuedFractionSpec:
-        diag = tuple(self.weight_flat(i) for i in range(depth))
-        prods = tuple(
-            self.weight_up(i) * self.weight_down(i) for i in range(depth - 1)
-        )
-        return ContinuedFractionSpec(
-            diagonal=diag, subdiagonal_products=prods, depth=depth
-        )
+    alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
+    flat = tuple(gamma if i == 0 else 1 + alpha + gamma for i in range(levels))
+    up = tuple(beta if i == 0 else alpha + beta for i in range(levels - 1))
+    return flat, up
 
 
 def gamma_series(order: int, alpha, beta, gamma,
@@ -435,8 +372,7 @@ def gamma_series(order: int, alpha, beta, gamma,
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     if route == "cf":
         depth = (order + 1) // 2 + 1
-        scheme = WeightedMotzkinScheme.ncl_weights(alpha, beta, gamma)
-        return cf_expand(scheme.continued_fraction(depth), order)
+        return cf_expand(*level_weights(alpha, beta, gamma, depth), order)
     if route == "closed":
         return _gamma_closed(order, alpha, beta, gamma)
     raise ValueError(f"unknown series route {route!r}")
@@ -538,27 +474,12 @@ def moment_via_ncl(alphas: TCoefficients, n: int) -> Fraction:
     return total
 
 
-def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
-    """The (s, t, u) parameters of the free beta prime T-transform.
-
-    alpha_0 = s = a/(b-1); alpha_k = t*u^k for k >= 1 with
-    t = (a+b-1)/(b-1) and u = 1/(b-1).
-    """
-    a, b = _frac(a), _frac(b)
-    if a <= 0 or b <= 1:
-        raise InvalidParameters("need a > 0 and b > 1")
-    return a / (b - 1), (a + b - 1) / (b - 1), 1 / (b - 1)
-
-
 def fbp_moment(a, b, n: int) -> Fraction:
     """n-th moment of the free beta prime law by the linked-partition sum.
 
     Evaluates :func:`moment_via_ncl` at the T-coefficients alpha_0 = s,
     alpha_k = t*u^k; this equals (su)^n * Gamma_n(t/s, t/(su), 1/u) with
-    (s, t, u) from :func:`fbp_t_params`.
+    (s, t, u) from :func:`freebeta.distributions.fbp_t_params`.
     """
-    # distributions imports this module, so its names are bound per call
-    from .distributions import FreeBetaPrime, t_coeffs_of
-
     alphas = t_coeffs_of(FreeBetaPrime(a, b), max(n - 1, 0))
     return moment_via_ncl(alphas, n)

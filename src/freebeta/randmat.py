@@ -13,8 +13,6 @@ since LAPACK builds differ).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +29,9 @@ __all__ = [
     "histogram_rows",
     "median_ks",
 ]
+
+# Trapezoid intervals of the theoretical CDF on the sin^2 grid.
+_CDF_RESOLUTION = 4000
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def sample_fisher_spectrum(cfg: FisherSampleConfig) -> np.ndarray:
     raise SingularCovariance("sample covariance singular after 3 retries")
 
 
-def theoretical_cdf(f: Family, resolution: int = 4000):
+def theoretical_cdf(f: Family):
     """Callable CDF of the family: atoms + trapezoid-integrated density.
 
     The continuous part is accumulated on the sin^2 grid that absorbs the
@@ -96,7 +97,7 @@ def theoretical_cdf(f: Family, resolution: int = 4000):
     spec = measure_of(f)
     lo, hi = spec.support
     width = hi - lo
-    theta = np.linspace(0.0, np.pi / 2, resolution + 1)
+    theta = np.linspace(0.0, np.pi / 2, _CDF_RESOLUTION + 1)
     xs = lo + width * np.sin(theta) ** 2
     integrand = np.array(
         [spec.density(x) for x in xs]
@@ -146,16 +147,11 @@ def histogram_rows(eigs, f: Family, bins: int = 40):
 
 
 def median_ks(p: int, a: float, b: float, seeds) -> float:
-    """Median KS distance to FreeF(a, b) across seeds, sampled in parallel."""
-    seeds = list(seeds)
+    """Median KS distance to FreeF(a, b) across seeds."""
     fam = FreeF(a, b)
-
-    def one(seed: int) -> float:
-        eigs = sample_fisher_spectrum(FisherSampleConfig(p=p, a=a, b=b,
-                                                         seed=seed))
-        return ks_distance(eigs, fam)
-
-    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1,
-                                            len(seeds))) as pool:
-        values = list(pool.map(one, seeds))
+    values = [
+        ks_distance(sample_fisher_spectrum(
+            FisherSampleConfig(p=p, a=a, b=b, seed=seed)), fam)
+        for seed in seeds
+    ]
     return float(np.median(values))

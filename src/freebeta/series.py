@@ -25,7 +25,6 @@ RationalLike = Union[int, str, Fraction]
 
 __all__ = [
     "PowerSeries",
-    "ContinuedFractionSpec",
     "ps_compose",
     "ps_reversion",
     "ps_sqrt",
@@ -232,49 +231,24 @@ def ps_sqrt(f: PowerSeries, branch: int = 1) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
-@dataclass(frozen=True)
-class ContinuedFractionSpec:
-    """A Jacobi-type continued fraction 1/(1 - k0 z - p0 z^2/(1 - k1 z - ...)).
+def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
+              order: int) -> PowerSeries:
+    """Expand 1/(1 - k0 z - p0 z^2/(1 - k1 z - ...)) to the given order.
 
-    ``diagonal`` holds the level weights (k0, k1, ...); the entry
-    ``subdiagonal_products[i]`` is the product of the up weight at level i
-    and the down weight back from level i+1.
+    ``diagonal`` holds the level weights (k0, k1, ...) of the flat steps
+    and ``products[i]`` the weight of a matched up/down pair between levels
+    i and i+1, so the coefficient of ``z**n`` is the weighted Motzkin path
+    sum.  A path of length n climbs at most to height ``ceil(n/2)``, so
+    ``len(diagonal) >= ceil(n/2) + 1`` levels make the expansion exact;
+    shallower fractions are rejected.
     """
-
-    diagonal: tuple[Fraction, ...]
-    subdiagonal_products: tuple[Fraction, ...]
-    depth: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "diagonal", tuple(_frac(c) for c in self.diagonal)
-        )
-        object.__setattr__(
-            self,
-            "subdiagonal_products",
-            tuple(_frac(c) for c in self.subdiagonal_products),
-        )
-        if self.depth < 1:
-            raise ValueError("depth must be positive")
-        if len(self.diagonal) < self.depth:
-            raise ValueError("diagonal shorter than depth")
-        if len(self.subdiagonal_products) < self.depth - 1:
-            raise ValueError("subdiagonal_products shorter than depth - 1")
-
-
-def cf_expand(spec: ContinuedFractionSpec, order: int) -> PowerSeries:
-    """Expand the continued fraction into a power series of the given order.
-
-    The coefficient of ``z**n`` is the weighted Motzkin path sum with level
-    weights ``diagonal`` (flat steps) and ``subdiagonal_products`` (matched
-    up/down pairs).  A path of length n climbs at most to height
-    ``ceil(n/2)``, so ``depth >= ceil(n/2) + 1`` levels make the expansion
-    exact; shallower specs are rejected.
-    """
+    depth = len(diagonal)
+    if len(products) != depth - 1:
+        raise ValueError("products must have one entry fewer than diagonal")
     needed = (order + 1) // 2 + 1
-    if spec.depth < needed:
+    if depth < needed:
         raise InsufficientDepth(
-            f"depth {spec.depth} < {needed} required for order {order}"
+            f"depth {depth} < {needed} required for order {order}"
         )
     one = PowerSeries.constant(1, order)
     z = PowerSeries.identity(order) if order >= 1 else None
@@ -282,14 +256,12 @@ def cf_expand(spec: ContinuedFractionSpec, order: int) -> PowerSeries:
     def level_term(i: int, tail: PowerSeries | None) -> PowerSeries:
         if order == 0:
             return one
-        t = one - z.scale(spec.diagonal[i])
+        t = one - z.scale(diagonal[i])
         if tail is not None:
-            t = t - tail.shift_up().shift_up().scale(
-                spec.subdiagonal_products[i]
-            )
+            t = t - tail.shift_up().shift_up().scale(products[i])
         return t
 
     tail: PowerSeries | None = None
-    for i in range(spec.depth - 1, -1, -1):
+    for i in range(depth - 1, -1, -1):
         tail = one / level_term(i, tail)
     return tail

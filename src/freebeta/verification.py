@@ -242,12 +242,18 @@ def criterion_meixner() -> tuple[bool, str]:
     return True, "5x5 grid: exact discriminants, all free negative binomial"
 
 
+# KS bound of the Fisher Monte Carlo at p = 500.  Seeds 0..249 gave KS
+# 0.0047-0.0089 (99th percentile 0.0083; seed 42 gives 0.0052), so the bound
+# sits 35% above the largest.  Sampling at a = 2.2 instead of 2 gives 0.022.
+_KS_GATE = 0.012
+
+
 def criterion_monte_carlo() -> tuple[bool, str]:
-    """Fisher spectrum at p=500, seed 42 matches FreeF(2,3) to KS < 0.08."""
+    """Fisher spectrum at p=500, seed 42 matches FreeF(2,3) to KS < 0.012."""
     cfg = randmat.FisherSampleConfig(p=500, a=2, b=3, seed=42)
     eigs = randmat.sample_fisher_spectrum(cfg)
     ks = randmat.ks_distance(eigs, FreeF(2, 3))
-    return ks < 0.08, f"KS = {ks:.4f} (threshold 0.08)"
+    return ks < _KS_GATE, f"KS = {ks:.4f} (threshold {_KS_GATE})"
 
 
 def criterion_semigroup() -> tuple[bool, str]:

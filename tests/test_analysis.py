@@ -6,8 +6,6 @@ from fractions import Fraction
 import pytest
 
 from freebeta.analysis import (
-    DEFAULT_LADDER,
-    EpsilonLadder,
     atom_masses,
     hilbert_score,
     potential_derivative,
@@ -29,22 +27,6 @@ from freebeta.distributions import (
 from freebeta.errors import OutsideDomain, OutsideSupport
 
 F = Fraction
-
-
-class TestLadder:
-    def test_default_ladder(self):
-        assert DEFAULT_LADDER.values[0] == 1e-2
-        assert DEFAULT_LADDER.values[-1] == 1e-6
-        assert all(
-            a > b for a, b in zip(DEFAULT_LADDER.values,
-                                  DEFAULT_LADDER.values[1:])
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EpsilonLadder(values=(1e-6, 1e-2))
-        with pytest.raises(ValueError):
-            EpsilonLadder(values=(1e-2, 0.0))
 
 
 class TestStieltjesDensity:

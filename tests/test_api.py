@@ -1,0 +1,33 @@
+"""Every exported name resolves.
+
+Each module's ``__all__`` and the package's re-exports are the public API.
+Tools that walk ``__all__`` with ``getattr`` (the benchmark tracer does)
+fail on a stale entry, so a deletion must take its export with it.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import freebeta
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(freebeta.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(f"freebeta.{name}")
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported), "duplicate __all__ entry"
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_package_reexports_are_exported_by_their_module():
+    for attr, value in vars(freebeta).items():
+        if attr.startswith("_") or inspect.ismodule(value):
+            continue
+        home = importlib.import_module(value.__module__)
+        assert attr in home.__all__, f"{attr} not in {home.__name__}.__all__"
+        assert getattr(home, attr) is value

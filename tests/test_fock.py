@@ -9,7 +9,6 @@ from freebeta.fock import (
     TruncatedFockOperator,
     build_operator,
     fbp_operator,
-    symmetric_form_operator,
     vacuum_moments,
 )
 from freebeta.ncl import fbp_moment, gamma_poly
@@ -100,25 +99,3 @@ class TestFbpOperator:
         vac = vacuum_moments(fbp_operator(2, 3, 5), 5)
         assert list(vac[1:]) == [F(1), F(2), F(11, 2), F(71, 4), F(503, 8)]
 
-
-class TestSymmetricForm:
-    def test_equivalent_moments(self):
-        """The gauged symmetric operator has the same vacuum moments."""
-        alpha, beta, gamma = F(2), F(4), F(3)
-        plain = vacuum_moments(build_operator(alpha, beta, gamma, 7), 7)
-        sym = vacuum_moments(symmetric_form_operator(alpha, beta, gamma, 7), 7)
-        assert plain == sym
-
-    def test_band_products_preserved(self):
-        """Gauging changes the bands but not the pair products."""
-        alpha, beta, gamma = F(1), F(4), F(2)
-        op = symmetric_form_operator(alpha, beta, gamma, 5)
-        ref = build_operator(alpha, beta, gamma, 5)
-        for i in range(op.dim - 1):
-            assert (op.raising[i] * op.lowering[i]
-                    == ref.raising[i] * ref.lowering[i])
-        assert op.diagonal == ref.diagonal
-
-    def test_requires_square_beta(self):
-        with pytest.raises(ValueError):
-            symmetric_form_operator(F(1), F(2), F(1), 4)

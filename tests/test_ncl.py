@@ -10,21 +10,20 @@ from fractions import Fraction
 
 import pytest
 
-from freebeta.distributions import FreeBetaPrime, t_coeffs_of
+from freebeta.distributions import FreeBetaPrime, fbp_t_params, t_coeffs_of
 from freebeta.errors import MalformedInput, SizeLimitExceeded
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
     LinkedPartition,
     NclStatistics,
-    WeightedMotzkinScheme,
     arrangement_to_partition,
     doubly_covered_types,
     enumerate_ncl,
     fbp_moment,
-    fbp_t_params,
     gamma_poly,
     gamma_quadratic_residual,
     gamma_series,
+    level_weights,
     moment_via_ncl,
     motzkin_paths,
     path_arrangements,
@@ -266,16 +265,14 @@ class TestGammaPolynomial:
 
     def test_scheme_weights(self):
         alpha, beta, gamma = F(2), F(3), F(5)
-        s = WeightedMotzkinScheme.ncl_weights(alpha, beta, gamma)
-        assert s.weight_up(0) == beta
-        assert s.weight_up(1) == alpha + beta
-        assert s.weight_flat(0) == gamma
-        assert s.weight_flat(1) == 1 + alpha + gamma
-        assert s.weight_down(0) == 1
-        # third moment of the scheme: fff + fud + udf + ufd
-        w3 = sum(s.path_weight(p) for p in motzkin_paths(3))
-        assert w3 == gamma ** 3 + 2 * beta * gamma + beta * (1 + alpha + gamma)
+        flat, up = level_weights(alpha, beta, gamma, 4)
+        assert flat == (gamma,) + (1 + alpha + gamma,) * 3
+        assert up == (beta, alpha + beta, alpha + beta)
+        assert level_weights(alpha, beta, gamma, 1) == ((gamma,), ())
+        # third path sum: fff + fud + udf + ufd
+        w3 = gamma ** 3 + 2 * beta * gamma + beta * (1 + alpha + gamma)
         assert w3 == gamma_poly(3, alpha, beta, gamma)
+        assert w3 == gamma_poly(3, alpha, beta, gamma, route="brute")
 
 
 class TestMomentViaNcl:

@@ -14,6 +14,7 @@ from freebeta.randmat import (
     sample_fisher_spectrum,
     theoretical_cdf,
 )
+from freebeta.verification import _KS_GATE
 
 
 class TestConfig:
@@ -96,6 +97,13 @@ class TestKsDistance:
         eigs = sample_fisher_spectrum(cfg)
         assert ks_distance(eigs, FreeF(2, 3)) < 0.08
 
+    def test_calibrated_gate_catches_wrong_ratio(self):
+        """Sampling at a = 2.2, not 2, passes KS < 0.08 but not the gate."""
+        eigs = sample_fisher_spectrum(
+            FisherSampleConfig(p=500, a=2.2, b=3, seed=42)
+        )
+        assert _KS_GATE < ks_distance(eigs, FreeF(2, 3)) < 0.08
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_distance(np.array([]), FreeF(2, 3))
@@ -107,8 +115,8 @@ class TestKsDistance:
         assert values[0] > values[-1]
         assert values[-1] < 0.05
 
-    def test_pooled_median_matches_sequential(self):
-        """The thread pool returns the same KS values as one thread."""
+    def test_median_matches_per_seed_values(self):
+        """median_ks is the median of the per-seed KS distances."""
         seeds = [4, 11, 23]
         sequential = [
             ks_distance(sample_fisher_spectrum(

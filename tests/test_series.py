@@ -21,7 +21,6 @@ from freebeta.errors import (
 )
 from freebeta.ncl import gamma_series
 from freebeta.series import (
-    ContinuedFractionSpec,
     PowerSeries,
     cf_expand,
     ps_compose,
@@ -256,30 +255,19 @@ def brute_motzkin_gf(up, flat, order):
 class TestContinuedFraction:
     def test_catalan_numbers(self):
         # all Jacobi parameters trivial: the moments of the semicircle
-        spec = ContinuedFractionSpec(
-            diagonal=(F(0),) * 6, subdiagonal_products=(F(1),) * 5, depth=6
-        )
-        g = cf_expand(spec, 8)
+        g = cf_expand((F(0),) * 6, (F(1),) * 5, 8)
         catalan = [1, 0, 1, 0, 2, 0, 5, 0, 14]
         assert list(g.coefficients) == [F(c) for c in catalan]
 
     def test_motzkin_numbers(self):
-        spec = ContinuedFractionSpec(
-            diagonal=(F(1),) * 6, subdiagonal_products=(F(1),) * 5, depth=6
-        )
-        g = cf_expand(spec, 8)
+        g = cf_expand((F(1),) * 6, (F(1),) * 5, 8)
         motzkin = [1, 1, 2, 4, 9, 21, 51, 127, 323]
         assert list(g.coefficients) == [F(m) for m in motzkin]
 
     def test_weighted_against_brute_paths(self):
         up = (F(2), F(3), F(3))
         flat = (F(1, 2), F(5), F(5))
-        spec = ContinuedFractionSpec(
-            diagonal=flat + (F(5),) * 3,
-            subdiagonal_products=up + (F(3),) * 2,
-            depth=6,
-        )
-        g = cf_expand(spec, 6)
+        g = cf_expand(flat + (F(5),) * 3, up + (F(3),) * 2, 6)
         brute = brute_motzkin_gf(up, flat, 6)
         assert list(g.coefficients) == brute
 
@@ -291,14 +279,14 @@ class TestContinuedFraction:
         assert cf == gamma_series(64, *abc, route="closed")
 
     def test_insufficient_depth_raises(self):
-        spec = ContinuedFractionSpec(
-            diagonal=(F(0),) * 2, subdiagonal_products=(F(1),), depth=2
-        )
         with pytest.raises(InsufficientDepth):
-            cf_expand(spec, 8)
+            cf_expand((F(0),) * 2, (F(1),), 8)
 
     def test_spec_validation(self):
+        # one matched-pair weight between each two consecutive levels
         with pytest.raises(ValueError):
-            ContinuedFractionSpec(
-                diagonal=(F(0),), subdiagonal_products=(), depth=3
-            )
+            cf_expand((F(0),) * 3, (F(1),), 2)
+        with pytest.raises(ValueError):
+            cf_expand((F(0),) * 3, (F(1),) * 3, 2)
+        with pytest.raises(ValueError):
+            cf_expand((), (), 0)
