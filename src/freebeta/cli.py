@@ -296,9 +296,13 @@ def _cmd_score_check(args) -> int:
     return 0
 
 
+# mc-fisher histogram bins; 10000 take ~0.02 s of density evaluations
+_MAX_BINS = 10_000
+
+
 def _cmd_mc_fisher(args) -> int:
-    if args.bins < 1:
-        raise FreeBetaError(f"--bins must be >= 1, got {args.bins}")
+    if not 1 <= args.bins <= _MAX_BINS:
+        raise FreeBetaError(f"--bins must be 1..{_MAX_BINS}, got {args.bins}")
     cfg = randmat.FisherSampleConfig(
         p=args.p, a=float(args.a), b=float(args.b), seed=args.seed
     )

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .distributions import FreeBetaPrime, t_coeffs_of
 from .errors import (
@@ -43,6 +43,7 @@ __all__ = [
     "path_arrangements",
     "arrangement_to_partition",
     "statistics",
+    "ncl_table",
     "doubly_covered_types",
     "gamma_poly",
     "gamma_series",
@@ -124,13 +125,19 @@ def _pair_ok(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
     return not _crosses(e, f)
 
 
-def validate_ncl(p: LinkedPartition) -> bool:
-    """Check all linked-partition invariants; False on any violation."""
+def _cover_counts(p: LinkedPartition) -> dict[int, int]:
     cover: dict[int, int] = {}
     for block in p.blocks:
         for x in block:
             cover[x] = cover.get(x, 0) + 1
-    if set(cover) != set(range(1, p.n + 1)):
+    return cover
+
+
+def validate_ncl(p: LinkedPartition) -> bool:
+    """Check all linked-partition invariants; False on any violation."""
+    cover = _cover_counts(p)
+    # every element lies in 1..n, so n distinct ones cover the ground set
+    if len(cover) != p.n:
         return False
     if any(c > 2 for c in cover.values()):
         return False
@@ -267,14 +274,6 @@ class NclStatistics:
     sg: int
 
 
-def _cover_counts(p: LinkedPartition) -> dict[int, int]:
-    cover: dict[int, int] = {}
-    for block in p.blocks:
-        for x in block:
-            cover[x] = cover.get(x, 0) + 1
-    return cover
-
-
 def statistics(p: LinkedPartition) -> NclStatistics:
     """The (dc, sc, sg) statistic triple of a valid linked partition.
 
@@ -295,32 +294,21 @@ def statistics(p: LinkedPartition) -> NclStatistics:
 # Per-n tables: NCL(n) enumerated once per process
 # --------------------------------------------------------------------------
 
-class _NclTable(NamedTuple):
-    """Multiplicities over NCL(n) as immutable (key, count) pairs.
-
-    ``stats`` is keyed by the (dc, sc, sg) triple, ``profiles`` by the
-    sorted block sizes, whose length is the number of blocks.
-    """
-
-    stats: tuple[tuple[tuple[int, int, int], int], ...]
-    profiles: tuple[tuple[tuple[int, ...], int], ...]
-
-
 @lru_cache(maxsize=None)  # at most NCL_SIZE_LIMIT entries
-def _ncl_table(n: int) -> _NclTable:
-    """Tabulate NCL(n) in one pass over :func:`enumerate_ncl`.
+def ncl_table(n: int) -> tuple[tuple[tuple, int], ...]:
+    """NCL(n) counted as immutable ``((dc, sc, sg, sizes), count)`` pairs.
 
-    Each partition goes through the validating :func:`statistics`, so the
-    triples come from the blocks and not from the cards.  Only the counts
-    are kept, never the partitions.
+    One pass over :func:`enumerate_ncl`; each partition goes through the
+    validating :func:`statistics`, so the triples come from the blocks and
+    not from the cards.  ``sizes`` are the sorted block sizes.  Only the
+    counts are kept, never the partitions.
     """
-    stats: Counter = Counter()
-    profiles: Counter = Counter()
+    counts: Counter = Counter()
     for p in enumerate_ncl(n):
         st = statistics(p)
-        stats[st.dc, st.sc, st.sg] += 1
-        profiles[tuple(sorted(len(b) for b in p.blocks))] += 1
-    return _NclTable(tuple(stats.items()), tuple(profiles.items()))
+        sizes = tuple(sorted(len(b) for b in p.blocks))
+        counts[st.dc, st.sc, st.sg, sizes] += 1
+    return tuple(counts.items())
 
 
 def doubly_covered_types(
@@ -446,7 +434,7 @@ def gamma_poly(n: int, alpha, beta, gamma, route: str = "cf") -> Fraction:
     if route == "brute":
         return sum(
             (count * alpha ** dc * beta ** sc * gamma ** sg
-             for (dc, sc, sg), count in _ncl_table(n).stats),
+             for (dc, sc, sg, _), count in ncl_table(n)),
             Fraction(0),
         )
     if route in ("cf", "closed"):
@@ -466,7 +454,7 @@ def moment_via_ncl(alphas: TCoefficients, n: int) -> Fraction:
         raise ValueError("need alpha_k through k = n - 1")
     a0 = alphas[0]
     total = Fraction(0)
-    for sizes, count in _ncl_table(n).profiles:
+    for (*_, sizes), count in ncl_table(n):
         prod = count * a0 ** (n - len(sizes))
         for size in sizes:
             prod *= alphas[size - 1]

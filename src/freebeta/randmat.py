@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh
 
 from .distributions import Family, FreeF, measure_of
-from .errors import SingularCovariance
+from .errors import SingularCovariance, SizeLimitExceeded
 
 __all__ = [
     "FisherSampleConfig",
@@ -32,6 +32,12 @@ __all__ = [
 
 # Trapezoid intervals of the theoretical CDF on the sin^2 grid.
 _CDF_RESOLUTION = 4000
+
+# Size guard of one sample.  p = 1000 at a = 2, b = 3 (5e6 entries) takes
+# ~0.45 s and ~160 MB peak RSS and a p = 2000 eigh ~1 s (2-vCPU x86_64); the
+# caps admit p = 2000 at those ratios, ~4x the work and 160 MB of entries.
+_MAX_P = 2000
+_MAX_ENTRIES = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,11 @@ class FisherSampleConfig:
             raise ValueError("need a > 0")
         if self.n1 < 1:
             raise ValueError("need n1 = round(a * p) >= 1")
-        if self.b <= 1:
-            raise ValueError("need b > 1 so that n2 > p")
+        if self.n2 <= self.p:
+            raise ValueError("need n2 = round(b * p) > p")
+        if self.p > _MAX_P or self.p * (self.n1 + self.n2) > _MAX_ENTRIES:
+            raise SizeLimitExceeded(f"need p <= {_MAX_P} and p * (n1 + n2)"
+                                    f" <= {_MAX_ENTRIES}")
 
     @property
     def n1(self) -> int:
@@ -73,8 +82,6 @@ def sample_fisher_spectrum(cfg: FisherSampleConfig) -> np.ndarray:
     is retried on a fresh Philox substream, at most 3 times.
     """
     n1, n2 = cfg.n1, cfg.n2
-    if n2 <= cfg.p:
-        raise ValueError("n2 must exceed p for an invertible covariance")
     for attempt in range(3):
         rng = np.random.Generator(np.random.Philox(key=(cfg.seed, attempt)))
         x1 = rng.standard_normal((cfg.p, n1))

@@ -105,7 +105,7 @@ def criterion_counts() -> tuple[bool, str]:
     """Linked-partition counts are the large Schroeder numbers."""
     expected = [1, 2, 6, 22, 90, 394, 1806, 8558]
     for n, want in enumerate(expected, start=1):
-        got = len(ncl.enumerate_ncl(n))
+        got = sum(count for _, count in ncl.ncl_table(n))
         if got != want:
             return False, f"|NCL({n})| = {got}, expected {want}"
     arrangements = list(ncl.path_arrangements(("u", "u", "t", "d", "d")))
@@ -117,12 +117,12 @@ def criterion_counts() -> tuple[bool, str]:
 def criterion_statistics() -> tuple[bool, str]:
     """dc+sc+sg = #blocks and sum|B| = n+dc for every partition, n <= 8."""
     for n in range(1, 9):
-        for p in ncl.enumerate_ncl(n):
-            st = ncl.statistics(p)
-            if st.dc + st.sc + st.sg != len(p):
-                return False, f"block-count identity fails at {p}"
-            if sum(len(b) for b in p.blocks) != n + st.dc:
-                return False, f"size identity fails at {p}"
+        for key, _ in ncl.ncl_table(n):
+            dc, sc, sg, sizes = key
+            if dc + sc + sg != len(sizes):
+                return False, f"block-count identity fails at n={n}, {key}"
+            if sum(sizes) != n + dc:
+                return False, f"size identity fails at n={n}, {key}"
     ref = ncl.LinkedPartition(
         10, ((1, 2, 7), (2, 4), (3,), (5, 6), (7, 8, 9), (9, 10))
     )

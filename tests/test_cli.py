@@ -158,6 +158,12 @@ class TestExitCodes:
         payload = run_json(capsys, "ncl-stats", "--partition", "1,3|2,4")
         assert payload["results"]["valid"] is False
 
+    def test_sparse_partition_of_a_huge_ground_set(self, capsys):
+        start = time.perf_counter()
+        payload = run_json(capsys, "ncl-stats", "--partition", "1,1000000000")
+        assert time.perf_counter() - start < 0.5
+        assert payload["results"] == {"n": 1000000000, "valid": False}
+
     def test_success_is_0(self, capsys):
         code, _, _ = run_cli(capsys, "support", "--family", "ft", "--m", "2")
         assert code == 0
@@ -259,6 +265,21 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
+    def test_mc_fisher_rejects_too_many_bins_before_sampling(self, capsys):
+        elapsed = self.assert_one_error_line(
+            capsys, "mc-fisher", "--p", "800", "--a", "2", "--b", "3",
+            "--bins", "1000000",
+        )
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("p,a", [("1000", "1000000"), ("100000", "2"),
+                                     ("2001", "2")])
+    def test_mc_fisher_size_guard_fires_before_sampling(self, capsys, p, a):
+        elapsed = self.assert_one_error_line(
+            capsys, "mc-fisher", "--p", p, "--a", a, "--b", "3",
+        )
+        assert elapsed < 0.5
+
     @pytest.mark.parametrize("argv", [
         ["density", "--family", "fp", "--lam", "zebra"],
         ["density", "--family", "meixner", "--theta", "-inf", "--tau", "1"],
@@ -299,11 +320,14 @@ class TestInputGuards:
 
 # --------------------------------------------------------------------------
 # Fuzzing: every argv ends in exit code 0 or 2 with one JSON envelope (or
-# CSV table) on stdout, or one "error:" line on stderr.  Sizes are bounded
-# (--n <= 6, --p <= 40, --points <= 5, --order <= 12, grids of <= 5 points,
-# mc-fisher ratios <= 3) so each case runs well under a second; `verify`
-# is left out because it takes seconds.  Most drawn values are admissible,
-# so that the success paths are reached as well as the error paths.
+# CSV table) on stdout, or one "error:" line on stderr.  Admissible sizes
+# are bounded (--n <= 6, --p <= 40, --points <= 5, --order <= 12, grids of
+# <= 5 points, mc-fisher ratios <= 3) so each case runs well under a
+# second; the edge values --p, --a and --bins of 1000000 and the partition
+# 1,1000000000 must be refused or answered just as fast, which the size
+# guards and the linear cover check ensure.  `verify` is left out because
+# it takes seconds.  Most drawn values are admissible, so that the success
+# paths are reached as well as the error paths.
 # --------------------------------------------------------------------------
 
 def _mostly(usual, edge):
@@ -348,7 +372,7 @@ _COMMANDS = {
     "enumerate-ncl": {"--n": _SMALL_N, "--list": None},
     "ncl-stats": {"--n": _SMALL_N, "--partition": _mostly(
         ["1,2|3", "1,3|2,4", "1,2,3|3,4", "1", "1,2|2,3|3,4|4,5|5,6"],
-        ["1,zebra", "|", "", "0,1", "1,1"])},
+        ["1,zebra", "|", "", "0,1", "1,1", "1,1000000000"])},
     "gamma-gf": {"--n": _SMALL_N, "--alpha": _RATIONALS,
                  "--beta": _RATIONALS, "--gamma": _RATIONALS,
                  "--route": _mostly(["brute", "cf", "closed", "all"],
@@ -357,12 +381,14 @@ _COMMANDS = {
                  "--order": _mostly([str(k) for k in range(13)],
                                     ["-1", "zebra"])},
     "meixner": {"--a": _RATIONALS, "--b": _RATIONALS},
-    "mc-fisher": {"--p": _mostly(["1", "2", "10", "40"], ["0", "-1"]),
+    "mc-fisher": {"--p": _mostly(["1", "2", "10", "40"],
+                                 ["0", "-1", "1000000"]),
                   "--a": _mostly(["2", "3", "1/2"],
-                                 ["0", "-1", "1e400", "zebra"]),
+                                 ["0", "-1", "1e400", "zebra", "1000000"]),
                   "--b": _mostly(["3", "2", "3/2"], ["1", "1/2", "zebra"]),
                   "--seed": st.integers(-1, 5).map(str),
-                  "--bins": _mostly(["1", "5", "12"], ["0", "-1"])},
+                  "--bins": _mostly(["1", "5", "12"],
+                                    ["0", "-1", "1000000"])},
 }
 
 

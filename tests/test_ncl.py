@@ -6,6 +6,7 @@ generator, so the two implementations share no code paths.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,11 @@ from freebeta.ncl import (
     level_weights,
     moment_via_ncl,
     motzkin_paths,
+    ncl_table,
     path_arrangements,
     statistics,
     validate_ncl,
 )
-from freebeta.ncl import _ncl_table
 from freebeta.transforms import TCoefficients
 from freebeta.verification import _FBP_PARAMS
 
@@ -151,6 +152,11 @@ class TestValidation:
 
     def test_uncovered_element_rejected(self):
         p = LinkedPartition(3, ((1, 2),))
+        assert not validate_ncl(p)
+
+    def test_sparse_partition_of_a_huge_ground_set(self):
+        # the cover check is linear in the elements listed, not in n
+        p = LinkedPartition(10**9, ((1, 10**9),))
         assert not validate_ncl(p)
 
     def test_malformed_inputs(self):
@@ -326,19 +332,27 @@ class TestNclTable:
 
     @pytest.mark.parametrize("a,b", _FBP_PARAMS)
     def test_fbp_moment_is_the_scaled_gamma_polynomial(self, a, b):
-        # the block-profile sum and the statistics sum are separate tables
+        # the block-profile sum and the statistics sum read different
+        # marginals of the one joint table
         s, t, u = fbp_t_params(a, b)
         for n in range(1, 9):
             gamma = gamma_poly(n, t / s, t / (s * u), 1 / u, route="brute")
             assert fbp_moment(a, b, n) == (s * u) ** n * gamma
 
     def test_block_profiles_match_enumeration(self):
+        # both marginals of the joint table against direct enumeration
         for n in range(1, 7):
-            want = {}
-            for p in enumerate_ncl(n):
-                key = tuple(sorted(len(b) for b in p.blocks))
-                want[key] = want.get(key, 0) + 1
-            assert dict(_ncl_table(n).profiles) == want
+            parts = enumerate_ncl(n)
+            want_stats = Counter(
+                (st.dc, st.sc, st.sg) for st in map(statistics, parts))
+            want_profiles = Counter(
+                tuple(sorted(len(b) for b in p.blocks)) for p in parts)
+            got_stats, got_profiles = Counter(), Counter()
+            for (dc, sc, sg, sizes), count in ncl_table(n):
+                got_stats[dc, sc, sg] += count
+                got_profiles[sizes] += count
+            assert got_stats == want_stats
+            assert got_profiles == want_profiles
 
     def test_repeated_calls_agree(self):
         abc = (F(3, 4), F(5, 3), F(2))
@@ -348,18 +362,20 @@ class TestNclTable:
         assert [fbp_moment(2, 3, n) for n in range(1, 8)] == [
             fbp_moment(2, 3, n) for n in range(1, 8)
         ]
-        assert _ncl_table(6) == _ncl_table(6)
+        assert ncl_table(6) is ncl_table(6)
 
     def test_cached_table_is_immutable(self):
-        table = _ncl_table(4)
-        snapshot = (tuple(table.stats), tuple(table.profiles))
+        table = ncl_table(4)
+        snapshot = tuple(table)
         with pytest.raises(TypeError):
-            table.stats[0] = ((0, 0, 0), 1)
+            table[0] = ((0, 0, 0, ()), 1)
         with pytest.raises(TypeError):
-            table.profiles[0][1] += 1
+            table[0][1] += 1
+        with pytest.raises(TypeError):
+            table[0][0][3][0] = 5
         with pytest.raises(AttributeError):
-            table.stats = ()
-        assert (_ncl_table(4).stats, _ncl_table(4).profiles) == snapshot
+            table.append(((0, 0, 0, ()), 1))
+        assert ncl_table(4) == snapshot
 
     def test_size_limit_applies_to_every_sum(self):
         n = NCL_SIZE_LIMIT + 1

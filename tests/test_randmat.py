@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from freebeta.distributions import FreeF, FreePoisson
+from freebeta.errors import SizeLimitExceeded
 from freebeta.randmat import (
     FisherSampleConfig,
     histogram_rows,
@@ -27,6 +28,19 @@ class TestConfig:
             FisherSampleConfig(p=0, a=2, b=3, seed=0)
         with pytest.raises(ValueError):
             FisherSampleConfig(p=10, a=2, b=1, seed=0)
+        with pytest.raises(ValueError):  # b > 1 but n2 = round(10.1) = p
+            FisherSampleConfig(p=10, a=2, b=1.01, seed=0)
+
+    @pytest.mark.parametrize("p,a,b", [(1000, 2, 3), (500, 2, 3),
+                                       (2, 5000, 5000), (2000, 2, 3)])
+    def test_size_guard_admits_sizes_in_use(self, p, a, b):
+        FisherSampleConfig(p=p, a=a, b=b, seed=0)
+
+    @pytest.mark.parametrize("p,a,b", [(1000, 1000000, 3), (2001, 2, 3),
+                                       (2000, 2, 3.01), (10**12, 2, 3)])
+    def test_size_guard_rejects_oversized_samples(self, p, a, b):
+        with pytest.raises(SizeLimitExceeded):
+            FisherSampleConfig(p=p, a=a, b=b, seed=0)
 
     @pytest.mark.parametrize("a", [0, -1, 0.01])
     def test_rejects_empty_first_sample(self, a):
