@@ -3,9 +3,10 @@
 Every subcommand prints one JSON envelope to stdout:
 ``{schema_version, command, params, results, provenance}``.  Exact
 rationals are serialized as "num/den" strings so nothing passes through
-floating point; genuinely floating quantities are JSON numbers.  Exit
-codes: 0 success, 2 usage or validation error, 3 verification tolerance
-failure.
+floating point; genuinely floating quantities are JSON numbers.  A
+subcommand whose results hold a table also takes ``--format csv`` and then
+prints only that table, under a header of its JSON row keys.  Exit codes:
+0 success, 2 usage or validation error, 3 verification tolerance failure.
 """
 
 from __future__ import annotations
@@ -78,18 +79,17 @@ def _build_family(args):
     return _FAMILIES[args.family](**params), params
 
 
-def _emit(command: str, params: dict, results, provenance,
-          fmt: str = "json", rows=None, header=None) -> None:
-    if fmt == "csv":
-        if rows is None:
-            raise FreeBetaError(f"{command} has no CSV payload")
-        print(",".join(header))
+def _emit(args, params: dict, results, provenance) -> None:
+    """Print the JSON envelope, or as CSV the rows under the table key."""
+    if args.format == "csv":
+        rows = results[args.table]
+        print(",".join(rows[0]))
         for row in rows:
-            print(",".join(str(c) for c in row))
+            print(",".join(str(_fmt(c)) for c in row.values()))
         return
     envelope = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": _fmt(params),
         "results": _fmt(results),
         "provenance": list(provenance),
@@ -104,6 +104,17 @@ def _emit(command: str, params: dict, results, provenance,
 def _require_positive_n(n: int) -> None:
     if n < 1:
         raise FreeBetaError(f"--n must be >= 1, got {n}")
+
+
+def _route_table(n: int, routes, value) -> list[dict]:
+    """Rows k = 1..n of value(route, k), with "agree" across several routes."""
+    table = []
+    for k in range(1, n + 1):
+        row = {"n": k, **{route: value(route, k) for route in routes}}
+        if len(routes) > 1:
+            row["agree"] = len({row[route] for route in routes}) == 1
+        table.append(row)
+    return table
 
 
 def _cmd_moments(args) -> int:
@@ -131,17 +142,9 @@ def _cmd_moments(args) -> int:
         mb = distributions.moment_series(
             distributions.InverseFreePoisson(fam.b), n)
         columns["transform"] = transforms.free_mult_convolve(ma, mb)
-    table = []
-    for k in range(1, n + 1):
-        values = {route: columns[route][k] for route in routes}
-        row = {"n": k, **values}
-        if len(values) > 1:
-            row["agree"] = len(set(values.values())) == 1
-        table.append(row)
-    _emit("moments", {**params, "n": n, "route": args.route},
-          {"moments": table}, routes, fmt=args.format,
-          rows=[[r["n"]] + [_fmt(r[k]) for k in routes] for r in table],
-          header=["n"] + routes)
+    table = _route_table(n, routes, lambda route, k: columns[route][k])
+    _emit(args, {**params, "n": n, "route": args.route},
+          {"moments": table}, routes)
     return 0
 
 
@@ -170,23 +173,21 @@ def _cmd_density(args) -> int:
     else:
         glo, ghi, count = lo, hi, 201
     xs = [glo + (ghi - glo) * k / (count - 1) for k in range(count)]
-    rows = [(x, spec.density(x)) for x in xs]
-    _emit("density", {**params, "grid": f"{glo}:{ghi}:{count}"},
+    _emit(args, {**params, "grid": f"{glo}:{ghi}:{count}"},
           {"support": list(spec.support),
            "atoms": [list(a) for a in spec.atoms],
-           "grid": [{"x": x, "density": d} for x, d in rows]},
-          ["closed-form"], fmt=args.format, rows=rows,
-          header=["x", "density"])
+           "grid": [{"x": x, "density": spec.density(x)} for x in xs]},
+          ["closed-form"])
     return 0
 
 
 def _cmd_support(args) -> int:
     fam, params = _build_family(args)
     spec = distributions.measure_of(fam)
-    _emit("support", params,
+    _emit(args, params,
           {"lo": spec.support[0], "hi": spec.support[1],
            "atoms": [{"location": a, "mass": m} for a, m in spec.atoms]},
-          ["closed-form"], fmt=args.format)
+          ["closed-form"])
     return 0
 
 
@@ -200,8 +201,7 @@ def _cmd_enumerate_ncl(args) -> int:
     results = {"n": args.n, "count": len(parts)}
     if args.list:
         results["partitions"] = [_fmt_partition(p) for p in parts]
-    _emit("enumerate-ncl", {"n": args.n}, results, ["path-expansion"],
-          fmt=args.format)
+    _emit(args, {"n": args.n}, results, ["path-expansion"])
     return 0
 
 
@@ -210,7 +210,11 @@ def _cmd_ncl_stats(args) -> int:
         tuple(int(x) for x in block.split(","))
         for block in args.partition.split("|")
     )
-    n = args.n or max(max(b) for b in blocks)
+    if args.n is None:
+        n = max(max(b) for b in blocks)
+    else:
+        n = args.n
+        _require_positive_n(n)
     p = ncl.LinkedPartition(n, blocks)
     valid = ncl.validate_ncl(p)
     results = {"n": n, "valid": valid}
@@ -221,8 +225,8 @@ def _cmd_ncl_stats(args) -> int:
             dc=st.dc, sc=st.sc, sg=st.sg,
             type_one=list(t1), type_two=list(t2),
         )
-    _emit("ncl-stats", {"partition": args.partition, "n": n}, results,
-          ["statistics"], fmt=args.format)
+    _emit(args, {"partition": args.partition, "n": n}, results,
+          ["statistics"])
     return 0
 
 
@@ -232,21 +236,12 @@ def _cmd_gamma_gf(args) -> int:
               else ["brute", "cf", "closed"])
     if "brute" in routes:
         ncl.check_ncl_size(args.n)
-    table = []
-    for k in range(1, args.n + 1):
-        row = {"n": k}
-        for route in routes:
-            row[route] = ncl.gamma_poly(k, args.alpha, args.beta,
-                                        args.gamma, route=route)
-        if len(routes) > 1:
-            row["agree"] = len({row[r] for r in routes}) == 1
-        table.append(row)
-    _emit("gamma-gf",
+    table = _route_table(args.n, routes, lambda route, k: ncl.gamma_poly(
+        k, args.alpha, args.beta, args.gamma, route=route))
+    _emit(args,
           {"n": args.n, "alpha": args.alpha, "beta": args.beta,
            "gamma": args.gamma, "route": args.route},
-          {"values": table}, routes, fmt=args.format,
-          rows=[[r["n"]] + [_fmt(r[k]) for k in routes] for r in table],
-          header=["n"] + routes)
+          {"values": table}, routes)
     return 0
 
 
@@ -256,20 +251,20 @@ def _cmd_t_coeffs(args) -> int:
     fam = distributions.FreeBetaPrime(args.a, args.b)
     coeffs = distributions.t_coeffs_of(fam, args.order)
     s, t, u = distributions.fbp_t_params(args.a, args.b)
-    _emit("t-coeffs", {"a": args.a, "b": args.b, "order": args.order},
+    _emit(args, {"a": args.a, "b": args.b, "order": args.order},
           {"alphas": list(coeffs.alphas), "s": s, "t": t, "u": u},
-          ["closed-form"], fmt=args.format)
+          ["closed-form"])
     return 0
 
 
 def _cmd_meixner(args) -> int:
     std = distributions.standardize_to_meixner(args.a, args.b)
     label = std.classify()
-    _emit("meixner", {"a": args.a, "b": args.b},
+    _emit(args, {"a": args.a, "b": args.b},
           {"theta": std.theta, "tau": std.tau,
            "theta_sq": std.theta_sq, "discriminant": std.discriminant,
            "mean": std.mean, "variance": std.variance, "class": label},
-          ["standardization"], fmt=args.format)
+          ["standardization"])
     return 0
 
 
@@ -279,20 +274,17 @@ def _cmd_score_check(args) -> int:
         raise FreeBetaError(f"--points must be >= 1, got {k}")
     fam, params = _build_family(args)
     lo, hi = distributions.support_of(fam)
-    worst = 0.0
-    rows = []
+    grid = []
     for i in range(1, k + 1):
         x = lo + (hi - lo) * i / (k + 1)
         score = analysis.hilbert_score(fam, x)
         vprime = analysis.potential_derivative(fam, x)
-        rows.append((x, score, vprime, abs(score - vprime)))
-        worst = max(worst, abs(score - vprime))
-    _emit("score-check", {**params, "points": k},
-          {"max_abs_deviation": worst,
-           "grid": [{"x": x, "score": s, "v_prime": v, "deviation": d}
-                    for x, s, v, d in rows]},
-          ["epsilon-ladder", "closed-form"], fmt=args.format, rows=rows,
-          header=["x", "score", "v_prime", "deviation"])
+        grid.append({"x": x, "score": score, "v_prime": vprime,
+                     "deviation": abs(score - vprime)})
+    _emit(args, {**params, "points": k},
+          {"max_abs_deviation": max(r["deviation"] for r in grid),
+           "grid": grid},
+          ["epsilon-ladder", "closed-form"])
     return 0
 
 
@@ -310,31 +302,26 @@ def _cmd_mc_fisher(args) -> int:
     fam = distributions.FreeF(args.a, args.b)
     ks = randmat.ks_distance(eigs, fam)
     rows = randmat.histogram_rows(eigs, fam, bins=args.bins)
-    _emit("mc-fisher",
+    _emit(args,
           {"p": args.p, "a": args.a, "b": args.b, "seed": args.seed,
            "bins": args.bins},
           {"n1": cfg.n1, "n2": cfg.n2, "ks_distance": ks,
            "histogram": [
                {"bin_left": l, "bin_right": r, "empirical_density": e,
                 "theoretical_density": t} for l, r, e, t in rows]},
-          ["monte-carlo", "closed-form"], fmt=args.format, rows=rows,
-          header=["bin_left", "bin_right", "empirical_density",
-                  "theoretical_density"])
+          ["monte-carlo", "closed-form"])
     return 0
 
 
 def _cmd_verify(args) -> int:
     results = []
-    failed = None
-    for name, ok, detail in run_all(fail_fast=True):
+    for name, ok, detail in run_all():
         results.append({"criterion": name, "ok": ok, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}",
               file=sys.stderr)
-        if not ok:
-            failed = name
-    _emit("verify", {}, {"criteria": results, "ok": failed is None},
-          ["all-routes"], fmt=args.format)
-    return 0 if failed is None else 3
+    ok = all(r["ok"] for r in results)
+    _emit(args, {}, {"criteria": results, "ok": ok}, ["all-routes"])
+    return 0 if ok else 3
 
 
 # --------------------------------------------------------------------------
@@ -355,19 +342,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, table=None, **kwargs):
+        """A subcommand; one with a ``table`` key can print it as CSV."""
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, table=table, format="json")
+        if table:
+            p.add_argument("--format", choices=("json", "csv"))
         return p
 
-    p = add("moments", _cmd_moments, help="moments by one or all routes")
+    p = add("moments", _cmd_moments, "moments",
+            help="moments by one or all routes")
     _add_family_flags(p, ("fp", "ifp", "fbp", "ff", "ft", "fb"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--route", default="all",
                    choices=("ncl", "series", "fock", "transform", "all"))
 
-    p = add("density", _cmd_density, help="density grid of a family")
+    p = add("density", _cmd_density, "grid", help="density grid of a family")
     _add_family_flags(p, tuple(_FAMILIES))
     p.add_argument("--grid", help="lo:hi:count (default: the support)")
 
@@ -385,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='blocks as "1,2,7|2,4|3|..."')
     p.add_argument("--n", type=int)
 
-    p = add("gamma-gf", _cmd_gamma_gf,
+    p = add("gamma-gf", _cmd_gamma_gf, "values",
             help="the statistics generating polynomial by route")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=_rat, required=True)
@@ -404,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_rat, required=True)
     p.add_argument("--b", type=_rat, required=True)
 
-    p = add("score-check", _cmd_score_check,
+    p = add("score-check", _cmd_score_check, "grid",
             help="score function vs potential derivative")
     _add_family_flags(p, ("fbp", "ft", "fb"))
     p.add_argument("--points", type=int, default=20)
 
-    p = add("mc-fisher", _cmd_mc_fisher,
+    p = add("mc-fisher", _cmd_mc_fisher, "histogram",
             help="Fisher-matrix spectrum vs the free F law")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--a", type=_rat, required=True)

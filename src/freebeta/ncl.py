@@ -92,20 +92,17 @@ class LinkedPartition:
 
 
 def _crosses(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
-    """True when some e1 < f1 < e2 < f2 interleaves the two blocks.
+    """True when some e1 < f1 < e2 < f2 interleaves the two sorted blocks.
 
     Shared elements belong to both blocks and may serve either role (the
     four positions in the pattern are distinct, so no double use occurs).
     """
 
     def directed(p, q) -> bool:
-        for q1 in q:
-            if not any(x < q1 for x in p):
-                continue
-            for q2 in q:
-                if q2 > q1 and any(q1 < x < q2 for x in p):
-                    return True
-        return False
+        # p1 < q1 < p2 < q2 exists iff it does for the widest window: q1
+        # the least element of q above min p, and q2 = max q
+        q1 = next((y for y in q if y > p[0]), None)
+        return q1 is not None and any(q1 < x < q[-1] for x in p)
 
     return directed(e, f) or directed(f, e)
 
@@ -387,27 +384,20 @@ def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
     with value beta at z = 0 selects the solution with G(0) = 1.
     """
     n = order
-    if n == 0:
-        return PowerSeries.constant(1, 0)
     if beta == 0:
         # no weighted path ever leaves the ground: Gamma_n = gamma^n
         return PowerSeries.from_coefficients(
             [gamma ** k for k in range(n + 1)]
         )
-    if alpha == 0:
-        # A(0) vanishes; divide the quadratic by beta*z first:
-        #   z (1 + (beta-gamma) z) G^2 - (1 + (1-gamma) z) G + 1 = 0
-        a_red = _poly(n + 1, 0, 1) * _poly(n + 1, 1, beta - gamma)
-        b_red = _poly(n + 1, 1, 1 - gamma)
-        c_red = _poly(n + 1, 1)
-        disc = b_red * b_red - (a_red * c_red).scale(4)
-        num = b_red - ps_sqrt(disc, branch=1)
-        g = num.shift_down() / a_red.shift_down().scale(2)
-        return g.truncate(n)
-    a_ser, b_ser, c_ser = _gamma_quadratic(n, alpha, beta, gamma)
+    # one order more, so that a factor z can be cancelled when A(0) = 0
+    a_ser, b_ser, c_ser = _gamma_quadratic(n + 1, alpha, beta, gamma)
     disc = b_ser * b_ser - (a_ser * c_ser).scale(4)
     num = b_ser - ps_sqrt(disc, branch=1 if beta > 0 else -1)
-    return num / a_ser.scale(2)
+    den = a_ser.scale(2)
+    if alpha == 0:
+        # A(0) = alpha = 0 and num(0) = B(0) - beta = 0: cancel one z
+        num, den = num.shift_down(), den.shift_down()
+    return (num / den).truncate(n)
 
 
 def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:

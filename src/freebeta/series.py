@@ -251,17 +251,11 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
             f"depth {depth} < {needed} required for order {order}"
         )
     one = PowerSeries.constant(1, order)
-    z = PowerSeries.identity(order) if order >= 1 else None
-
-    def level_term(i: int, tail: PowerSeries | None) -> PowerSeries:
-        if order == 0:
-            return one
+    if order == 0:
+        return one
+    z = PowerSeries.identity(order)
+    tail = one / (one - z.scale(diagonal[-1]))  # the deepest level
+    for i in range(depth - 2, -1, -1):
         t = one - z.scale(diagonal[i])
-        if tail is not None:
-            t = t - tail.shift_up().shift_up().scale(products[i])
-        return t
-
-    tail: PowerSeries | None = None
-    for i in range(depth - 1, -1, -1):
-        tail = one / level_term(i, tail)
+        tail = one / (t - tail.shift_up().shift_up().scale(products[i]))
     return tail

@@ -18,7 +18,7 @@ from .errors import (
     ZeroConstantS,
     ZeroMeanError,
 )
-from .series import PowerSeries, ps_reversion
+from .series import PowerSeries, _poly, ps_reversion
 
 __all__ = [
     "MomentSequence",
@@ -212,11 +212,7 @@ def moments_to_s(m: MomentSequence) -> PowerSeries:
         raise ZeroMeanError("S-transform needs m_1 != 0")
     phi_inv = ps_reversion(moments_to_phi(m))
     base = phi_inv.shift_down()  # Phi^{<-1>}(z)/z, order n-1
-    n = base.order
-    zplus1 = PowerSeries.from_coefficients(
-        [1, 1] + [0] * (n - 1)
-    ) if n >= 1 else PowerSeries.constant(1, 0)
-    return base * zplus1 if n >= 1 else base
+    return base * _poly(base.order, 1, 1)
 
 
 def s_to_moments(s: PowerSeries, order: int) -> MomentSequence:
@@ -227,9 +223,7 @@ def s_to_moments(s: PowerSeries, order: int) -> MomentSequence:
         )
     if s[0] == 0:
         raise ZeroConstantS("S(0) = 0 has no moment inverse here")
-    one_plus_z = PowerSeries.from_coefficients([1, 1] + [0] * (order - 1))
-    phi_inv = (s.pad(order) if s.order < order else s.truncate(order)) \
-        .shift_up() / one_plus_z
+    phi_inv = PowerSeries((0,) + s.coefficients[:order]) / _poly(order, 1, 1)
     phi = ps_reversion(phi_inv)
     return MomentSequence((Fraction(1),) + phi.coefficients[1:])
 

@@ -290,10 +290,10 @@ CRITERIA = (
 )
 
 
-def run_all(fail_fast: bool = False):
-    """Run every criterion; yields (name, ok, detail) in order."""
+def run_all():
+    """Yield (name, ok, detail) per criterion in order; stop at a failure."""
     for name, fn in CRITERIA:
         ok, detail = fn()
         yield name, ok, detail
-        if fail_fast and not ok:
+        if not ok:
             return

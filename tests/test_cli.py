@@ -65,6 +65,35 @@ class TestMoments:
         assert rows[0]["series"] == "2/1"
 
 
+# (argv, table key) of every subcommand with a CSV form
+_TABLES = [
+    (["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n", "3"],
+     "moments"),
+    (["moments", "--family", "fp", "--lam", "1/2", "--n", "2", "--route",
+      "series"], "moments"),
+    (["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
+      "1:2:3"], "grid"),
+    (["gamma-gf", "--alpha", "1", "--beta", "2", "--gamma", "1/3", "--n",
+      "3"], "values"),
+    (["score-check", "--family", "ft", "--m", "2", "--points", "3"], "grid"),
+    (["mc-fisher", "--p", "40", "--a", "2", "--b", "3", "--bins", "5"],
+     "histogram"),
+]
+
+
+@pytest.mark.parametrize("argv, key", _TABLES,
+                         ids=lambda v: " ".join(v) if isinstance(v, list)
+                         else v)
+def test_csv_columns_are_the_json_row_keys(capsys, argv, key):
+    rows = run_json(capsys, *argv)["results"][key]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].split(",") == list(rows[0])
+    assert [line.split(",") for line in lines[1:]] == [
+        [str(v) for v in row.values()] for row in rows]
+
+
 class TestDensityAndSupport:
     def test_support(self, capsys):
         payload = run_json(capsys, "support", "--family", "ft", "--m", "2")
@@ -250,6 +279,13 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_ncl_stats_rejects_nonpositive_n(self, capsys, n):
+        code, out, err = run_cli(capsys, "ncl-stats", "--partition", "1,2",
+                                 "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be >= 1, got {n}\n"
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_enumerate_ncl_rejects_nonpositive_n(self, capsys, n):
         start = time.perf_counter()
@@ -290,6 +326,10 @@ class TestInputGuards:
          "--zebra"],
         ["zebra"],
         [],
+        # --format exists only where there is a table to print
+        ["verify", "--format", "csv"],
+        ["enumerate-ncl", "--n", "10", "--format", "csv"],
+        ["support", "--family", "ft", "--m", "2", "--format", "json"],
     ], ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_usage_errors_are_one_line(self, capsys, argv):
         elapsed = self.assert_one_error_line(capsys, *argv)
@@ -320,14 +360,15 @@ class TestInputGuards:
 
 # --------------------------------------------------------------------------
 # Fuzzing: every argv ends in exit code 0 or 2 with one JSON envelope (or
-# CSV table) on stdout, or one "error:" line on stderr.  Admissible sizes
-# are bounded (--n <= 6, --p <= 40, --points <= 5, --order <= 12, grids of
-# <= 5 points, mc-fisher ratios <= 3) so each case runs well under a
-# second; the edge values --p, --a and --bins of 1000000 and the partition
-# 1,1000000000 must be refused or answered just as fast, which the size
-# guards and the linear cover check ensure.  `verify` is left out because
-# it takes seconds.  Most drawn values are admissible, so that the success
-# paths are reached as well as the error paths.
+# CSV table) on stdout, or one "error:" line on stderr; --format is drawn
+# for every subcommand and must be refused where no table exists.
+# Admissible sizes are bounded (--n <= 6, --p <= 40, --points <= 5,
+# --order <= 12, grids of <= 5 points, mc-fisher ratios <= 3) so each case
+# runs well under a second; the edge values --p, --a and --bins of 1000000
+# and the partition 1,1000000000 must be refused or answered just as fast,
+# which the size guards and the linear cover check ensure.  `verify` is
+# left out because it takes seconds.  Most drawn values are admissible, so
+# that the success paths are reached as well as the error paths.
 # --------------------------------------------------------------------------
 
 def _mostly(usual, edge):
@@ -342,6 +383,8 @@ _RATIONALS = _mostly(
 _FLOATS = st.integers(0, 4).flatmap(
     lambda k: st.floats(-5, 5).map(repr) if k else st.sampled_from(
         ["-1", "-2", "nan", "inf", "-inf", "1e308", "zebra"]))
+# drawn for every subcommand; only the tabular ones accept it
+_FORMATS = _mostly(["json", "csv"], ["zebra"])
 _SMALL_N = _mostly([str(n) for n in range(1, 7)],
                    ["0", "-1", "2.5", "zebra"])
 
@@ -351,7 +394,7 @@ def _family_flags(*keys):
         "--family": _mostly(keys, ["meixner", "zebra"]),
         "--a": _RATIONALS, "--b": _RATIONALS, "--lam": _RATIONALS,
         "--m": _RATIONALS, "--theta": _FLOATS, "--tau": _FLOATS,
-        "--format": _mostly(["json", "csv"], ["zebra"]),
+        "--format": _FORMATS,
     }
 
 
@@ -369,18 +412,21 @@ _COMMANDS = {
     "support": _family_flags(*_ALL_FAMILIES),
     "score-check": {**_family_flags("fbp", "ft", "fb"),
                     "--points": _mostly(["1", "2", "5"], ["0", "-1"])},
-    "enumerate-ncl": {"--n": _SMALL_N, "--list": None},
+    "enumerate-ncl": {"--n": _SMALL_N, "--list": None, "--format": _FORMATS},
     "ncl-stats": {"--n": _SMALL_N, "--partition": _mostly(
         ["1,2|3", "1,3|2,4", "1,2,3|3,4", "1", "1,2|2,3|3,4|4,5|5,6"],
-        ["1,zebra", "|", "", "0,1", "1,1", "1,1000000000"])},
+        ["1,zebra", "|", "", "0,1", "1,1", "1,1000000000"]),
+        "--format": _FORMATS},
     "gamma-gf": {"--n": _SMALL_N, "--alpha": _RATIONALS,
                  "--beta": _RATIONALS, "--gamma": _RATIONALS,
                  "--route": _mostly(["brute", "cf", "closed", "all"],
-                                    ["zebra"])},
+                                    ["zebra"]),
+                 "--format": _FORMATS},
     "t-coeffs": {"--a": _RATIONALS, "--b": _RATIONALS,
                  "--order": _mostly([str(k) for k in range(13)],
-                                    ["-1", "zebra"])},
-    "meixner": {"--a": _RATIONALS, "--b": _RATIONALS},
+                                    ["-1", "zebra"]),
+                 "--format": _FORMATS},
+    "meixner": {"--a": _RATIONALS, "--b": _RATIONALS, "--format": _FORMATS},
     "mc-fisher": {"--p": _mostly(["1", "2", "10", "40"],
                                  ["0", "-1", "1000000"]),
                   "--a": _mostly(["2", "3", "1/2"],
@@ -388,8 +434,10 @@ _COMMANDS = {
                   "--b": _mostly(["3", "2", "3/2"], ["1", "1/2", "zebra"]),
                   "--seed": st.integers(-1, 5).map(str),
                   "--bins": _mostly(["1", "5", "12"],
-                                    ["0", "-1", "1000000"])},
+                                    ["0", "-1", "1000000"]),
+                  "--format": _FORMATS},
 }
+_TABULAR = {"moments", "density", "gamma-gf", "score-check", "mc-fisher"}
 
 
 @st.composite
@@ -417,6 +465,8 @@ def test_fuzzed_argv_ends_cleanly(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
+    if "--format" in argv and argv[0] not in _TABULAR:
+        assert code == 2
     if code == 0:
         assert err == ""
         if "csv" in argv:

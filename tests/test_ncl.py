@@ -15,6 +15,7 @@ from freebeta.distributions import FreeBetaPrime, fbp_t_params, t_coeffs_of
 from freebeta.errors import MalformedInput, SizeLimitExceeded
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
+    _crosses,
     LinkedPartition,
     NclStatistics,
     arrangement_to_partition,
@@ -153,6 +154,18 @@ class TestValidation:
     def test_uncovered_element_rejected(self):
         p = LinkedPartition(3, ((1, 2),))
         assert not validate_ncl(p)
+
+    def test_crosses_matches_the_four_position_definition(self):
+        def brute(e, f):
+            return any(e1 < f1 < e2 < f2
+                       for p, q in ((e, f), (f, e))
+                       for e1, e2 in itertools.combinations(p, 2)
+                       for f1, f2 in itertools.combinations(q, 2))
+
+        subsets = [c for k in range(1, 8)
+                   for c in itertools.combinations(range(1, 8), k)]
+        assert all(_crosses(e, f) == brute(e, f)
+                   for e in subsets for f in subsets)
 
     def test_sparse_partition_of_a_huge_ground_set(self):
         # the cover check is linear in the elements listed, not in n

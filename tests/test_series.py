@@ -278,6 +278,22 @@ class TestContinuedFraction:
         cf = gamma_series(64, *abc, route="cf")
         assert cf == gamma_series(64, *abc, route="closed")
 
+    @pytest.mark.parametrize(
+        "abc", [(F(0), F(1), F(1)), (F(0), F(-2, 3), F(5)),
+                (F(0), F(7, 2), F(-1, 4))]
+    )
+    def test_gamma_closed_at_alpha_zero_matches_cf(self, abc):
+        # A(0) = alpha = 0: the closed route cancels a factor z
+        cf = gamma_series(32, *abc, route="cf")
+        assert cf == gamma_series(32, *abc, route="closed")
+
+    def test_order_zero_is_the_constant_one(self):
+        assert cf_expand((F(3),), (), 0) == PowerSeries.constant(1, 0)
+        for abc in [(F(0), F(1), F(1)), (F(2), F(-1), F(3))]:
+            for route in ("cf", "closed"):
+                g = gamma_series(0, *abc, route=route)
+                assert g == PowerSeries.constant(1, 0)
+
     def test_insufficient_depth_raises(self):
         with pytest.raises(InsufficientDepth):
             cf_expand((F(0),) * 2, (F(1),), 8)

@@ -147,6 +147,17 @@ class TestSTransform:
         back = s_to_moments(s, m.order)
         assert back.moments == m.moments
 
+    def test_s_conversions_at_edge_orders(self):
+        # one moment gives S to order 0; S of a higher order is truncated
+        lam = F(2)
+        assert moments_to_s(poisson_moments(lam, 1)) == \
+            PowerSeries.constant(F(1, 2), 0)
+        s = moments_to_s(poisson_moments(lam, 8))
+        for order in (1, 3, 8):
+            m = poisson_moments(lam, order)
+            assert s_to_moments(s.truncate(order - 1), order) == m
+            assert s_to_moments(s, order) == m
+
     def test_s_requires_nonzero_mean(self):
         m = MomentSequence((F(1), F(0), F(1), F(0)))
         with pytest.raises(ZeroMeanError):
