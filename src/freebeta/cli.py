@@ -106,13 +106,28 @@ def _require_positive_n(n: int) -> None:
         raise FreeBetaError(f"--n must be >= 1, got {n}")
 
 
-def _route_table(n: int, routes, value) -> list[dict]:
-    """Rows k = 1..n of value(route, k), with "agree" across several routes."""
+# Largest exact series order (moments --n, gamma-gf --n, t-coeffs --order).
+# At 100 the slowest route, gamma-gf cf, takes 1-3.5 s and moments
+# transform ~1 s; both grow about as order^3.5 (cf: 6 s at 128).
+_MAX_ORDER = 100
+# Largest evaluation grid (density --grid count, score-check --points,
+# mc-fisher --bins): 10000 points take ~1.1 s of score ladders, ~0.1 s of
+# densities, ~0.02 s of histogram densities.
+_MAX_POINTS = 10_000
+
+
+def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise FreeBetaError(f"{flag} must be {lo}..{hi}, got {value}")
+
+
+def _route_table(n: int, columns: dict) -> list[dict]:
+    """Rows k = 1..n of each route's column, with "agree" across routes."""
     table = []
     for k in range(1, n + 1):
-        row = {"n": k, **{route: value(route, k) for route in routes}}
-        if len(routes) > 1:
-            row["agree"] = len({row[route] for route in routes}) == 1
+        row = {"n": k, **{route: col[k] for route, col in columns.items()}}
+        if len(columns) > 1:
+            row["agree"] = len({row[route] for route in columns}) == 1
         table.append(row)
     return table
 
@@ -120,7 +135,7 @@ def _route_table(n: int, routes, value) -> list[dict]:
 def _cmd_moments(args) -> int:
     fam, params = _build_family(args)
     n = args.n
-    _require_positive_n(n)
+    _check_size("--n", n, 1, _MAX_ORDER)
     routes = ([args.route] if args.route != "all"
               else ["ncl", "series", "fock", "transform"])
     if args.route != "series" and args.family != "fbp":
@@ -142,7 +157,7 @@ def _cmd_moments(args) -> int:
         mb = distributions.moment_series(
             distributions.InverseFreePoisson(fam.b), n)
         columns["transform"] = transforms.free_mult_convolve(ma, mb)
-    table = _route_table(n, routes, lambda route, k: columns[route][k])
+    table = _route_table(n, columns)
     _emit(args, {**params, "n": n, "route": args.route},
           {"moments": table}, routes)
     return 0
@@ -159,8 +174,7 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
         raise FreeBetaError(f"--grid must be lo:hi:count, got {spec!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise FreeBetaError(f"--grid ends must be finite, got {spec!r}")
-    if count < 2:
-        raise FreeBetaError(f"--grid count must be >= 2, got {count}")
+    _check_size("--grid count", count, 2, _MAX_POINTS)
     return lo, hi, count
 
 
@@ -231,13 +245,19 @@ def _cmd_ncl_stats(args) -> int:
 
 
 def _cmd_gamma_gf(args) -> int:
-    _require_positive_n(args.n)
+    _check_size("--n", args.n, 1, _MAX_ORDER)
     routes = ([args.route] if args.route != "all"
               else ["brute", "cf", "closed"])
     if "brute" in routes:
         ncl.check_ncl_size(args.n)
-    table = _route_table(args.n, routes, lambda route, k: ncl.gamma_poly(
-        k, args.alpha, args.beta, args.gamma, route=route))
+    abc = args.alpha, args.beta, args.gamma
+    columns = {
+        route: ncl.gamma_series(args.n, *abc, route=route)
+        if route != "brute"
+        else [ncl.gamma_poly(k, *abc, route=route) for k in range(args.n + 1)]
+        for route in routes
+    }
+    table = _route_table(args.n, columns)
     _emit(args,
           {"n": args.n, "alpha": args.alpha, "beta": args.beta,
            "gamma": args.gamma, "route": args.route},
@@ -246,8 +266,7 @@ def _cmd_gamma_gf(args) -> int:
 
 
 def _cmd_t_coeffs(args) -> int:
-    if args.order < 0:
-        raise FreeBetaError(f"--order must be >= 0, got {args.order}")
+    _check_size("--order", args.order, 0, _MAX_ORDER)
     fam = distributions.FreeBetaPrime(args.a, args.b)
     coeffs = distributions.t_coeffs_of(fam, args.order)
     s, t, u = distributions.fbp_t_params(args.a, args.b)
@@ -270,8 +289,7 @@ def _cmd_meixner(args) -> int:
 
 def _cmd_score_check(args) -> int:
     k = args.points
-    if k < 1:
-        raise FreeBetaError(f"--points must be >= 1, got {k}")
+    _check_size("--points", k, 1, _MAX_POINTS)
     fam, params = _build_family(args)
     lo, hi = distributions.support_of(fam)
     grid = []
@@ -288,13 +306,8 @@ def _cmd_score_check(args) -> int:
     return 0
 
 
-# mc-fisher histogram bins; 10000 take ~0.02 s of density evaluations
-_MAX_BINS = 10_000
-
-
 def _cmd_mc_fisher(args) -> int:
-    if not 1 <= args.bins <= _MAX_BINS:
-        raise FreeBetaError(f"--bins must be 1..{_MAX_BINS}, got {args.bins}")
+    _check_size("--bins", args.bins, 1, _MAX_POINTS)
     cfg = randmat.FisherSampleConfig(
         p=args.p, a=float(args.a), b=float(args.b), seed=args.seed
     )

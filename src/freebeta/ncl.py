@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence
 
 from .distributions import FreeBetaPrime, t_coeffs_of
@@ -122,12 +123,8 @@ def _pair_ok(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
     return not _crosses(e, f)
 
 
-def _cover_counts(p: LinkedPartition) -> dict[int, int]:
-    cover: dict[int, int] = {}
-    for block in p.blocks:
-        for x in block:
-            cover[x] = cover.get(x, 0) + 1
-    return cover
+def _cover_counts(p: LinkedPartition) -> Counter:
+    return Counter(x for block in p.blocks for x in block)
 
 
 def validate_ncl(p: LinkedPartition) -> bool:
@@ -154,6 +151,22 @@ def validate_ncl(p: LinkedPartition) -> bool:
 # Motzkin paths and the card model
 # --------------------------------------------------------------------------
 
+# Cards, one per step: ``O`` opens a block (up step), ``U`` opens a block
+# linked to the enclosing open one (up step at positive height only), ``C``
+# closes a block (down step), ``I`` continues the enclosing block (flat step
+# at positive height), ``S`` is a singleton (flat step), ``T`` ends the
+# enclosing block while opening a linked successor (flat step at positive
+# height).  Keyed by (step, height > 0); a step missing here leaves the path.
+_RISE = {"u": 1, "t": 0, "d": -1}
+_CARDS = {
+    ("u", False): ("O",),
+    ("u", True): ("O", "U"),
+    ("t", False): ("S",),
+    ("t", True): ("I", "S", "T"),
+    ("d", True): ("C",),
+}
+
+
 def motzkin_paths(n: int) -> Iterator[tuple[str, ...]]:
     """All lattice paths of length n over {u, t, d} staying >= 0, ending at 0."""
 
@@ -161,7 +174,7 @@ def motzkin_paths(n: int) -> Iterator[tuple[str, ...]]:
         if left == 0:
             yield tuple(prefix)
             return
-        for step, dh in (("u", 1), ("t", 0), ("d", -1)):
+        for step, dh in _RISE.items():
             nh = h + dh
             if nh < 0 or nh > left - 1:
                 continue
@@ -173,39 +186,15 @@ def motzkin_paths(n: int) -> Iterator[tuple[str, ...]]:
 
 
 def path_arrangements(path: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """All admissible card sequences over a Motzkin path.
-
-    Cards: ``O`` opens a block (up step), ``U`` opens a block linked to the
-    enclosing open one (up step at positive height only), ``C`` closes a
-    block (down step), ``I`` continues the enclosing block (flat step at
-    positive height), ``S`` is a singleton (flat step), ``T`` ends the
-    enclosing block while opening a linked successor (flat step at
-    positive height).
-    """
+    """Admissible card sequences of a Motzkin path; ValueError on others."""
     options = []
     h = 0
     for step in path:
-        if step == "u":
-            options.append(("O",) if h == 0 else ("O", "U"))
-            h += 1
-        elif step == "t":
-            options.append(("S",) if h == 0 else ("I", "S", "T"))
-        elif step == "d":
-            options.append(("C",))
-            h -= 1
-        else:
-            raise ValueError(f"unknown step {step!r}")
-
-    def rec(i: int, chosen: list[str]) -> Iterator[tuple[str, ...]]:
-        if i == len(options):
-            yield tuple(chosen)
-            return
-        for card in options[i]:
-            chosen.append(card)
-            yield from rec(i + 1, chosen)
-            chosen.pop()
-
-    yield from rec(0, [])
+        options.append(_CARDS.get((step, h > 0)))  # None: leaves the path
+        h += _RISE.get(step, 0)
+    if h or None in options:
+        raise ValueError(f"not a Motzkin path: {tuple(path)!r}")
+    return product(*options)
 
 
 def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:

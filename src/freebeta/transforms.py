@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, product
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -130,50 +131,22 @@ def moments_to_r(m: MomentSequence) -> FreeCumulants:
 def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield all non-crossing set partitions of {1..n} as block tuples.
 
-    The block containing the smallest element splits the rest into
-    independent gaps, which is the standard interval recursion.
+    The interval recursion: the block of the smallest element of lo..hi-1
+    splits the rest into independent gaps, one after each block element.
     """
 
-    def rec(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not elems:
+    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if lo == hi:
             yield ()
             return
-        first, rest = elems[0], elems[1:]
-        for picks in _subsets(rest):
-            block = (first,) + picks
-            # gaps between consecutive block elements, plus the tail
-            fence = block[1:] + (None,)
-            gaps = []
-            gap: list[int] = []
-            fi = 0
-            for e in rest:
-                if fence[fi] is not None and e == fence[fi]:
-                    gaps.append(tuple(gap))
-                    gap = []
-                    fi += 1
-                else:
-                    gap.append(e)
-            gaps.append(tuple(gap))
-            for combo in _product_partitions(gaps):
-                yield (block,) + combo
+        for k in range(hi - lo):
+            for picks in combinations(range(lo + 1, hi), k):
+                block = (lo,) + picks
+                gaps = [rec(x + 1, y) for x, y in zip(block, picks + (hi,))]
+                for combo in product(*gaps):
+                    yield (block,) + tuple(chain.from_iterable(combo))
 
-    def _subsets(elems: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not elems:
-            yield ()
-            return
-        for tail in _subsets(elems[1:]):
-            yield tail
-            yield (elems[0],) + tail
-
-    def _product_partitions(gaps):
-        if not gaps:
-            yield ()
-            return
-        for head in rec(gaps[0]):
-            for tail in _product_partitions(gaps[1:]):
-                yield head + tail
-
-    yield from rec(tuple(range(1, n + 1)))
+    yield from rec(1, n + 1)
 
 
 def r_to_moments(r: FreeCumulants, route: str = "series") -> MomentSequence:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebeta.cli import _FAMILIES, main
+from freebeta import ncl
+from freebeta.cli import _FAMILIES, _MAX_ORDER, _MAX_POINTS, main
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +139,22 @@ class TestCombinatorics:
         rows = payload["results"]["values"]
         assert [r["closed"] for r in rows] == ["1/1", "2/1", "6/1", "22/1"]
 
+    def test_gamma_gf_expands_each_series_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return cf_expand(*args)
+
+        cf_expand = ncl.cf_expand
+        monkeypatch.setattr(ncl, "cf_expand", counting)
+        payload = run_json(
+            capsys, "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--n", "12", "--route", "cf",
+        )
+        assert len(calls) == 1
+        assert payload["results"]["values"][-1]["cf"] == "5293446/1"
+
     def test_t_coeffs(self, capsys):
         payload = run_json(
             capsys, "t-coeffs", "--a", "2", "--b", "3", "--order", "3",
@@ -236,6 +253,43 @@ class TestInputGuards:
             "--n", "13", "--route", route,
         )
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n",
+         str(_MAX_ORDER + 1), "--route", "series"],
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n", "200",
+         "--route", "transform"],
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n",
+         "1000000", "--route", "fock"],
+        ["gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1", "--n",
+         str(_MAX_ORDER + 1), "--route", "cf"],
+        ["gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1", "--n",
+         "1000000", "--route", "closed"],
+        ["t-coeffs", "--a", "2", "--b", "3", "--order",
+         str(_MAX_ORDER + 1)],
+        ["t-coeffs", "--a", "2", "--b", "3", "--order", "300000"],
+        ["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
+         f"0.5:4.5:{_MAX_POINTS + 1}"],
+        ["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
+         "0.5:4.5:2000000"],
+        ["score-check", "--family", "fbp", "--a", "2", "--b", "3",
+         "--points", str(_MAX_POINTS + 1)],
+        ["score-check", "--family", "fbp", "--a", "2", "--b", "3",
+         "--points", "200000"],
+    ], ids=" ".join)
+    def test_size_caps_fire_first(self, capsys, argv):
+        elapsed = self.assert_one_error_line(capsys, *argv)
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n",
+         str(_MAX_ORDER), "--route", "series"],
+        ["t-coeffs", "--a", "2", "--b", "3", "--order", str(_MAX_ORDER)],
+        ["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
+         f"0.5:4.5:{_MAX_POINTS}"],
+    ], ids=" ".join)
+    def test_size_caps_admit_their_bound(self, capsys, argv):
+        run_json(capsys, *argv)
 
     def test_series_route_is_not_size_capped(self, capsys):
         payload = run_json(
@@ -364,9 +418,10 @@ class TestInputGuards:
 # for every subcommand and must be refused where no table exists.
 # Admissible sizes are bounded (--n <= 6, --p <= 40, --points <= 5,
 # --order <= 12, grids of <= 5 points, mc-fisher ratios <= 3) so each case
-# runs well under a second; the edge values --p, --a and --bins of 1000000
-# and the partition 1,1000000000 must be refused or answered just as fast,
-# which the size guards and the linear cover check ensure.  `verify` is
+# runs well under a second; the edge values of 1000000 for every size flag
+# (--n, --order, --points, the --grid count, --p, --a, --bins) and the
+# partition 1,1000000000 must be refused or answered just as fast, which
+# the size guards and the linear cover check ensure.  `verify` is
 # left out because it takes seconds.  Most drawn values are admissible, so
 # that the success paths are reached as well as the error paths.
 # --------------------------------------------------------------------------
@@ -386,7 +441,7 @@ _FLOATS = st.integers(0, 4).flatmap(
 # drawn for every subcommand; only the tabular ones accept it
 _FORMATS = _mostly(["json", "csv"], ["zebra"])
 _SMALL_N = _mostly([str(n) for n in range(1, 7)],
-                   ["0", "-1", "2.5", "zebra"])
+                   ["0", "-1", "2.5", "zebra", "1000000"])
 
 
 def _family_flags(*keys):
@@ -408,10 +463,11 @@ _COMMANDS = {
                     ["zebra"])},
     "density": {**_family_flags(*_ALL_FAMILIES), "--grid": _mostly(
         ["0.5:2:3", "0:1:5", "-1:20:4", "-2:2:2"],
-        ["1:2:1", "1:2", "a:b:c", "nan:1:3", ""])},
+        ["1:2:1", "1:2", "a:b:c", "nan:1:3", "", "0:1:1000000"])},
     "support": _family_flags(*_ALL_FAMILIES),
     "score-check": {**_family_flags("fbp", "ft", "fb"),
-                    "--points": _mostly(["1", "2", "5"], ["0", "-1"])},
+                    "--points": _mostly(["1", "2", "5"],
+                                        ["0", "-1", "1000000"])},
     "enumerate-ncl": {"--n": _SMALL_N, "--list": None, "--format": _FORMATS},
     "ncl-stats": {"--n": _SMALL_N, "--partition": _mostly(
         ["1,2|3", "1,3|2,4", "1,2,3|3,4", "1", "1,2|2,3|3,4|4,5|5,6"],
@@ -424,7 +480,7 @@ _COMMANDS = {
                  "--format": _FORMATS},
     "t-coeffs": {"--a": _RATIONALS, "--b": _RATIONALS,
                  "--order": _mostly([str(k) for k in range(13)],
-                                    ["-1", "zebra"]),
+                                    ["-1", "zebra", "1000000"]),
                  "--format": _FORMATS},
     "meixner": {"--a": _RATIONALS, "--b": _RATIONALS, "--format": _FORMATS},
     "mc-fisher": {"--p": _mostly(["1", "2", "10", "40"],

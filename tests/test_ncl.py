@@ -4,6 +4,7 @@ The enumeration is checked against an independently written brute-force
 generator, so the two implementations share no code paths.
 """
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -39,6 +40,18 @@ from freebeta.verification import _FBP_PARAMS
 F = Fraction
 
 SCHROEDER = [1, 2, 6, 22, 90, 394, 1806, 8558]
+
+# sha256 of enumerate_ncl(n), one partition a line as "1,2|2,3|4", pinned
+# from the first card-model implementation so that rewrites keep the order
+ENUMERATION_DIGESTS = {
+    1: "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b",
+    2: "62b9118944f9577b5c49ef30d500705d802207f20280b7d0147c87128f3d52e7",
+    3: "130eeb53d326763253d22d1c9a39713da6bb1add3d1be70c63b69c9f717d3556",
+    4: "9f7f20d8696b9f87fd8c3934aed557363b44ab20150f107bc59bb6b39c14bfa8",
+    5: "1a7bf4482f272581c0ce30a02df94cb97aedf173f30ae478702e5ecf9f4468ee",
+    6: "c9e42b9285de9866730fd7d65fdae223d876b6728c57fddf6e83642b9106de2a",
+    7: "65c5696ff5e73ae53f1bdc2e9894f8b98060622d4575477f41426d52327d192d",
+}
 
 
 # --- independent brute-force oracle ---------------------------------------
@@ -133,6 +146,13 @@ class TestEnumeration:
         with pytest.raises(SizeLimitExceeded):
             enumerate_ncl(13)
 
+    @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
+    def test_order_is_pinned(self, n):
+        text = "\n".join("|".join(",".join(map(str, b)) for b in p.blocks)
+                         for p in enumerate_ncl(n))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == ENUMERATION_DIGESTS[n]
+
     def test_all_enumerated_partitions_validate(self):
         for n in range(1, 8):
             assert all(validate_ncl(p) for p in enumerate_ncl(n))
@@ -203,6 +223,29 @@ class TestPaths:
         # a t-step at height 0 is forced to be a singleton
         for cards in path_arrangements(("t",)):
             assert cards == ("S",)
+
+    def test_arrangements_match_nested_loops(self):
+        def oracle(path):
+            seqs, h = [()], 0
+            for step in path:
+                if step == "u":
+                    cards, h = ("OU" if h else "O"), h + 1
+                elif step == "t":
+                    cards = "IST" if h else "S"
+                else:
+                    cards, h = "C", h - 1
+                seqs = [seq + (c,) for seq in seqs for c in cards]
+            return seqs
+
+        for n in range(1, 9):
+            for path in motzkin_paths(n):
+                assert list(path_arrangements(path)) == oracle(path)
+
+    @pytest.mark.parametrize("path", [("d",), ("u", "d", "d", "u"),
+                                      ("u", "x"), ("u",)])
+    def test_non_motzkin_path_rejected(self, path):
+        with pytest.raises(ValueError, match="not a Motzkin path"):
+            path_arrangements(path)
 
     def test_expansion_covers_enumeration(self):
         n = 5

@@ -1,5 +1,6 @@
 """Tests for moment/cumulant transforms and free convolutions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -122,6 +123,26 @@ class TestMomentCumulant:
         catalan = [1, 2, 5, 14, 42, 132]
         for n, c in enumerate(catalan, start=1):
             assert len(list(noncrossing_partitions(n))) == c
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_noncrossing_partitions_match_brute_filter(self, n):
+        # all set partitions of {1..n}, blocks in order of their minima
+        parts = [[]]
+        for x in range(1, n + 1):
+            parts = ([p[:i] + [p[i] + [x]] + p[i + 1:]
+                      for p in parts for i in range(len(p))]
+                     + [p + [[x]] for p in parts])
+
+        def crossing(p):
+            return any(a < b < c < d
+                       for e, f in itertools.permutations(p, 2)
+                       for a, c in itertools.combinations(e, 2)
+                       for b, d in itertools.combinations(f, 2))
+
+        want = {tuple(map(tuple, p)) for p in parts if not crossing(p)}
+        got = list(noncrossing_partitions(n))
+        assert len(got) == len(set(got))
+        assert set(got) == want
 
     def test_noncrossing_excludes_crossings(self):
         parts = set(noncrossing_partitions(4))
