@@ -12,6 +12,7 @@ prints only that table, under a header of its JSON row keys.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -79,22 +80,41 @@ def _build_family(args):
     return _FAMILIES[args.family](**params), params
 
 
+@contextlib.contextmanager
+def _all_int_digits():
+    """Lift Python's int-to-str digit limit (3.10.7+) inside the block.
+
+    The limit guards parsing huge inputs, so flags keep it; an exact result
+    computed from small flags can still print past 4300 digits.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(args, params: dict, results, provenance) -> None:
     """Print the JSON envelope, or as CSV the rows under the table key."""
-    if args.format == "csv":
-        rows = results[args.table]
-        print(",".join(rows[0]))
-        for row in rows:
-            print(",".join(str(_fmt(c)) for c in row.values()))
-        return
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "params": _fmt(params),
-        "results": _fmt(results),
-        "provenance": list(provenance),
-    }
-    print(json.dumps(envelope))
+    with _all_int_digits():
+        if args.format == "csv":
+            rows = results[args.table]
+            print(",".join(rows[0]))
+            for row in rows:
+                print(",".join(str(_fmt(c)) for c in row.values()))
+            return
+        envelope = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "params": _fmt(params),
+            "results": _fmt(results),
+            "provenance": list(provenance),
+        }
+        print(json.dumps(envelope))
 
 
 # --------------------------------------------------------------------------
@@ -107,8 +127,8 @@ def _require_positive_n(n: int) -> None:
 
 
 # Largest exact series order (moments --n, gamma-gf --n, t-coeffs --order).
-# At 100 the slowest route, gamma-gf cf, takes 1-3.5 s and moments
-# transform ~1 s; both grow about as order^3.5 (cf: 6 s at 128).
+# At 100 with small rationals the slowest route, moments transform, takes
+# ~2.5 s and gamma-gf cf ~1.1 s, each with a ~0.9 s start-up.
 _MAX_ORDER = 100
 # Largest evaluation grid (density --grid count, score-check --points,
 # mc-fisher --bins): 10000 points take ~1.1 s of score ladders, ~0.1 s of

@@ -153,15 +153,39 @@ class PowerSeries:
             raise DivisionByZeroSeries(
                 "division by a series with zero constant term"
             )
+        # q_k = (a_k - sum_i b_i q_(k-i)) / b_0 with the divisor scaled to
+        # integer numerators once and the earlier quotients held as integer
+        # numerators over their running lcm: one reduction per output.
         n = min(self.order, other.order)
-        b0 = other.coefficients[0]
+        b = other.coefficients[: n + 1]
+        db = math.lcm(*(c.denominator for c in b))
+        ib = [c.numerator * (db // c.denominator) for c in b]
+        tail = ib[1:]
+        done = _CommonDenominator()
         out: list[Fraction] = []
         for k in range(n + 1):
-            acc = self[k]
-            for i in range(1, k + 1):
-                acc -= other[i] * out[k - i]
-            out.append(acc / b0)
+            ak = self[k]
+            acc = sum(x * y for x, y in zip(tail, reversed(done.nums)))
+            q = Fraction(ak.numerator * db * done.den - acc * ak.denominator,
+                         ak.denominator * done.den * ib[0])
+            done.append(q)
+            out.append(q)
         return PowerSeries(tuple(out))
+
+
+class _CommonDenominator:
+    """Reduced fractions kept as integer numerators over their running lcm."""
+
+    def __init__(self):
+        self.den = 1
+        self.nums: list[int] = []
+
+    def append(self, q: Fraction) -> None:
+        grow = q.denominator // math.gcd(self.den, q.denominator)
+        if grow > 1:
+            self.nums = [x * grow for x in self.nums]
+            self.den *= grow
+        self.nums.append(q.numerator * (self.den // q.denominator))
 
 
 def _poly(n: int, *coeffs) -> PowerSeries:
@@ -222,12 +246,23 @@ def ps_sqrt(f: PowerSeries, branch: int = 1) -> PowerSeries:
     g0 = _sqrt_fraction(f[0])
     if branch < 0:
         g0 = -g0
+    # g_k = (f_k - sum_{0<i<k} g_i g_(k-i)) / (2 g0), the self-convolution
+    # taken in integers over the running lcm L of g_1..g_(k-1), halved by
+    # symmetry, and one reduction per output.
+    two_g0 = 2 * g0.numerator
+    done = _CommonDenominator()
     out = [g0]
     for k in range(1, f.order + 1):
-        acc = f[k]
-        for i in range(1, k):
-            acc -= out[i] * out[k - i]
-        out.append(acc / (2 * g0))
+        nums = done.nums
+        half = sum(nums[i] * nums[k - 2 - i] for i in range((k - 1) // 2))
+        acc = 2 * half + (nums[k // 2 - 1] ** 2 if k % 2 == 0 else 0)
+        fk, sq = f[k], done.den * done.den
+        g = Fraction(
+            (fk.numerator * sq - acc * fk.denominator) * g0.denominator,
+            fk.denominator * sq * two_g0,
+        )
+        done.append(g)
+        out.append(g)
     return PowerSeries(tuple(out))
 
 
@@ -250,12 +285,23 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
         raise InsufficientDepth(
             f"depth {depth} < {needed} required for order {order}"
         )
-    one = PowerSeries.constant(1, order)
     if order == 0:
-        return one
-    z = PowerSeries.identity(order)
-    tail = one / (one - z.scale(diagonal[-1]))  # the deepest level
+        return PowerSeries.constant(1, 0)
+    # The tail below level i is a quotient num/den of polynomials, fixed up
+    # to a common factor.  Lifting it one level is num, den = den, den -
+    # k_i z den - p_i z^2 num, shifts and scalings only; scaling both by the
+    # lcm c of the weights' denominators keeps them integer.  One division
+    # at the top ends the expansion.
+    deepest = diagonal[-1]
+    num = [deepest.denominator] + [0] * order
+    den = [deepest.denominator, -deepest.numerator] + [0] * (order - 1)
     for i in range(depth - 2, -1, -1):
-        t = one - z.scale(diagonal[i])
-        tail = one / (t - tail.shift_up().shift_up().scale(products[i]))
-    return tail
+        k, p = diagonal[i], products[i]
+        c = math.lcm(k.denominator, p.denominator)
+        ik = k.numerator * (c // k.denominator)
+        ip = p.numerator * (c // p.denominator)
+        den_z, num_zz = [0] + den[:-1], [0, 0] + num[:-2]
+        num, den = [c * x for x in den], [
+            c * x - ik * y - ip * w for x, y, w in zip(den, den_z, num_zz)
+        ]
+    return PowerSeries(tuple(num)) / PowerSeries(tuple(den))

@@ -2,15 +2,19 @@
 
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebeta import ncl
-from freebeta.cli import _FAMILIES, _MAX_ORDER, _MAX_POINTS, main
+from freebeta import distributions, ncl
+from freebeta.cli import (
+    _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -402,6 +406,37 @@ class TestInputGuards:
             capsys, "mc-fisher", "--p", "50", "--a", a, "--b", "3",
         )
         assert elapsed < 0.5
+
+    def test_exact_results_print_past_the_int_digit_limit(self, capsys):
+        # alpha_100 = t u^100 has ~4800 digits, past Python's 4300-digit
+        # int-to-str limit; printing lifts the limit and then restores it
+        limit = sys.get_int_max_str_digits()
+        b = "1" + "0" * 46 + "1"
+        payload = run_json(capsys, "t-coeffs", "--a", "2", "--b", b,
+                           "--order", "100")
+        assert sys.get_int_max_str_digits() == limit
+        _, t, u = distributions.fbp_t_params(Fraction(2), Fraction(b))
+        want = t * u ** 100
+        with _all_int_digits():
+            assert payload["results"]["alphas"][-1] == (
+                f"{want.numerator}/{want.denominator}")
+        assert want.denominator > 10 ** 4300
+
+    def test_exact_csv_prints_past_the_int_digit_limit(self, capsys):
+        alpha = "1" + "0" * 49 + "1"
+        code, out, err = run_cli(
+            capsys, "gamma-gf", "--n", "100", "--alpha", alpha, "--beta",
+            "1", "--gamma", "1", "--route", "cf", "--format", "csv",
+        )
+        assert code == 0, err
+        last = out.strip().splitlines()[-1].split(",")
+        assert last[0] == "100" and len(last[1]) > 4300
+
+    def test_rational_flag_past_the_int_digit_limit_is_refused(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        self.assert_one_error_line(capsys, "t-coeffs", "--a", "2",
+                                   "--b", "1" * 5000, "--order", "3")
+        assert sys.get_int_max_str_digits() == limit
 
     def test_meixner_class_is_exact(self, capsys):
         # theta^2 - 4 tau = 1/1000000000001000000 > 0, below float resolution

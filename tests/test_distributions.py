@@ -254,6 +254,37 @@ class TestMomentSeries:
         with pytest.raises(UnsupportedFamily):
             moment_series(FreeMeixnerStd(1.0, 0.5), 4)
 
+    @pytest.mark.parametrize("family, edge_roots, lead, linear, denominator", [
+        # G = ((b+1)z + 1-a - (b-1) sqrt((z-e-)(z-e+))) / (2z(1+z)),
+        # e+- = ((sqrt(ab) +- sqrt(a+b-1)) / (b-1))^2, at a, b = 2, 3
+        (FreeBetaPrime(2, 3), ("sqrt(6)", "2", "2"), 2, (4, -1),
+         lambda z: 2 * z * (1 + z)),
+        # G = ((a+b-2)z + 1-a - (a+b) sqrt((z-e-)(z-e+))) / (2z(1-z)),
+        # e+- = ((sqrt(a(a+b-1)) +- sqrt(b)) / (a+b))^2, at a, b = 2, 2
+        (FreeBeta(2, 2), ("sqrt(6)", "sqrt(2)", "4"), 4, (2, -1),
+         lambda z: 2 * z * (1 - z)),
+    ], ids=["fbp(2,3)", "fb(2,2)"])
+    def test_matches_sympy_expansion_at_infinity(
+            self, family, edge_roots, lead, linear, denominator):
+        """Series-expand the closed Cauchy transform with sympy: G(z) =
+        sum_n m_n z^-(n+1), so m_n is the w^(n+1) coefficient of G(1/w)."""
+        sp = pytest.importorskip("sympy")
+        order = 16
+        w = sp.symbols("w", positive=True)
+        ra, rb, den = map(sp.sympify, edge_roots)
+        e_minus, e_plus = ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2
+        # for w > 0, sqrt(1/w - e-) sqrt(1/w - e+) = sqrt(edges(w)) / w
+        edges = sp.Poly(sp.expand((1 - e_minus * w) * (1 - e_plus * w)), w)
+        radicand = sum(sp.expand(c) * w ** k for (k,), c in edges.terms())
+        z = 1 / w
+        g = (linear[0] * z + linear[1] - lead * sp.sqrt(radicand) / w) / (
+            denominator(z))
+        expansion = sp.series(g, w, 0, order + 2).removeO()
+        got = [sp.expand(expansion.coeff(w, n + 1)) for n in range(order + 1)]
+        assert all(c.is_Rational for c in got)
+        assert [F(int(c.p), int(c.q)) for c in got] == list(
+            moment_series(family, order).moments)
+
 
 class TestSTransforms:
     def test_closed_form_matches_moment_route(self):

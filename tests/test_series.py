@@ -19,7 +19,8 @@ from freebeta.errors import (
     NonzeroConstantInner,
     NotInvertibleSeries,
 )
-from freebeta.ncl import gamma_series
+from freebeta.fock import fbp_operator, vacuum_moments
+from freebeta.ncl import gamma_quadratic_residual, gamma_series
 from freebeta.series import (
     PowerSeries,
     cf_expand,
@@ -44,6 +45,71 @@ def series_strategy(min_order=0, max_order=6):
     return st.lists(
         small_fracs, min_size=min_order + 1, max_size=max_order + 1
     ).map(PowerSeries.from_coefficients)
+
+
+# Oracles: plain Fraction recursions, one reduction per term product.
+
+def long_division(a, b):
+    """q_k = (a_k - sum_i b_i q_(k-i)) / b_0 term by term."""
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        acc = a[k]
+        for i in range(1, k + 1):
+            acc -= b[i] * out[k - i]
+        out.append(acc / b[0])
+    return PowerSeries(tuple(out))
+
+
+def plain_sqrt(f, branch=1):
+    """g_k = (f_k - sum_(0<i<k) g_i g_(k-i)) / (2 g_0) term by term."""
+    g0 = F(math.isqrt(f[0].numerator), math.isqrt(f[0].denominator))
+    out = [g0 if branch > 0 else -g0]
+    for k in range(1, f.order + 1):
+        acc = f[k]
+        for i in range(1, k):
+            acc -= out[i] * out[k - i]
+        out.append(acc / (2 * out[0]))
+    return PowerSeries(tuple(out))
+
+
+def nested_cf(diagonal, products, order):
+    """The continued fraction by one series division per level."""
+    one = PowerSeries.constant(1, order)
+    if order == 0:
+        return one
+    z = PowerSeries.identity(order)
+    tail = long_division(one, one - z.scale(diagonal[-1]))
+    for i in range(len(diagonal) - 2, -1, -1):
+        t = one - z.scale(diagonal[i])
+        tail = long_division(
+            one, t - tail.shift_up().shift_up().scale(products[i]))
+    return tail
+
+
+# Rationals of either sign, small or with 15-digit denominators, and zeros.
+nonzero_fracs = st.builds(
+    lambda sign, q: sign * q,
+    st.sampled_from([1, -1]),
+    st.builds(F, st.integers(1, 24), st.integers(1, 6))
+    | st.builds(F, st.integers(1, 10 ** 15), st.integers(1, 10 ** 15)),
+)
+wide_fracs = st.just(F(0)) | small_fracs | nonzero_fracs
+wide_series = st.lists(wide_fracs, min_size=1, max_size=13).map(
+    PowerSeries.from_coefficients)
+# Mostly nonzero, so that weighted paths reach the deepest levels.
+cf_weights = st.one_of(nonzero_fracs, nonzero_fracs, nonzero_fracs,
+                       st.just(F(0)))
+
+
+@st.composite
+def divisors(draw, max_order=12):
+    """Nonzero constant term (either sign), then mostly zeros."""
+    rest = draw(st.lists(
+        st.one_of(st.just(F(0)), st.just(F(0)), wide_fracs),
+        max_size=max_order,
+    ))
+    return PowerSeries.from_coefficients([draw(nonzero_fracs)] + rest)
 
 
 class TestBasicArithmetic:
@@ -121,6 +187,21 @@ class TestBasicArithmetic:
         b = poly(*([1, 1, -2, 3, 0, 1][: a.order + 1]))
         order = min(a.order, b.order)
         assert (a * b) / b == a.truncate(order)
+
+    @given(wide_series, divisors())
+    def test_division_matches_long_division(self, a, b):
+        assert a / b == long_division(a, b)
+
+    @given(wide_series, divisors())
+    def test_division_undoes_any_product(self, a, b):
+        order = min(a.order, b.order)
+        assert (a * b) / b == a.truncate(order)
+
+    @given(series_strategy(max_order=8), st.lists(wide_fracs, max_size=8))
+    def test_zero_constant_divisor_raises(self, a, tail):
+        b = PowerSeries.from_coefficients([F(0)] + tail)
+        with pytest.raises(DivisionByZeroSeries):
+            a / b
 
 
 class TestComposition:
@@ -221,6 +302,14 @@ class TestSqrt:
         r = ps_sqrt(g)
         assert r * r == g
 
+    @given(nonzero_fracs, st.lists(wide_fracs, min_size=1, max_size=24),
+           st.sampled_from([1, -1]))
+    def test_sqrt_matches_term_by_term_oracle(self, c0, tail, branch):
+        f = PowerSeries.from_coefficients([c0 * c0] + tail)
+        r = ps_sqrt(f, branch=branch)
+        assert r == plain_sqrt(f, branch)
+        assert r * r == f
+
 
 def brute_motzkin_gf(up, flat, order):
     """Weighted Motzkin path generating function by direct path counting."""
@@ -294,6 +383,39 @@ class TestContinuedFraction:
                 g = gamma_series(0, *abc, route=route)
                 assert g == PowerSeries.constant(1, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_nested_division_oracle(self, data):
+        """Convergents and nested division agree at depth needed and +3."""
+        order = data.draw(st.integers(0, 40), label="order")
+        depth = (order + 1) // 2 + 1 + data.draw(st.sampled_from([0, 3]))
+        diagonal = tuple(data.draw(
+            st.lists(cf_weights, min_size=depth, max_size=depth)))
+        products = tuple(data.draw(
+            st.lists(cf_weights, min_size=depth - 1, max_size=depth - 1)))
+        got = cf_expand(diagonal, products, order)
+        assert got == nested_cf(diagonal, products, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 8, 39, 40])
+    def test_matches_oracle_with_every_weight_nonzero(self, order):
+        # depth exactly as needed: a deepest pair weight that is wrong
+        # changes the top coefficient at every even order
+        depth = (order + 1) // 2 + 1
+        diagonal = tuple(F((-1) ** i * (i + 2), 2 * i + 3)
+                         for i in range(depth))
+        products = tuple(F(3 * i + 1, (-1) ** i * (i + 5))
+                         for i in range(depth - 1))
+        got = cf_expand(diagonal, products, order)
+        assert got == nested_cf(diagonal, products, order)
+
+    @pytest.mark.parametrize(
+        "abc", [(F(2), F(1, 2), F(3)), (F(-3, 7), F(11, 5), F(-2, 9)),
+                (F(0), F(7, 2), F(-1, 4))]
+    )
+    def test_gamma_cf_matches_closed_at_order_100(self, abc):
+        cf = gamma_series(100, *abc, route="cf")
+        assert cf == gamma_series(100, *abc, route="closed")
+
     def test_insufficient_depth_raises(self):
         with pytest.raises(InsufficientDepth):
             cf_expand((F(0),) * 2, (F(1),), 8)
@@ -306,3 +428,14 @@ class TestContinuedFraction:
             cf_expand((F(0),) * 3, (F(1),) * 3, 2)
         with pytest.raises(ValueError):
             cf_expand((), (), 0)
+
+
+def test_large_inputs_stay_exact():
+    """Wide rationals at order 100: outputs checked by independent routes."""
+    a, b = F(2), F(10 ** 20 + 1)
+    moments = moment_series(FreeBetaPrime(a, b), 100).moments
+    assert moments == vacuum_moments(fbp_operator(a, b, 100), 100)
+    abc = F(1, 3), F(2), F(5, 7)
+    cf = gamma_series(100, *abc, route="cf")
+    assert cf == gamma_series(100, *abc, route="closed")
+    assert gamma_quadratic_residual(cf, *abc) == PowerSeries.constant(0, 100)
