@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from freebeta import LinkedPartition, enumerate_ncl
-from freebeta.ncl import gamma_poly, statistics
+from freebeta.ncl import gamma_poly, gamma_series, statistics
 
 F = Fraction
 
@@ -39,11 +39,11 @@ def main():
     print("\nGamma polynomial, three routes at (alpha, beta, gamma) "
           "= (2, 3/2, 5):")
     abc = (F(2), F(3, 2), F(5))
+    cf = gamma_series(6, *abc, route="cf")
+    closed = gamma_series(6, *abc, route="closed")
     for n in range(1, 7):
-        routes = {r: gamma_poly(n, *abc, route=r)
-                  for r in ("brute", "cf", "closed")}
-        assert len(set(routes.values())) == 1
-        print(f"  n = {n}: {routes['closed']}")
+        assert gamma_poly(n, *abc) == cf[n] == closed[n]
+        print(f"  n = {n}: {closed[n]}")
 
     ref = LinkedPartition(
         10, ((1, 2, 7), (2, 4), (3,), (5, 6), (7, 8, 9), (9, 10))

@@ -27,7 +27,6 @@ from .distributions import (
 from .ncl import LinkedPartition, enumerate_ncl, fbp_moment, gamma_poly
 from .series import PowerSeries
 from .transforms import (
-    FreeCumulants,
     MomentSequence,
     TCoefficients,
     free_add_convolve,

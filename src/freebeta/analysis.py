@@ -17,6 +17,7 @@ from typing import Sequence
 from scipy.integrate import quad
 
 from .distributions import (
+    _REAL_TOL,
     Family,
     FreeT,
     MeasureSpec,
@@ -93,15 +94,20 @@ def atom_masses(f: Family) -> list[tuple[float, float]]:
     """Atom locations and masses by the limit y*|G(x0 + iy)|, y -> 0+.
 
     Candidate locations come from the closed forms (0, 1, Meixner poles);
-    the limit is extrapolated in y and masses below ``_ATOM_THRESHOLD``
-    are treated as removable singularities and dropped.
+    masses below ``_ATOM_THRESHOLD`` are removable singularities, dropped.
+    The ladder is scaled by min(1, d), d the distance to the nearest
+    support edge, to stay clear of the edge's square-root branch; a site
+    on an edge (``_REAL_TOL``) is extrapolated in sqrt(y) instead of y.
     """
+    lo, hi = support_of(f)
     out = []
     for x0 in f._atom_sites:
-        vals = [
-            y * abs(cauchy_eval(f, complex(x0, y))) for y in _ATOM_LADDER
-        ]
-        mass = _extrapolate(_ATOM_LADDER, vals)
+        d = min(abs(x0 - lo), abs(x0 - hi))
+        on_edge = d <= _REAL_TOL * (1 + abs(x0))
+        ys = [y * (1.0 if on_edge else min(1.0, d)) for y in _ATOM_LADDER]
+        xs = [math.sqrt(y) for y in ys] if on_edge else ys
+        vals = [y * abs(cauchy_eval(f, complex(x0, y))) for y in ys]
+        mass = _extrapolate(xs, vals)
         if mass > _ATOM_THRESHOLD:
             out.append((x0, mass))
     return out

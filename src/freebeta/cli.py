@@ -274,7 +274,7 @@ def _cmd_gamma_gf(args) -> int:
     columns = {
         route: ncl.gamma_series(args.n, *abc, route=route)
         if route != "brute"
-        else [ncl.gamma_poly(k, *abc, route=route) for k in range(args.n + 1)]
+        else [ncl.gamma_poly(k, *abc) for k in range(args.n + 1)]
         for route in routes
     }
     table = _route_table(args.n, columns)

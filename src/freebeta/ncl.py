@@ -10,8 +10,8 @@ Motzkin path of length n decorated with one admissible card per step, and
 expanding all paths yields each partition exactly once.  The statistic
 triple (dc, sc, sg) — doubly covered elements, singly covered minima of
 non-singleton blocks, singletons — drives the generating polynomial
-``gamma_poly``, computable by three independent routes that the tests pin
-against each other.
+``gamma_poly`` (the brute sum); ``gamma_series`` expands it by two more
+independent routes that the tests pin against it.
 """
 
 from __future__ import annotations
@@ -375,9 +375,7 @@ def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
     n = order
     if beta == 0:
         # no weighted path ever leaves the ground: Gamma_n = gamma^n
-        return PowerSeries.from_coefficients(
-            [gamma ** k for k in range(n + 1)]
-        )
+        return PowerSeries(gamma ** k for k in range(n + 1))
     # one order more, so that a factor z can be cancelled when A(0) = 0
     a_ser, b_ser, c_ser = _gamma_quadratic(n + 1, alpha, beta, gamma)
     disc = b_ser * b_ser - (a_ser * c_ser).scale(4)
@@ -399,26 +397,21 @@ def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:
     return res.truncate(n)
 
 
-def gamma_poly(n: int, alpha, beta, gamma, route: str = "cf") -> Fraction:
+def gamma_poly(n: int, alpha, beta, gamma) -> Fraction:
     """Gamma_n(alpha, beta, gamma) = sum over NCL(n) of alpha^dc beta^sc gamma^sg.
 
-    Routes: ``brute`` sums the tabulated statistics of the exhaustive
-    enumeration (n <= NCL_SIZE_LIMIT), ``cf`` expands the weighted
-    continued fraction, ``closed`` expands the explicit algebraic solution
-    of the defining quadratic.
+    The brute route: sums the tabulated statistics of the exhaustive
+    enumeration (n <= NCL_SIZE_LIMIT).  The continued-fraction and closed
+    routes give Gamma_n as ``gamma_series(n, ..., route=...)[n]``.
     """
     if n == 0:
         return Fraction(1)
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-    if route == "brute":
-        return sum(
-            (count * alpha ** dc * beta ** sc * gamma ** sg
-             for (dc, sc, sg, _), count in ncl_table(n)),
-            Fraction(0),
-        )
-    if route in ("cf", "closed"):
-        return gamma_series(n, alpha, beta, gamma, route=route)[n]
-    raise ValueError(f"unknown route {route!r}")
+    return sum(
+        (count * alpha ** dc * beta ** sc * gamma ** sg
+         for (dc, sc, sg, _), count in ncl_table(n)),
+        Fraction(0),
+    )
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .errors import (
     DivisionByZeroSeries,
@@ -46,7 +46,7 @@ class PowerSeries:
 
     Parameters
     ----------
-    coefficients : tuple of Fraction
+    coefficients : iterable of int, str or Fraction
         Slot ``k`` holds the coefficient of ``z**k``; the length fixes the
         truncation order to ``len(coefficients) - 1``.
     """
@@ -63,19 +63,8 @@ class PowerSeries:
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def from_coefficients(cls, coeffs: Iterable[RationalLike]) -> "PowerSeries":
-        return cls(tuple(_frac(c) for c in coeffs))
-
-    @classmethod
     def constant(cls, c: RationalLike, order: int) -> "PowerSeries":
         return cls((_frac(c),) + (Fraction(0),) * order)
-
-    @classmethod
-    def identity(cls, order: int) -> "PowerSeries":
-        """The series ``z`` at the given order."""
-        if order < 1:
-            raise ValueError("identity series needs order >= 1")
-        return cls((Fraction(0), Fraction(1)) + (Fraction(0),) * (order - 1))
 
     # -- basic queries ---------------------------------------------------
 
@@ -190,9 +179,7 @@ class _CommonDenominator:
 
 def _poly(n: int, *coeffs) -> PowerSeries:
     """The polynomial with the given low coefficients, padded to order n."""
-    return PowerSeries.from_coefficients(
-        list(coeffs) + [0] * (n + 1 - len(coeffs))
-    )
+    return PowerSeries(list(coeffs) + [0] * (n + 1 - len(coeffs)))
 
 
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:

@@ -23,9 +23,7 @@ from .series import PowerSeries, _poly, ps_reversion
 
 __all__ = [
     "MomentSequence",
-    "FreeCumulants",
     "TCoefficients",
-    "moments_to_phi",
     "moments_to_r",
     "r_to_moments",
     "moments_to_s",
@@ -63,32 +61,6 @@ class MomentSequence:
     def __getitem__(self, n: int) -> Fraction:
         return self.moments[n]
 
-    def truncate(self, order: int) -> "MomentSequence":
-        if order > self.order:
-            raise InsufficientOrder(f"only {self.order} moments available")
-        return MomentSequence(self.moments[: order + 1])
-
-
-@dataclass(frozen=True)
-class FreeCumulants:
-    """Free cumulants; slot n holds r_{n+1} (R-transform coefficient of z^n)."""
-
-    cumulants: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cumulants", _fracs(self.cumulants))
-
-    @property
-    def order(self) -> int:
-        return len(self.cumulants) - 1
-
-    def r(self, n: int) -> Fraction:
-        """The cumulant r_n (1-indexed as in R(z) = sum r_n z^{n-1})."""
-        return self.cumulants[n - 1]
-
-    def __getitem__(self, slot: int) -> Fraction:
-        return self.cumulants[slot]
-
 
 @dataclass(frozen=True)
 class TCoefficients:
@@ -109,15 +81,10 @@ class TCoefficients:
         return self.alphas[k]
 
 
-def moments_to_phi(m: MomentSequence) -> PowerSeries:
-    """Phi(z) = sum_{n>=1} m_n z^n — the moment series without constant."""
-    return PowerSeries((Fraction(0),) + m.moments[1:])
+def moments_to_r(m: MomentSequence) -> PowerSeries:
+    """R(z) = sum_k r_{k+1} z^k, the free cumulants r_1..r_n, from m_1..m_n.
 
-
-def moments_to_r(m: MomentSequence) -> FreeCumulants:
-    """Free cumulants r_1..r_n from moments m_1..m_n.
-
-    Uses M(z) = C(z M(z)) with C(z) = 1 + sum r_k z^k: the inverse of
+    Uses M(z) = C(z M(z)) with C(z) = 1 + z R(z): the inverse of
     w(z) = z M(z) is u / C(u), so one reversion gives C.
     """
     n = m.order
@@ -125,7 +92,7 @@ def moments_to_r(m: MomentSequence) -> FreeCumulants:
         raise InsufficientOrder("need at least one moment")
     w = PowerSeries((Fraction(0),) + m.moments)  # z*M(z), exact to order n+1
     c = PowerSeries.constant(1, n) / ps_reversion(w).shift_down()
-    return FreeCumulants(c.coefficients[1:])
+    return PowerSeries(c.coefficients[1:])
 
 
 def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -149,16 +116,16 @@ def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     yield from rec(1, n + 1)
 
 
-def r_to_moments(r: FreeCumulants, route: str = "series") -> MomentSequence:
-    """Moments from free cumulants by one of two independent routes.
+def r_to_moments(r: PowerSeries, route: str = "series") -> MomentSequence:
+    """Moments from the R-transform series by one of two independent routes.
 
-    ``series`` reverts u / C(u) into w = z M(z); ``nc_sum`` evaluates the
-    free moment-cumulant formula m_n = sum over non-crossing partitions of
-    the product of r_{|B|} over blocks.
+    ``series`` reverts u / C(u), C(u) = 1 + u R(u), into w = z M(z);
+    ``nc_sum`` evaluates m_n = sum over non-crossing partitions of the
+    product of r_{|B|} = R[|B| - 1] over blocks.
     """
     n = r.order + 1
     if route == "series":
-        c = PowerSeries((Fraction(1),) + r.cumulants)
+        c = PowerSeries((Fraction(1),) + r.coefficients)
         u_over_c = PowerSeries(
             (Fraction(0),) + (PowerSeries.constant(1, n) / c).coefficients
         )
@@ -170,7 +137,7 @@ def r_to_moments(r: FreeCumulants, route: str = "series") -> MomentSequence:
             for part in noncrossing_partitions(k):
                 prod = Fraction(1)
                 for block in part:
-                    prod *= r.r(len(block))
+                    prod *= r[len(block) - 1]
                 total += prod
             moments.append(total)
         return MomentSequence(tuple(moments))
@@ -183,8 +150,8 @@ def moments_to_s(m: MomentSequence) -> PowerSeries:
         raise InsufficientOrder("need at least one moment")
     if m[1] == 0:
         raise ZeroMeanError("S-transform needs m_1 != 0")
-    phi_inv = ps_reversion(moments_to_phi(m))
-    base = phi_inv.shift_down()  # Phi^{<-1>}(z)/z, order n-1
+    phi = PowerSeries((Fraction(0),) + m.moments[1:])  # sum_{n>=1} m_n z^n
+    base = ps_reversion(phi).shift_down()  # Phi^{<-1>}(z)/z, order n-1
     return base * _poly(base.order, 1, 1)
 
 
@@ -213,11 +180,7 @@ def free_add_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:
     """Moments of the additive free convolution: R-transforms add."""
     if ma.order != mb.order:
         raise OrderMismatch("operands must share a truncation order")
-    ra, rb = moments_to_r(ma), moments_to_r(mb)
-    summed = FreeCumulants(
-        tuple(x + y for x, y in zip(ra.cumulants, rb.cumulants))
-    )
-    return r_to_moments(summed, route="series")
+    return r_to_moments(moments_to_r(ma) + moments_to_r(mb))
 
 
 def free_mult_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:

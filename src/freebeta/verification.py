@@ -36,7 +36,7 @@ _NCL_ORDER = 8
 
 
 def criterion_triple_route_moments() -> tuple[bool, str]:
-    """Closed-form series and Fock vacuum agree exactly to n = 16; NCL to 8."""
+    """Closed-form series and Fock vacuum agree exactly; NCL to a lower n."""
     for a, b in _FBP_PARAMS:
         fam = FreeBetaPrime(a, b)
         series = distributions.moment_series(fam, _DEEP_ORDER)
@@ -58,8 +58,8 @@ def criterion_triple_route_moments() -> tuple[bool, str]:
         if series[1] != m1 or series[2] != m2:
             return False, f"(a,b)=({a},{b}): spot moments m1/m2 wrong"
     return True, (
-        "3 parameter sets, series == fock for n=1..16, "
-        "ncl too for n=1..8, identical rationals"
+        f"3 parameter sets, series == fock for n=1..{_DEEP_ORDER}, "
+        f"ncl too for n=1..{_NCL_ORDER}, identical rationals"
     )
 
 
@@ -76,8 +76,8 @@ def criterion_mult_convolution() -> tuple[bool, str]:
             if n <= _NCL_ORDER and conv[n] != ncl.fbp_moment(a, b, n):
                 return False, f"(a,b)=({a},{b}) n={n}: {conv[n]} vs ncl"
     return True, (
-        "S-product route equals closed-form series for n=1..16 "
-        "and NCL route for n=1..8"
+        f"S-product route equals closed-form series for n=1..{_DEEP_ORDER} "
+        f"and NCL route for n=1..{_NCL_ORDER}"
     )
 
 
@@ -88,17 +88,17 @@ def criterion_gamma_routes() -> tuple[bool, str]:
         tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3))
         for _ in range(10)
     ]
-    for alpha, beta, gamma in triples:
-        closed_series = ncl.gamma_series(8, alpha, beta, gamma, route="closed")
-        res = ncl.gamma_quadratic_residual(closed_series, alpha, beta, gamma)
+    for abc in triples:
+        cf = ncl.gamma_series(_NCL_ORDER, *abc, route="cf")
+        closed = ncl.gamma_series(_NCL_ORDER, *abc, route="closed")
+        res = ncl.gamma_quadratic_residual(closed, *abc)
         if any(c != 0 for c in res.coefficients):
-            return False, f"nonzero residual at {(alpha, beta, gamma)}"
-        for n in range(1, 9):
-            brute = ncl.gamma_poly(n, alpha, beta, gamma, route="brute")
-            cf = ncl.gamma_poly(n, alpha, beta, gamma, route="cf")
-            if not brute == cf == closed_series[n]:
-                return False, f"route mismatch at n={n}, {(alpha, beta, gamma)}"
-    return True, "10 random rational triples, n=1..8, zero residual"
+            return False, f"nonzero residual at {abc}"
+        for n in range(1, _NCL_ORDER + 1):
+            if not ncl.gamma_poly(n, *abc) == cf[n] == closed[n]:
+                return False, f"route mismatch at n={n}, {abc}"
+    return True, (f"10 random rational triples, n=1..{_NCL_ORDER}, "
+                  "zero residual")
 
 
 def criterion_counts() -> tuple[bool, str]:
@@ -115,8 +115,8 @@ def criterion_counts() -> tuple[bool, str]:
 
 
 def criterion_statistics() -> tuple[bool, str]:
-    """dc+sc+sg = #blocks and sum|B| = n+dc for every partition, n <= 8."""
-    for n in range(1, 9):
+    """dc+sc+sg = #blocks and sum|B| = n+dc for every partition of NCL(n)."""
+    for n in range(1, _NCL_ORDER + 1):
         for key, _ in ncl.ncl_table(n):
             dc, sc, sg, sizes = key
             if dc + sc + sg != len(sizes):
@@ -129,7 +129,9 @@ def criterion_statistics() -> tuple[bool, str]:
     st = ncl.statistics(ref)
     if (st.dc, st.sc, st.sg) != (3, 2, 1):
         return False, f"reference partition stats {(st.dc, st.sc, st.sg)}"
-    return True, "identities exhaustive n<=8; reference triple (3,2,1)"
+    return True, (
+        f"identities exhaustive n<={_NCL_ORDER}; reference triple (3,2,1)"
+    )
 
 
 def criterion_scores() -> tuple[bool, str]:
@@ -158,7 +160,7 @@ def criterion_scores() -> tuple[bool, str]:
 
 
 def criterion_measure_sanity() -> tuple[bool, str]:
-    """Mass 1 within 1e-8; moments within rel 1e-6; atoms within 1e-6."""
+    """Mass 1e-8; moments rel 1e-6; atoms 1e-6; closed vs Stieltjes 1e-10."""
     cases = [
         FreePoisson(Fraction(1, 2)),
         FreePoisson(2),
@@ -170,30 +172,35 @@ def criterion_measure_sanity() -> tuple[bool, str]:
         FreeBeta(2, 2),
         FreeBeta(Fraction(1, 2), Fraction(3, 4)),
     ]
+    worst = 0.0
     for fam in cases:
         spec = distributions.measure_of(fam)
         mass = analysis.quadrature_moment(spec, 0)
         if abs(mass - 1) > 1e-8:
             return False, f"{fam}: total mass {mass}"
-        try:
-            exact = distributions.moment_series(fam, 6)
-        except Exception:
-            exact = None
-        if exact is not None:
-            for n in range(1, 7):
-                got = analysis.quadrature_moment(spec, n)
-                want = float(exact[n])
-                # hybrid tolerance: relative 1e-6 with an absolute floor
-                # so exactly-zero odd moments do not divide by zero
-                if abs(got - want) > 1e-6 * max(abs(want), 1.0):
-                    return False, f"{fam} moment {n}: {got} vs {want}"
+        exact = distributions.moment_series(fam, 6)
+        for n in range(1, 7):
+            got = analysis.quadrature_moment(spec, n)
+            want = float(exact[n])
+            # hybrid tolerance: relative 1e-6 with an absolute floor
+            # so exactly-zero odd moments do not divide by zero
+            if abs(got - want) > 1e-6 * max(abs(want), 1.0):
+                return False, f"{fam} moment {n}: {got} vs {want}"
+        lo, hi = distributions.support_of(fam)
+        for k in range(1, 21):
+            x = lo + (hi - lo) * k / 21
+            err = abs(spec.density(x) - analysis.stieltjes_density(fam, x))
+            worst = max(worst, err)
+            if err > 1e-10:
+                return False, f"{fam} at x={x}: |closed - Stieltjes| = {err}"
         want_atoms = {loc: m for loc, m in spec.atoms}
         got_atoms = {loc: m for loc, m in analysis.atom_masses(fam)}
         locs = set(want_atoms) | set(got_atoms)
         for loc in locs:
             if abs(want_atoms.get(loc, 0.0) - got_atoms.get(loc, 0.0)) > 1e-6:
                 return False, f"{fam} atom at {loc} mismatched"
-    return True, f"{len(cases)} parameter cases pass mass/moments/atoms"
+    return True, (f"{len(cases)} parameter cases pass mass/moments/atoms; "
+                  f"closed vs Stieltjes density max deviation {worst:.2e}")
 
 
 def criterion_t_limits() -> tuple[bool, str]:
@@ -257,7 +264,7 @@ def criterion_monte_carlo() -> tuple[bool, str]:
 
 
 def criterion_semigroup() -> tuple[bool, str]:
-    """Free Poisson semigroup and the two convolution identities, order 16."""
+    """Free Poisson semigroup and the two convolution identities, exactly."""
     a, b = Fraction(3, 2), Fraction(5, 4)
     n = _DEEP_ORDER
     ma = distributions.moment_series(FreePoisson(a), n)
@@ -271,7 +278,7 @@ def criterion_semigroup() -> tuple[bool, str]:
         return False, "delta_0 is not the additive identity"
     if transforms.free_mult_convolve(ma, delta1).moments != ma.moments:
         return False, "delta_1 is not the multiplicative identity"
-    return True, "semigroup and both identities exact to order 16"
+    return True, f"semigroup and both identities exact to order {n}"
 
 
 CRITERIA = (

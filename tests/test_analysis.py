@@ -17,6 +17,7 @@ from freebeta.distributions import (
     FreeBeta,
     FreeBetaPrime,
     FreeF,
+    FreeMeixnerStd,
     FreePoisson,
     FreeT,
     InverseFreePoisson,
@@ -100,6 +101,19 @@ class TestAtomMasses:
     def test_fbp_atom(self):
         got = dict(atom_masses(FreeBetaPrime(F(1, 2), 2)))
         assert got == pytest.approx({0.0: 0.5}, abs=1e-6)
+
+    @pytest.mark.parametrize("fam", [
+        FreeMeixnerStd(2.5, -0.9),        # atom 2.8e-5 above the upper edge
+        FreeBeta(F(999, 1000), F(1, 2)),  # atom 5.0e-7 below the lower edge
+        FreePoisson(1),                   # no atom; site on the lower edge
+        FreeBetaPrime(1, 2),
+        FreeBeta(1, F(1, 2)),
+    ], ids=str)
+    def test_limit_matches_closed_form_at_an_edge(self, fam):
+        want = dict(measure_of(fam).atoms)
+        got = dict(atom_masses(fam))
+        for loc in set(want) | set(got):
+            assert abs(got.get(loc, 0.0) - want.get(loc, 0.0)) <= 1e-9, loc
 
 
 class TestQuadrature:

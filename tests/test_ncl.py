@@ -282,12 +282,14 @@ class TestStatistics:
 
 class TestGammaPolynomial:
     def test_unit_weights_count_partitions(self):
+        cf = gamma_series(6, 1, 1, 1, route="cf")
         for n in range(1, 7):
-            assert gamma_poly(n, 1, 1, 1) == SCHROEDER[n - 1]
+            assert cf[n] == SCHROEDER[n - 1]
 
     def test_statistic_generating_polynomial(self):
         """Gamma_n(a,b,c) equals the brute sum over NCL(n) of a^dc b^sc c^sg."""
         alpha, beta, gamma = F(2), F(3, 2), F(5)
+        cf = gamma_series(6, alpha, beta, gamma, route="cf")
         for n in range(1, 7):
             brute = sum(
                 alpha ** statistics(p).dc
@@ -295,17 +297,16 @@ class TestGammaPolynomial:
                 * gamma ** statistics(p).sg
                 for p in enumerate_ncl(n)
             )
-            assert gamma_poly(n, alpha, beta, gamma, route="cf") == brute
+            assert cf[n] == brute
 
     def test_three_routes_agree_on_random_parameters(self):
         rng = random.Random(99)
         for _ in range(6):
             abc = [F(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(3)]
+            cf = gamma_series(6, *abc, route="cf")
+            closed = gamma_series(6, *abc, route="closed")
             for n in range(1, 7):
-                brute = gamma_poly(n, *abc, route="brute")
-                cf = gamma_poly(n, *abc, route="cf")
-                closed = gamma_poly(n, *abc, route="closed")
-                assert brute == cf == closed
+                assert gamma_poly(n, *abc) == cf[n] == closed[n]
 
     def test_closed_form_satisfies_quadratic(self):
         for abc in [(F(1), F(1), F(1)), (F(2), F(1, 2), F(3)),
@@ -317,13 +318,13 @@ class TestGammaPolynomial:
     def test_alpha_zero_gives_noncrossing_counts(self):
         # without doubly covered elements only ordinary NC partitions remain
         catalan = [1, 2, 5, 14, 42]
-        for n, c in enumerate(catalan, start=1):
-            assert gamma_poly(n, 0, 1, 1, route="closed") == c
+        closed = gamma_series(5, 0, 1, 1, route="closed")
+        assert list(closed.coefficients[1:]) == catalan
 
     def test_beta_zero_closed_form(self):
         # no singly covered big blocks: only all-singleton partitions remain
-        for n in range(1, 6):
-            assert gamma_poly(n, 1, 0, F(3), route="closed") == F(3) ** n
+        closed = gamma_series(5, 1, 0, F(3), route="closed")
+        assert closed.coefficients == tuple(F(3) ** n for n in range(6))
 
     def test_scheme_weights(self):
         alpha, beta, gamma = F(2), F(3), F(5)
@@ -333,8 +334,8 @@ class TestGammaPolynomial:
         assert level_weights(alpha, beta, gamma, 1) == ((gamma,), ())
         # third path sum: fff + fud + udf + ufd
         w3 = gamma ** 3 + 2 * beta * gamma + beta * (1 + alpha + gamma)
+        assert w3 == gamma_series(3, alpha, beta, gamma, route="cf")[3]
         assert w3 == gamma_poly(3, alpha, beta, gamma)
-        assert w3 == gamma_poly(3, alpha, beta, gamma, route="brute")
 
 
 class TestMomentViaNcl:
@@ -378,7 +379,7 @@ class TestNclTable:
                 alpha ** st.dc * beta ** st.sc * gamma ** st.sg
                 for st in stats
             )
-            assert gamma_poly(n, alpha, beta, gamma, route="brute") == direct
+            assert gamma_poly(n, alpha, beta, gamma) == direct
 
     @pytest.mark.parametrize("a,b", _FBP_PARAMS)
     def test_fbp_moment_is_the_ncl_moment_sum(self, a, b):
@@ -392,7 +393,7 @@ class TestNclTable:
         # marginals of the one joint table
         s, t, u = fbp_t_params(a, b)
         for n in range(1, 9):
-            gamma = gamma_poly(n, t / s, t / (s * u), 1 / u, route="brute")
+            gamma = gamma_poly(n, t / s, t / (s * u), 1 / u)
             assert fbp_moment(a, b, n) == (s * u) ** n * gamma
 
     def test_block_profiles_match_enumeration(self):
@@ -412,8 +413,8 @@ class TestNclTable:
 
     def test_repeated_calls_agree(self):
         abc = (F(3, 4), F(5, 3), F(2))
-        first = [gamma_poly(n, *abc, route="brute") for n in range(1, 8)]
-        again = [gamma_poly(n, *abc, route="brute") for n in range(1, 8)]
+        first = [gamma_poly(n, *abc) for n in range(1, 8)]
+        again = [gamma_poly(n, *abc) for n in range(1, 8)]
         assert first == again
         assert [fbp_moment(2, 3, n) for n in range(1, 8)] == [
             fbp_moment(2, 3, n) for n in range(1, 8)
@@ -437,7 +438,7 @@ class TestNclTable:
         n = NCL_SIZE_LIMIT + 1
         alphas = TCoefficients((F(1),) * n)
         with pytest.raises(SizeLimitExceeded):
-            gamma_poly(n, 1, 1, 1, route="brute")
+            gamma_poly(n, 1, 1, 1)
         with pytest.raises(SizeLimitExceeded):
             moment_via_ncl(alphas, n)
         with pytest.raises(SizeLimitExceeded):

@@ -1,14 +1,20 @@
-"""The NCL criteria read one cached table per n and still catch faults.
+"""The criteria catch injected faults and follow their order constants.
 
-Each test clears the ``ncl_table`` cache before and after itself, so a
-table built with a patched enumerator or statistic never outlives it.
+The NCL criteria read one cached table per n.  Each test that patches the
+enumerator or the orders clears the ``ncl_table`` cache before and after
+itself, so a table built under the patch never outlives it.
 """
+
+import dataclasses
 
 import pytest
 
-from freebeta import ncl
+from freebeta import ncl, verification
+from freebeta.distributions import FreeBeta
 from freebeta.verification import (
+    CRITERIA,
     criterion_counts,
+    criterion_measure_sanity,
     criterion_statistics,
     run_all,
 )
@@ -58,3 +64,47 @@ def test_statistics_catch_a_wrong_dc(fresh_tables, monkeypatch):
     ok, detail = criterion_statistics()
     assert not ok
     assert detail.startswith("block-count identity fails at n=4, ")
+
+
+def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
+    # a relative 1e-7 error in the Cauchy transform's leading coefficient
+    # moves the Stieltjes density by ~6e-8 but no mass, moment or atom
+    # beyond its tolerance
+    pieces = FreeBeta._pieces
+
+    def perturbed(self):
+        p = pieces(self)
+        return dataclasses.replace(p, lead=p.lead * (1 + 1e-7))
+
+    monkeypatch.setattr(FreeBeta, "_pieces", perturbed)
+    ok, detail = criterion_measure_sanity()
+    assert not ok
+    assert detail.startswith("FreeBeta(a=Fraction(2, 1), b=Fraction(2, 1)) at x=")
+    assert "|closed - Stieltjes|" in detail
+
+
+def test_orders_come_from_the_two_constants(fresh_tables, monkeypatch):
+    calls = []
+    enumerate_ncl = ncl.enumerate_ncl
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_ncl(n)
+
+    monkeypatch.setattr(ncl, "enumerate_ncl", counted)
+    monkeypatch.setattr(verification, "_DEEP_ORDER", 6)
+    monkeypatch.setattr(verification, "_NCL_ORDER", 4)
+    want = {
+        "triple-route-moments": "3 parameter sets, series == fock for "
+        "n=1..6, ncl too for n=1..4, identical rationals",
+        "mult-convolution": "S-product route equals closed-form series for "
+        "n=1..6 and NCL route for n=1..4",
+        "gamma-routes": "10 random rational triples, n=1..4, zero residual",
+        "ncl-statistics": "identities exhaustive n<=4; reference triple "
+        "(3,2,1)",
+        "convolution-identities": "semigroup and both identities exact to "
+        "order 6",
+    }
+    got = {name: fn() for name, fn in CRITERIA if name in want}
+    assert got == {name: (True, detail) for name, detail in want.items()}
+    assert sorted(set(calls)) == [1, 2, 3, 4]
