@@ -19,9 +19,9 @@ import sys
 from dataclasses import fields
 from fractions import Fraction
 
-from . import analysis, distributions, fock, ncl, randmat, transforms
+from . import analysis, distributions, ncl, randmat
 from .errors import FreeBetaError
-from .verification import run_all
+from .verification import GAMMA_ROUTES, MOMENT_ROUTES, route_rows, run_all
 
 SCHEMA_VERSION = "1.0"
 
@@ -141,46 +141,25 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
         raise FreeBetaError(f"{flag} must be {lo}..{hi}, got {value}")
 
 
-def _route_table(n: int, columns: dict) -> list[dict]:
-    """Rows k = 1..n of each route's column, with "agree" across routes."""
-    table = []
-    for k in range(1, n + 1):
-        row = {"n": k, **{route: col[k] for route, col in columns.items()}}
-        if len(columns) > 1:
-            row["agree"] = len({row[route] for route in columns}) == 1
-        table.append(row)
-    return table
+def _emit_routes(args, table, subject, params: dict) -> int:
+    """Emit the rows of the --route routes (all: those for the subject)."""
+    defined = [r for r in table if isinstance(subject, table[r].family)]
+    routes = defined if args.route == "all" else [args.route]
+    if not set(routes) <= set(defined):
+        owners = [key for key, cls in _FAMILIES.items()
+                  if issubclass(cls, table[args.route].family)]
+        raise FreeBetaError(
+            f"routes other than {', '.join(map(repr, defined))} are "
+            f"defined for --family {', '.join(owners)}")
+    rows = route_rows({r: table[r].fn(subject, args.n) for r in routes})
+    _emit(args, {**params, "route": args.route}, {args.table: rows}, routes)
+    return 0
 
 
 def _cmd_moments(args) -> int:
     fam, params = _build_family(args)
-    n = args.n
-    _check_size("--n", n, 1, _MAX_ORDER)
-    routes = ([args.route] if args.route != "all"
-              else ["ncl", "series", "fock", "transform"])
-    if args.route != "series" and args.family != "fbp":
-        raise FreeBetaError(
-            "routes other than 'series' are defined for --family fbp"
-        )
-    columns = {}
-    if "ncl" in routes:
-        ncl.check_ncl_size(n)
-        columns["ncl"] = [ncl.fbp_moment(fam.a, fam.b, k)
-                          for k in range(n + 1)]
-    if "series" in routes:
-        columns["series"] = distributions.moment_series(fam, n)
-    if "fock" in routes:
-        columns["fock"] = fock.vacuum_moments(
-            fock.fbp_operator(fam.a, fam.b, n), n)
-    if "transform" in routes:
-        ma = distributions.moment_series(distributions.FreePoisson(fam.a), n)
-        mb = distributions.moment_series(
-            distributions.InverseFreePoisson(fam.b), n)
-        columns["transform"] = transforms.free_mult_convolve(ma, mb)
-    table = _route_table(n, columns)
-    _emit(args, {**params, "n": n, "route": args.route},
-          {"moments": table}, routes)
-    return 0
+    _check_size("--n", args.n, 1, _MAX_ORDER)
+    return _emit_routes(args, MOMENT_ROUTES, fam, {**params, "n": args.n})
 
 
 def _parse_grid(spec: str) -> tuple[float, float, int]:
@@ -266,23 +245,10 @@ def _cmd_ncl_stats(args) -> int:
 
 def _cmd_gamma_gf(args) -> int:
     _check_size("--n", args.n, 1, _MAX_ORDER)
-    routes = ([args.route] if args.route != "all"
-              else ["brute", "cf", "closed"])
-    if "brute" in routes:
-        ncl.check_ncl_size(args.n)
     abc = args.alpha, args.beta, args.gamma
-    columns = {
-        route: ncl.gamma_series(args.n, *abc, route=route)
-        if route != "brute"
-        else [ncl.gamma_poly(k, *abc) for k in range(args.n + 1)]
-        for route in routes
-    }
-    table = _route_table(args.n, columns)
-    _emit(args,
-          {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-           "gamma": args.gamma, "route": args.route},
-          {"values": table}, routes)
-    return 0
+    return _emit_routes(args, GAMMA_ROUTES, abc,
+                        {"n": args.n, "alpha": args.alpha, "beta": args.beta,
+                         "gamma": args.gamma})
 
 
 def _cmd_t_coeffs(args) -> int:
@@ -387,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="moments by one or all routes")
     _add_family_flags(p, ("fp", "ifp", "fbp", "ff", "ft", "fb"))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--route", default="all",
-                   choices=("ncl", "series", "fock", "transform", "all"))
+    p.add_argument("--route", default="all", choices=(*MOMENT_ROUTES, "all"))
 
     p = add("density", _cmd_density, "grid", help="density grid of a family")
     _add_family_flags(p, tuple(_FAMILIES))
@@ -414,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_rat, required=True)
     p.add_argument("--beta", type=_rat, required=True)
     p.add_argument("--gamma", type=_rat, required=True)
-    p.add_argument("--route", default="all",
-                   choices=("brute", "cf", "closed", "all"))
+    p.add_argument("--route", default="all", choices=(*GAMMA_ROUTES, "all"))
 
     p = add("t-coeffs", _cmd_t_coeffs,
             help="T-transform coefficients of the free beta prime")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from . import analysis, distributions, fock, ncl, randmat, transforms
@@ -21,6 +22,7 @@ from .distributions import (
     FreeT,
     InverseFreePoisson,
 )
+from .series import PowerSeries
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -35,50 +37,84 @@ _DEEP_ORDER = 16
 _NCL_ORDER = 8
 
 
-def criterion_triple_route_moments() -> tuple[bool, str]:
-    """Closed-form series and Fock vacuum agree exactly; NCL to a lower n."""
+def _ncl_range(n: int) -> range:
+    """0..n, once NCL(n) is known to be small enough to enumerate."""
+    ncl.check_ncl_size(n)
+    return range(n + 1)
+
+
+# One table per exact quantity, read by the CLI and the criteria: route ->
+# (fn(subject, n) giving terms 0..n, type of subject).  Each fn looks its
+# layer function up at call time, so a traced rebinding is the one called;
+# exhaustive routes come first, so that their size guard fires before any work.
+Route = namedtuple("Route", "fn family")
+MOMENT_ROUTES = {
+    "ncl": Route(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
+                                 for k in _ncl_range(n)], FreeBetaPrime),
+    "series": Route(lambda fam, n: distributions.moment_series(fam, n).moments,
+                    distributions.Family),
+    "fock": Route(lambda fam, n: fock.vacuum_moments(
+        fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime),
+    "transform": Route(lambda fam, n: transforms.free_mult_convolve(
+        distributions.moment_series(FreePoisson(fam.a), n),
+        distributions.moment_series(InverseFreePoisson(fam.b), n)).moments,
+        FreeBetaPrime),
+}
+GAMMA_ROUTES = {
+    "brute": Route(lambda abc, n: [ncl.gamma_poly(k, *abc)
+                                   for k in _ncl_range(n)], tuple),
+    "cf": Route(lambda abc, n: ncl.gamma_series(
+        n, *abc, route="cf").coefficients, tuple),
+    "closed": Route(lambda abc, n: ncl.gamma_series(
+        n, *abc, route="closed").coefficients, tuple),
+}
+
+
+def route_rows(columns: dict) -> list[dict]:
+    """Rows n = 1.. of each route's terms to its last, and "agree" across."""
+    rows = [{"n": k, **{r: c[k] for r, c in columns.items() if k < len(c)}}
+            for k in range(1, max(map(len, columns.values())))]
+    if len(columns) > 1:
+        for row in rows:
+            row["agree"] = len({row[r] for r in columns if r in row}) == 1
+    return rows
+
+
+def _disagreement(columns: dict) -> str | None:
+    """The first row where the columns differ, as "n=k, route=value, ..."."""
+    for row in route_rows(columns):
+        if not row.pop("agree"):
+            return ", ".join(f"{k}={v}" for k, v in row.items())
+    return None
+
+
+def _moment_routes(depths: dict, passed: str) -> tuple[bool, str]:
+    """The routes and the closed m1, m2 ("spot") agree on each fbp law."""
     for a, b in _FBP_PARAMS:
-        fam = FreeBetaPrime(a, b)
-        series = distributions.moment_series(fam, _DEEP_ORDER)
-        op = fock.fbp_operator(a, b, _DEEP_ORDER)
-        vac = fock.vacuum_moments(op, _DEEP_ORDER)
-        for n in range(1, _DEEP_ORDER + 1):
-            if series[n] != vac[n]:
-                return False, (
-                    f"(a,b)=({a},{b}) n={n}: "
-                    f"series={series[n]} fock={vac[n]}"
-                )
-            if n <= _NCL_ORDER and ncl.fbp_moment(a, b, n) != series[n]:
-                return False, (
-                    f"(a,b)=({a},{b}) n={n}: "
-                    f"ncl={ncl.fbp_moment(a, b, n)} series={series[n]}"
-                )
         m1 = a / (b - 1)
         m2 = m1 * m1 + a * (a + b - 1) / (b - 1) ** 3
-        if series[1] != m1 or series[2] != m2:
-            return False, f"(a,b)=({a},{b}): spot moments m1/m2 wrong"
-    return True, (
+        fam = FreeBetaPrime(a, b)
+        columns = {r: MOMENT_ROUTES[r].fn(fam, d) for r, d in depths.items()}
+        bad = _disagreement({**columns, "spot": (1, m1, m2)})
+        if bad:
+            return False, f"(a,b)=({a},{b}) {bad}"
+    return True, passed
+
+
+def criterion_triple_route_moments() -> tuple[bool, str]:
+    """Closed-form series and Fock vacuum agree exactly; NCL to a lower n."""
+    return _moment_routes(
+        {"ncl": _NCL_ORDER, "series": _DEEP_ORDER, "fock": _DEEP_ORDER},
         f"3 parameter sets, series == fock for n=1..{_DEEP_ORDER}, "
-        f"ncl too for n=1..{_NCL_ORDER}, identical rationals"
-    )
+        f"ncl too for n=1..{_NCL_ORDER}, identical rationals")
 
 
 def criterion_mult_convolution() -> tuple[bool, str]:
     """Multiplicative free convolution of the Poisson factors rebuilds fbp."""
-    for a, b in _FBP_PARAMS:
-        ma = distributions.moment_series(FreePoisson(a), _DEEP_ORDER)
-        mb = distributions.moment_series(InverseFreePoisson(b), _DEEP_ORDER)
-        conv = transforms.free_mult_convolve(ma, mb)
-        series = distributions.moment_series(FreeBetaPrime(a, b), _DEEP_ORDER)
-        for n in range(1, _DEEP_ORDER + 1):
-            if conv[n] != series[n]:
-                return False, f"(a,b)=({a},{b}) n={n}: {conv[n]} vs series"
-            if n <= _NCL_ORDER and conv[n] != ncl.fbp_moment(a, b, n):
-                return False, f"(a,b)=({a},{b}) n={n}: {conv[n]} vs ncl"
-    return True, (
+    return _moment_routes(
+        {"ncl": _NCL_ORDER, "series": _DEEP_ORDER, "transform": _DEEP_ORDER},
         f"S-product route equals closed-form series for n=1..{_DEEP_ORDER} "
-        f"and NCL route for n=1..{_NCL_ORDER}"
-    )
+        f"and NCL route for n=1..{_NCL_ORDER}")
 
 
 def criterion_gamma_routes() -> tuple[bool, str]:
@@ -88,15 +124,15 @@ def criterion_gamma_routes() -> tuple[bool, str]:
         tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3))
         for _ in range(10)
     ]
+    depths = {"brute": _NCL_ORDER, "cf": _NCL_ORDER, "closed": _NCL_ORDER}
     for abc in triples:
-        cf = ncl.gamma_series(_NCL_ORDER, *abc, route="cf")
-        closed = ncl.gamma_series(_NCL_ORDER, *abc, route="closed")
-        res = ncl.gamma_quadratic_residual(closed, *abc)
-        if any(c != 0 for c in res.coefficients):
+        columns = {r: GAMMA_ROUTES[r].fn(abc, d) for r, d in depths.items()}
+        bad = _disagreement(columns)
+        if bad:
+            return False, f"{abc} {bad}"
+        closed = PowerSeries(columns["closed"])
+        if any(ncl.gamma_quadratic_residual(closed, *abc).coefficients):
             return False, f"nonzero residual at {abc}"
-        for n in range(1, _NCL_ORDER + 1):
-            if not ncl.gamma_poly(n, *abc) == cf[n] == closed[n]:
-                return False, f"route mismatch at n={n}, {abc}"
     return True, (f"10 random rational triples, n=1..{_NCL_ORDER}, "
                   "zero residual")
 

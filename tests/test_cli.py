@@ -1,5 +1,6 @@
 """Tests for the command-line interface: JSON envelope, CSV, exit codes."""
 
+import inspect
 import io
 import json
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebeta import distributions, ncl
+from freebeta import cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
@@ -68,6 +69,100 @@ class TestMoments:
         )
         rows = payload["results"]["moments"]
         assert rows[0]["series"] == "2/1"
+
+    @pytest.mark.parametrize("flags", [
+        ["fp", "--lam", "2"], ["ifp", "--b", "3"],
+        ["ff", "--a", "2", "--b", "3"], ["ft", "--m", "3"],
+        ["fb", "--a", "2", "--b", "3"],
+    ], ids=lambda flags: flags[0])
+    def test_all_routes_of_a_family_without_ncl(self, capsys, flags):
+        # only the series route is defined off fbp, so "all" is that one
+        payload = run_json(capsys, "moments", "--family", *flags, "--n", "3")
+        rows = payload["results"]["moments"]
+        assert [list(r) for r in rows] == [["n", "series"]] * 3
+        assert payload["provenance"] == ["series"]
+
+    def test_a_route_off_its_family_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--family", "fp", "--lam", "2", "--n", "3",
+            "--route", "fock",
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: routes other than 'series' are defined for "
+                       "--family fbp\n")
+
+
+# Full stdout of --route all, recorded before the route tables existed.
+_GOLDEN = {
+    ("moments", "json"): (
+        '{"schema_version": "1.0", "command": "moments", "params": {"a": '
+        '"2/1", "b": "3/1", "n": 4, "route": "all"}, "results": '
+        '{"moments": [{"n": 1, "ncl": "1/1", "series": "1/1", "fock": '
+        '"1/1", "transform": "1/1", "agree": true}, {"n": 2, "ncl": "2/1", '
+        '"series": "2/1", "fock": "2/1", "transform": "2/1", "agree": '
+        'true}, {"n": 3, "ncl": "11/2", "series": "11/2", "fock": "11/2", '
+        '"transform": "11/2", "agree": true}, {"n": 4, "ncl": "71/4", '
+        '"series": "71/4", "fock": "71/4", "transform": "71/4", "agree": '
+        'true}]}, "provenance": ["ncl", "series", "fock", "transform"]}\n'
+    ),
+    ("moments", "csv"): (
+        "n,ncl,series,fock,transform,agree\n"
+        "1,1/1,1/1,1/1,1/1,True\n"
+        "2,2/1,2/1,2/1,2/1,True\n"
+        "3,11/2,11/2,11/2,11/2,True\n"
+        "4,71/4,71/4,71/4,71/4,True\n"
+    ),
+    ("gamma-gf", "json"): (
+        '{"schema_version": "1.0", "command": "gamma-gf", "params": {"n": '
+        '4, "alpha": "1/3", "beta": "2/1", "gamma": "5/7", "route": '
+        '"all"}, "results": {"values": [{"n": 1, "brute": "5/7", "cf": '
+        '"5/7", "closed": "5/7", "agree": true}, {"n": 2, "brute": '
+        '"123/49", "cf": "123/49", "closed": "123/49", "agree": true}, '
+        '{"n": 3, "brute": "7529/1029", "cf": "7529/1029", "closed": '
+        '"7529/1029", "agree": true}, {"n": 4, "brute": "566675/21609", '
+        '"cf": "566675/21609", "closed": "566675/21609", "agree": true}]}, '
+        '"provenance": ["brute", "cf", "closed"]}\n'
+    ),
+    ("gamma-gf", "csv"): (
+        "n,brute,cf,closed,agree\n"
+        "1,5/7,5/7,5/7,True\n"
+        "2,123/49,123/49,123/49,True\n"
+        "3,7529/1029,7529/1029,7529/1029,True\n"
+        "4,566675/21609,566675/21609,566675/21609,True\n"
+    ),
+}
+_GOLDEN_ARGV = {
+    "moments": ["moments", "--family", "fbp", "--a", "2", "--b", "3",
+                "--n", "4", "--route", "all"],
+    "gamma-gf": ["gamma-gf", "--alpha", "1/3", "--beta", "2", "--gamma",
+                 "5/7", "--n", "4", "--route", "all"],
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(_GOLDEN))
+def test_route_tables_print_the_recorded_bytes(capsys, command, fmt):
+    code, out, err = run_cli(capsys, *_GOLDEN_ARGV[command], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _GOLDEN[command, fmt]
+
+
+def test_cli_names_no_route():
+    source = inspect.getsource(cli)
+    for table in (verification.MOMENT_ROUTES, verification.GAMMA_ROUTES):
+        for route in table:
+            assert f'"{route}"' not in source and f"'{route}'" not in source
+
+
+def test_a_new_moment_route_needs_no_cli_edit(capsys, monkeypatch):
+    series = verification.MOMENT_ROUTES["series"]
+    monkeypatch.setitem(verification.MOMENT_ROUTES, "echo", series)
+    argv = ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n", "3"]
+    rows = run_json(capsys, *argv, "--route", "echo")["results"]["moments"]
+    assert [r["echo"] for r in rows] == ["1/1", "2/1", "11/2"]
+    payload = run_json(capsys, *argv)
+    assert list(payload["results"]["moments"][0]) == [
+        "n", "ncl", "series", "fock", "transform", "echo", "agree"]
+    assert payload["provenance"][-1] == "echo"
 
 
 # (argv, table key) of every subcommand with a CSV form

@@ -6,10 +6,12 @@ itself, so a table built under the patch never outlives it.
 """
 
 import dataclasses
+import json
+from fractions import Fraction
 
 import pytest
 
-from freebeta import ncl, verification
+from freebeta import cli, ncl, verification
 from freebeta.distributions import FreeBeta
 from freebeta.verification import (
     CRITERIA,
@@ -108,3 +110,45 @@ def test_orders_come_from_the_two_constants(fresh_tables, monkeypatch):
     got = {name: fn() for name, fn in CRITERIA if name in want}
     assert got == {name: (True, detail) for name, detail in want.items()}
     assert sorted(set(calls)) == [1, 2, 3, 4]
+
+
+def _perturbed(route):
+    """The route with Fraction(1, 10**30) added to its term 5."""
+    def fn(subject, n):
+        column = list(route.fn(subject, n))
+        column[5] += Fraction(1, 10**30)
+        return column
+    return route._replace(fn=fn)
+
+
+# the first of the ten triples gamma-routes draws
+_FIRST_TRIPLE = "(Fraction(1, 1), Fraction(4, 5), Fraction(3, 1))"
+_MOMENTS = ("MOMENT_ROUTES", "moments",
+            ["moments", "--family", "fbp", "--a", "2", "--b", "3"])
+_GAMMA = ("GAMMA_ROUTES", "values",
+          ["gamma-gf", "--alpha", "1/3", "--beta", "2", "--gamma", "5/7"])
+# route -> (the criterion comparing it, its first case, its table, the key
+# and argv of the command printing it)
+_COMPARED_IN = {
+    "ncl": ("triple-route-moments", "(a,b)=(2,3)", *_MOMENTS),
+    "series": ("triple-route-moments", "(a,b)=(2,3)", *_MOMENTS),
+    "fock": ("triple-route-moments", "(a,b)=(2,3)", *_MOMENTS),
+    "transform": ("mult-convolution", "(a,b)=(2,3)", *_MOMENTS),
+    "brute": ("gamma-routes", _FIRST_TRIPLE, *_GAMMA),
+    "cf": ("gamma-routes", _FIRST_TRIPLE, *_GAMMA),
+    "closed": ("gamma-routes", _FIRST_TRIPLE, *_GAMMA),
+}
+
+
+@pytest.mark.parametrize("route", _COMPARED_IN)
+def test_a_perturbed_route_fails_and_disagrees(capsys, monkeypatch, route):
+    criterion, case, table, key, argv = _COMPARED_IN[route]
+    routes = getattr(verification, table)
+    monkeypatch.setitem(routes, route, _perturbed(routes[route]))
+    ok, detail = dict(CRITERIA)[criterion]()
+    assert not ok
+    assert detail.startswith(f"{case} n=5, ")
+    assert f"{route}=" in detail
+    assert cli.main([*argv, "--n", "6", "--route", "all"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"][key]
+    assert [r["agree"] for r in rows] == [True] * 4 + [False, True]
