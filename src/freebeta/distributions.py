@@ -22,6 +22,10 @@ by a dilation, a reciprocal and a symmetric square.  Densities, V', atom
 sites and moment series are written out per family, never derived from the
 Cauchy parameters, so checks against the Cauchy transform compare
 independent routes.
+
+The fields of a law are frozen, so it derives its closed-form Cauchy
+parameters and its delegated base law once per instance, on first use, and
+every later evaluation reads them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import (
@@ -152,6 +157,12 @@ class Family:
     by ``_check``.  The underscore members are the family's operations
     (``_atom_sites`` holds the candidate atom locations); the defaults raise
     UnsupportedFamily, but ``_cauchy`` and ``_support`` use ``_pieces``.
+
+    ``_pieces`` builds the closed-form parameters from the frozen fields;
+    ``_params`` holds its result, built once per instance.  A delegating
+    family likewise builds its base law (``_base``) once.  Both live in the
+    instance dict, outside the fields, so ``repr``, ``==`` and ``hash`` see
+    only the parameters, and pickling drops them.
     """
 
     def __post_init__(self):
@@ -159,6 +170,9 @@ class Family:
             value = _COERCE[f.type](getattr(self, f.name))
             object.__setattr__(self, f.name, value)
         self._check()
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     _pieces = _lacks("direct closed form")
     _measure = _lacks("measure")
@@ -168,9 +182,13 @@ class Family:
     _v_prime = _lacks("classical potential")
     _atom_sites = property(_lacks("atom candidates"))
 
+    @cached_property
+    def _params(self) -> _Pieces:
+        return self._pieces()
+
     def _cauchy(self, z: complex) -> complex:
         """G on the closed upper half-plane, from the closed-form pieces."""
-        p = self._pieces()
+        p = self._params
         if z.imag == 0:
             _guard_real(z.real, p.e_minus, p.e_plus, p.poles)
             g = _eval_pieces(p, complex(z.real, 0.0))
@@ -178,7 +196,7 @@ class Family:
         return _eval_pieces(p, z)
 
     def _support(self) -> tuple[float, float]:
-        p = self._pieces()
+        p = self._params
         return p.e_minus, p.e_plus
 
 
@@ -234,6 +252,10 @@ class InverseFreePoisson(Family):
         if self.b <= 1:
             raise InvalidParameters("inverse free Poisson needs b > 1")
 
+    @cached_property
+    def _base(self) -> FreePoisson:
+        return FreePoisson(self.b)
+
     def _cauchy(self, z: complex) -> complex:
         if z.imag == 0:
             _guard_real(z.real, *support_of(self))
@@ -241,14 +263,14 @@ class InverseFreePoisson(Family):
                 return complex(-float(self.b), 0.0)  # exact limit at 0
         w = 1 / z
         # the reciprocal flips the half-plane; cauchy_eval conjugates back
-        return 1 / z - (1 / (z * z)) * cauchy_eval(FreePoisson(self.b), w)
+        return 1 / z - (1 / (z * z)) * cauchy_eval(self._base, w)
 
     def _support(self) -> tuple[float, float]:
-        lo, hi = support_of(FreePoisson(self.b))
+        lo, hi = support_of(self._base)
         return 1 / hi, 1 / lo
 
     def _measure(self) -> MeasureSpec:
-        inner = measure_of(FreePoisson(self.b))
+        inner = measure_of(self._base)
         lo, hi = support_of(self)
         return _measure_on(lo, hi,
                            lambda x: inner.density(1 / x) / (x * x))
@@ -345,31 +367,35 @@ class FreeF(Family):
         if self.a <= 0 or self.b <= 1:
             raise InvalidParameters("free F needs a > 0, b > 1")
 
+    @cached_property
+    def _base(self) -> FreeBetaPrime:
+        return FreeBetaPrime(self.a, self.b)
+
     def _cauchy(self, z: complex) -> complex:
         c = float(self.a) / float(self.b)
-        return c * cauchy_eval(FreeBetaPrime(self.a, self.b), c * z)
+        return c * cauchy_eval(self._base, c * z)
 
     def _support(self) -> tuple[float, float]:
-        lo, hi = support_of(FreeBetaPrime(self.a, self.b))
+        lo, hi = support_of(self._base)
         c = float(self.b) / float(self.a)
         return c * lo, c * hi
 
     def _measure(self) -> MeasureSpec:
-        inner = measure_of(FreeBetaPrime(self.a, self.b))
+        inner = measure_of(self._base)
         c = float(self.a) / float(self.b)  # x -> c*x maps back to the base
         lo, hi = support_of(self)
         return _measure_on(lo, hi, lambda x: c * inner.density(c * x),
                            inner.atoms)
 
     def _moments(self, order: int) -> MomentSequence:
-        base = moment_series(FreeBetaPrime(self.a, self.b), order)
+        base = moment_series(self._base, order)
         c = self.b / self.a
         return MomentSequence(
             tuple(c ** k * base[k] for k in range(order + 1))
         )
 
     def _s_transform(self, order: int) -> PowerSeries:
-        base = s_transform_of(FreeBetaPrime(self.a, self.b), order)
+        base = s_transform_of(self._base, order)
         return base.scale(self.a / self.b)  # dilation by c divides S by c
 
 
@@ -490,7 +516,7 @@ class FreeMeixnerStd(Family):
                        self._poles())
 
     def _measure(self) -> MeasureSpec:
-        p = self._pieces()
+        p = self._params
         lo, hi = p.e_minus, p.e_plus
         th, tau = self.theta, self.tau
 

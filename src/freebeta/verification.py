@@ -22,6 +22,7 @@ from .distributions import (
     FreeT,
     InverseFreePoisson,
 )
+from .errors import SizeLimitExceeded
 from .series import PowerSeries
 
 __all__ = ["CRITERIA", "run_all"]
@@ -43,10 +44,40 @@ def _ncl_range(n: int) -> range:
     return range(n + 1)
 
 
+# The transform route's time grows about as n^4 bits(b)^1.7, where bits(x)
+# sums the bit lengths of x's numerator and denominator; a's bits cost about
+# an eighth as much as b's.  At n^2.5 * (bits(b) + bits(a) / 8) = 2e6 it takes
+# 5-7 s from n = 25 to 100 (7 s at n = 10 with the bits in b, 14 s with them in
+# a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
+# 0.1 s inputs at n = 10.)
+_TRANSFORM_SIZE_LIMIT = 2_000_000
+
+
+def _transform_size(fam: FreeBetaPrime, n: int) -> float:
+    """n^2.5 * (bits(b) + bits(a) / 8), the transform route's cost measure."""
+    def bits(x: Fraction) -> int:
+        return x.numerator.bit_length() + x.denominator.bit_length()
+    return n ** 2.5 * (bits(fam.b) + bits(fam.a) / 8)
+
+
+def _transform_moments(fam: FreeBetaPrime, n: int) -> list[Fraction]:
+    """Moments 0..n of FP(a) boxtimes IFP(b), once the size is under the cap."""
+    size = _transform_size(fam, n)
+    if size > _TRANSFORM_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"the transform route is capped at n^2.5 * (bits of b + bits of "
+            f"a / 8) <= {_TRANSFORM_SIZE_LIMIT}, got {size:.0f}")
+    return transforms.free_mult_convolve(
+        distributions.moment_series(FreePoisson(fam.a), n),
+        distributions.moment_series(InverseFreePoisson(fam.b), n)).moments
+
+
 # One table per exact quantity, read by the CLI and the criteria: route ->
 # (fn(subject, n) giving terms 0..n, type of subject).  Each fn looks its
 # layer function up at call time, so a traced rebinding is the one called;
 # exhaustive routes come first, so that their size guard fires before any work.
+# The transform route checks its own cap as it starts, so under "all" at
+# n <= 10 the other routes have run by the time it refuses.
 Route = namedtuple("Route", "fn family")
 MOMENT_ROUTES = {
     "ncl": Route(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
@@ -55,10 +86,7 @@ MOMENT_ROUTES = {
                     distributions.Family),
     "fock": Route(lambda fam, n: fock.vacuum_moments(
         fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime),
-    "transform": Route(lambda fam, n: transforms.free_mult_convolve(
-        distributions.moment_series(FreePoisson(fam.a), n),
-        distributions.moment_series(InverseFreePoisson(fam.b), n)).moments,
-        FreeBetaPrime),
+    "transform": Route(_transform_moments, FreeBetaPrime),
 }
 GAMMA_ROUTES = {
     "brute": Route(lambda abc, n: [ncl.gamma_poly(k, *abc)

@@ -16,6 +16,7 @@ from freebeta import cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
+from freebeta.errors import SizeLimitExceeded
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +346,32 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
+    def test_transform_size_cap_fires_first(self, capsys):
+        # the transform route ran 79 s on this input before it had a cap
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "moments", "--family", "fbp", "--a", "2", "--b",
+            "100000000000000000001", "--n", "100", "--route", "transform",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the transform route is capped")
+
+    # at n = 100 the cap is bits(b) + bits(a) / 8 <= 20: b = 2^17 + 1 gives
+    # 19 + 3/8 and 2^18 + 1 gives 20 + 3/8; a = 2^133 + 1 gives 3 + 135/8
+    # and 2^135 + 1 gives 3 + 137/8
+    @pytest.mark.parametrize("inside, outside", [
+        ((2, 2 ** 17 + 1), (2, 2 ** 18 + 1)),
+        ((2 ** 133 + 1, 3), (2 ** 135 + 1, 3)),
+    ], ids=["bits-in-b", "bits-in-a"])
+    def test_transform_size_cap_bound(self, inside, outside):
+        fbp, size = distributions.FreeBetaPrime, verification._transform_size
+        assert (size(fbp(*inside), 100) <= verification._TRANSFORM_SIZE_LIMIT
+                < size(fbp(*outside), 100))
+        with pytest.raises(SizeLimitExceeded):
+            verification.MOMENT_ROUTES["transform"].fn(fbp(*outside), 100)
+
     @pytest.mark.parametrize("route", ["brute", "all"])
     def test_gamma_gf_size_guard_fires_first(self, capsys, route):
         elapsed = self.assert_one_error_line(
@@ -383,6 +410,8 @@ class TestInputGuards:
     @pytest.mark.parametrize("argv", [
         ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n",
          str(_MAX_ORDER), "--route", "series"],
+        ["moments", "--family", "fbp", "--a", "2", "--b", "3", "--n",
+         str(_MAX_ORDER), "--route", "transform"],
         ["t-coeffs", "--a", "2", "--b", "3", "--order", str(_MAX_ORDER)],
         ["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
          f"0.5:4.5:{_MAX_POINTS}"],

@@ -2,15 +2,22 @@
 
 import cmath
 import math
+import pickle
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from freebeta.analysis import atom_masses, potential_derivative
+from freebeta.analysis import (
+    atom_masses,
+    hilbert_score,
+    potential_derivative,
+    stieltjes_density,
+)
 from freebeta.cli import _FAMILIES
 from freebeta.distributions import (
+    Family,
     FreeBeta,
     FreeBetaPrime,
     FreeF,
@@ -423,3 +430,60 @@ class TestFamilyTable:
         assert type(meixner.theta) is float and type(meixner.tau) is float
         free_t = FreeT(2.5)
         assert free_t.m == Fraction(5, 2) and type(free_t.m) is Fraction
+
+
+class TestDerivedOncePerInstance:
+    """The closed-form parameters and base laws are built once per law."""
+
+    LAWS = [FreePoisson(2), FreeBetaPrime(2, 3), FreeT(3), FreeBeta(2, 2),
+            FreeMeixnerStd(0.5, 0.25), FreeF(2, 3), InverseFreePoisson(3)]
+
+    @staticmethod
+    def evaluate(fam, times: int) -> None:
+        lo, hi = support_of(fam)
+        x = (lo + hi) / 2
+        for k in range(times):
+            cauchy_eval(fam, complex(x, 1 + k))
+            support_of(fam)
+            stieltjes_density(fam, x)
+            hilbert_score(fam, x)
+
+    @pytest.mark.parametrize("fam", LAWS[:5], ids=repr)
+    def test_pieces_run_once(self, fam, monkeypatch):
+        calls = []
+        pieces = type(fam)._pieces
+
+        def counted(self):
+            calls.append(self)
+            return pieces(self)
+
+        monkeypatch.setattr(type(fam), "_pieces", counted)
+        fresh = replace(fam)
+        self.evaluate(fresh, 100)
+        measure_of(fresh)
+        assert calls == [fresh]
+
+    @pytest.mark.parametrize("fam", LAWS[5:], ids=repr)
+    def test_delegated_base_is_built_once(self, fam, monkeypatch):
+        self.evaluate(fam, 1)
+        built = []
+        post_init = Family.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Family, "__post_init__", counted)
+        self.evaluate(fam, 100)
+        measure_of(fam)
+        assert built == []
+
+    @pytest.mark.parametrize("fam", LAWS, ids=repr)
+    def test_identity_ignores_the_derived_state(self, fam):
+        self.evaluate(fam, 1)
+        fresh = replace(fam)
+        assert repr(fam) == repr(fresh)
+        assert fam == fresh and hash(fam) == hash(fresh)
+        thawed = pickle.loads(pickle.dumps(fam))
+        assert thawed == fam and vars(thawed) == vars(fresh)
+        assert cauchy_eval(thawed, 5j) == cauchy_eval(fam, 5j)
