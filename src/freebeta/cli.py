@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import sys
+import time
 from dataclasses import fields
 from fractions import Fraction
 
@@ -314,10 +315,13 @@ def _cmd_mc_fisher(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = []
+    start = time.perf_counter()
     for name, ok, detail in run_all():
-        results.append({"criterion": name, "ok": ok, "detail": detail})
+        results.append({"criterion": name, "ok": ok, "detail": detail,
+                        "elapsed_s": time.perf_counter() - start})
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}",
               file=sys.stderr)
+        start = time.perf_counter()
     ok = all(r["ok"] for r in results)
     _emit(args, {}, {"criteria": results, "ok": ok}, ["all-routes"])
     return 0 if ok else 3

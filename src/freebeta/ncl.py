@@ -55,8 +55,9 @@ __all__ = [
 ]
 
 # Largest n with an exhaustive NCL(n).  One enumerate-and-validate pass
-# takes ~4.5 s at n = 9 and ~26 s at n = 10 (Python 3.11, 2-vCPU x86_64);
-# n = 11 has five times as many partitions and takes minutes.
+# takes ~1.0-1.3 s at n = 9 and ~6-7.5 s at n = 10 (Python 3.11, 2-vCPU
+# x86_64); n = 11 has five times as many partitions, so ~5x the time
+# (estimated, not run) and the memory to hold a million partitions.
 NCL_SIZE_LIMIT = 10
 
 
@@ -92,59 +93,50 @@ class LinkedPartition:
         return len(self.blocks)
 
 
-def _crosses(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
-    """True when some e1 < f1 < e2 < f2 interleaves the two sorted blocks.
+def _sweep(p: LinkedPartition) -> list[int] | None:
+    """Cover counts of a linked partition (index x for element x), or None.
 
-    Shared elements belong to both blocks and may serve either role (the
-    four positions in the pattern are distinct, so no double use occurs).
+    Blocks are filed under their minima and other elements under their
+    blocks, so structural faults fail before any walk over 1..n.  The walk
+    keeps the open blocks on a stack: the block holding x must be on top
+    (it pops at its maximum), then a block opening at x is pushed.
     """
-
-    def directed(p, q) -> bool:
-        # p1 < q1 < p2 < q2 exists iff it does for the widest window: q1
-        # the least element of q above min p, and q2 = max q
-        q1 = next((y for y in q if y > p[0]), None)
-        return q1 is not None and any(q1 < x < q[-1] for x in p)
-
-    return directed(e, f) or directed(f, e)
-
-
-def _pair_ok(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
-    """Non-crossing and nearly disjoint for an (unordered) block pair."""
-    shared = set(e) & set(f)
-    if len(shared) > 1:
-        return False
-    if len(shared) == 1:
-        k = shared.pop()
-        is_min_e, is_min_f = k == e[0], k == f[0]
-        if is_min_e == is_min_f:
-            return False
-        if (is_min_e and len(e) < 2) or (is_min_f and len(f) < 2):
-            return False
-    return not _crosses(e, f)
-
-
-def _cover_counts(p: LinkedPartition) -> Counter:
-    return Counter(x for block in p.blocks for x in block)
+    first: dict[int, tuple[int, ...]] = {}
+    inner: dict[int, tuple[int, ...]] = {}
+    for b in p.blocks:
+        if b[0] in first:
+            return None  # a second opener, or a duplicate block
+        first[b[0]] = b
+        for x in b[1:]:
+            if x in inner:
+                return None  # a second non-minimum holder
+            inner[x] = b
+    # every element lies in 1..n, so n distinct ones cover the ground set
+    if len(first.keys() | inner.keys()) != p.n:
+        return None
+    cover = [0] + [1] * p.n
+    stack: list[tuple[int, ...]] = [()]  # the sentinel is never a host
+    for x in range(1, p.n + 1):
+        block, host = first.get(x), inner.get(x)
+        if host is None:
+            if len(block) > 1:
+                stack.append(block)
+            continue
+        if stack[-1] is not host:
+            return None
+        if x == host[-1]:
+            stack.pop()
+        if block is not None:
+            if len(block) == 1:
+                return None  # a shared singleton
+            cover[x] = 2
+            stack.append(block)
+    return cover
 
 
 def validate_ncl(p: LinkedPartition) -> bool:
     """Check all linked-partition invariants; False on any violation."""
-    cover = _cover_counts(p)
-    # every element lies in 1..n, so n distinct ones cover the ground set
-    if len(cover) != p.n:
-        return False
-    if any(c > 2 for c in cover.values()):
-        return False
-    if cover[1] != 1 or cover[p.n] != 1:
-        return False
-    if len(set(p.blocks)) != len(p.blocks):
-        return False
-    blocks = p.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if not _pair_ok(blocks[i], blocks[j]):
-                return False
-    return True
+    return _sweep(p) is not None
 
 
 # --------------------------------------------------------------------------
@@ -267,10 +259,10 @@ def statistics(p: LinkedPartition) -> NclStatistics:
     dc + sc + sg = number of blocks, and counting elements with
     multiplicity gives sum of block sizes = n + dc.
     """
-    if not validate_ncl(p):
+    cover = _sweep(p)
+    if cover is None:
         raise InvalidPartition("not a non-crossing linked partition")
-    cover = _cover_counts(p)
-    dc = sum(1 for c in cover.values() if c == 2)
+    dc = cover.count(2)
     sg = sum(1 for b in p.blocks if len(b) == 1)
     sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
     return NclStatistics(dc=dc, sc=sc, sg=sg)
@@ -307,16 +299,16 @@ def doubly_covered_types(
     two* otherwise; type one corresponds to flat-step linked cards, type
     two to up-step linked cards in the card model.
     """
-    if not validate_ncl(p):
+    cover = _sweep(p)
+    if cover is None:
         raise InvalidPartition("not a non-crossing linked partition")
-    cover = _cover_counts(p)
     t1, t2 = [], []
-    for x, c in cover.items():
+    for x, c in enumerate(cover):
         if c != 2:
             continue
         host = next(b for b in p.blocks if x in b and x != b[0])
         (t1 if x == host[-1] else t2).append(x)
-    return tuple(sorted(t1)), tuple(sorted(t2))
+    return tuple(t1), tuple(t2)
 
 
 # --------------------------------------------------------------------------

@@ -262,6 +262,20 @@ class TestCombinatorics:
         assert payload["results"]["alphas"] == ["1/1", "1/1", "1/2", "1/4"]
 
 
+def test_verify_times_each_criterion(capsys):
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 0
+    criteria = json.loads(out)["results"]["criteria"]
+    assert [c["criterion"] for c in criteria] == [
+        name for name, _ in verification.CRITERIA]
+    assert len(criteria) == 12
+    assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0
+               for c in criteria)
+    # the stderr lines stay untimed
+    assert err.splitlines() == [
+        f"PASS {c['criterion']}: {c['detail']}" for c in criteria]
+
+
 class TestMeixnerAndScores:
     def test_meixner(self, capsys):
         payload = run_json(capsys, "meixner", "--a", "2", "--b", "3")

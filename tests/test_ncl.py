@@ -11,12 +11,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freebeta.distributions import FreeBetaPrime, fbp_t_params, t_coeffs_of
-from freebeta.errors import MalformedInput, SizeLimitExceeded
+from freebeta.errors import InvalidPartition, MalformedInput, SizeLimitExceeded
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
-    _crosses,
     LinkedPartition,
     NclStatistics,
     arrangement_to_partition,
@@ -52,6 +53,128 @@ ENUMERATION_DIGESTS = {
     6: "c9e42b9285de9866730fd7d65fdae223d876b6728c57fddf6e83642b9106de2a",
     7: "65c5696ff5e73ae53f1bdc2e9894f8b98060622d4575477f41426d52327d192d",
 }
+
+# sha256 of repr(ncl_table(n)), pinned from the pairwise validator so that
+# every brute route reads bit-identical tables
+TABLE_DIGESTS = {
+    1: "bec1bb9c854c8f47e06c141deb2f69ac45230e0b838a0dffe55beb07f22986f9",
+    2: "d85408681560346feb4ae0b6e1f116feebd4807fc16d8e86f56f7f94a3507042",
+    3: "99deeebbd6f82a998ebe33aa03f20562f394777003e5d1cebb7520ef66fde772",
+    4: "8fa7862eb5e3579dd6f0081a27a581d4af37901cac7b68ab22929cadfc515477",
+    5: "9060613cf21b7b6e4f3133cc449d03f4e8bb2e09f5d868638563aef519c7f9a1",
+    6: "500a78d5a1aa9787e945ae1dd6ff5d47a335af6d69a9831b9262ad37ba964b18",
+    7: "ceeee37b569e36c2d4837db05d2f2949109bceca2449e8f5cdb65b8588e5d1f2",
+    8: "14d0d07e622d00d80c5c37db5e4bdd992208c081f47e1a9eb8deadb533245061",
+    9: "12580843ba17c37e645d614e9e219c5a26861028f1e821ec758e93a8501fc686",
+}
+
+
+# --- the pairwise specification of validate_ncl ---------------------------
+# The O(blocks^2) check that validate_ncl replaced with one stack sweep; it
+# stays here, verbatim, as the definition the sweep is tested against.
+
+def _crosses(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
+    """True when some e1 < f1 < e2 < f2 interleaves the two sorted blocks.
+
+    Shared elements belong to both blocks and may serve either role (the
+    four positions in the pattern are distinct, so no double use occurs).
+    """
+
+    def directed(p, q) -> bool:
+        # p1 < q1 < p2 < q2 exists iff it does for the widest window: q1
+        # the least element of q above min p, and q2 = max q
+        q1 = next((y for y in q if y > p[0]), None)
+        return q1 is not None and any(q1 < x < q[-1] for x in p)
+
+    return directed(e, f) or directed(f, e)
+
+
+def _pair_ok(e: tuple[int, ...], f: tuple[int, ...]) -> bool:
+    """Non-crossing and nearly disjoint for an (unordered) block pair."""
+    shared = set(e) & set(f)
+    if len(shared) > 1:
+        return False
+    if len(shared) == 1:
+        k = shared.pop()
+        is_min_e, is_min_f = k == e[0], k == f[0]
+        if is_min_e == is_min_f:
+            return False
+        if (is_min_e and len(e) < 2) or (is_min_f and len(f) < 2):
+            return False
+    return not _crosses(e, f)
+
+
+def _cover_counts(p: LinkedPartition) -> Counter:
+    return Counter(x for block in p.blocks for x in block)
+
+
+def pairwise_validate_ncl(p: LinkedPartition) -> bool:
+    """Check all linked-partition invariants; False on any violation."""
+    cover = _cover_counts(p)
+    # every element lies in 1..n, so n distinct ones cover the ground set
+    if len(cover) != p.n:
+        return False
+    if any(c > 2 for c in cover.values()):
+        return False
+    if cover[1] != 1 or cover[p.n] != 1:
+        return False
+    if len(set(p.blocks)) != len(p.blocks):
+        return False
+    blocks = p.blocks
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if not _pair_ok(blocks[i], blocks[j]):
+                return False
+    return True
+
+
+def pairwise_statistics(p: LinkedPartition) -> NclStatistics:
+    """statistics() as it read the cover off a Counter of the blocks."""
+    assert pairwise_validate_ncl(p)
+    cover = _cover_counts(p)
+    dc = sum(1 for c in cover.values() if c == 2)
+    sg = sum(1 for b in p.blocks if len(b) == 1)
+    sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
+    return NclStatistics(dc=dc, sc=sc, sg=sg)
+
+
+def pairwise_doubly_covered_types(p: LinkedPartition):
+    """doubly_covered_types() as it read the cover off a Counter."""
+    assert pairwise_validate_ncl(p)
+    cover = _cover_counts(p)
+    t1, t2 = [], []
+    for x, c in cover.items():
+        if c != 2:
+            continue
+        host = next(b for b in p.blocks if x in b and x != b[0])
+        (t1 if x == host[-1] else t2).append(x)
+    return tuple(sorted(t1)), tuple(sorted(t2))
+
+
+def one_element_mutations(p: LinkedPartition):
+    """Every partition one element away: x added to or removed from a block.
+
+    Removing a block's only element drops the block.
+    """
+    for i, block in enumerate(p.blocks):
+        for x in range(1, p.n + 1):
+            if x not in block:
+                changed = (block + (x,),)
+            elif len(block) > 1:
+                changed = (tuple(y for y in block if y != x),)
+            else:
+                changed = ()
+            yield LinkedPartition(
+                p.n, p.blocks[:i] + changed + p.blocks[i + 1:])
+
+
+@hst.composite
+def block_lists(draw):
+    """A ground set n <= 8 and up to six random blocks over it."""
+    n = draw(hst.integers(1, 8))
+    block = hst.lists(hst.integers(1, n), min_size=1, max_size=n, unique=True)
+    blocks = draw(hst.lists(block.map(tuple), max_size=6))
+    return LinkedPartition(n, tuple(blocks))
 
 
 # --- independent brute-force oracle ---------------------------------------
@@ -154,8 +277,10 @@ class TestEnumeration:
         assert digest == ENUMERATION_DIGESTS[n]
 
     def test_all_enumerated_partitions_validate(self):
-        for n in range(1, 8):
-            assert all(validate_ncl(p) for p in enumerate_ncl(n))
+        # by the sweep and by the pairwise specification alike
+        for n in range(1, 9):
+            for p in enumerate_ncl(n):
+                assert validate_ncl(p) and pairwise_validate_ncl(p)
 
 
 class TestValidation:
@@ -186,6 +311,22 @@ class TestValidation:
                    for c in itertools.combinations(range(1, 8), k)]
         assert all(_crosses(e, f) == brute(e, f)
                    for e in subsets for f in subsets)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sweep_matches_pairwise_on_one_element_mutations(self, n):
+        verdicts = Counter()
+        for p in enumerate_ncl(n):
+            for q in one_element_mutations(p):
+                verdict = pairwise_validate_ncl(q)
+                assert validate_ncl(q) == verdict, q
+                verdicts[verdict] += 1
+        # every mutation of NCL(2) is invalid; from n = 3 on some are valid
+        assert verdicts[False] and (verdicts[True] or n == 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(block_lists())
+    def test_sweep_matches_pairwise_on_random_block_lists(self, p):
+        assert validate_ncl(p) == pairwise_validate_ncl(p)
 
     def test_sparse_partition_of_a_huge_ground_set(self):
         # the cover check is linear in the elements listed, not in n
@@ -271,6 +412,19 @@ class TestStatistics:
         type_one, type_two = doubly_covered_types(p)
         assert type_one == (7, 9)
         assert type_two == (2,)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_unchanged_from_the_pairwise_cover(self, n):
+        for p in enumerate_ncl(n):
+            assert statistics(p) == pairwise_statistics(p)
+            assert doubly_covered_types(p) == pairwise_doubly_covered_types(p)
+
+    def test_invalid_partition_raises(self):
+        p = LinkedPartition(4, ((1, 3), (2, 4)))
+        with pytest.raises(InvalidPartition):
+            statistics(p)
+        with pytest.raises(InvalidPartition):
+            doubly_covered_types(p)
 
     def test_identities_exhaustive(self):
         for n in range(1, 8):
@@ -410,6 +564,11 @@ class TestNclTable:
                 got_profiles[sizes] += count
             assert got_stats == want_stats
             assert got_profiles == want_profiles
+
+    @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+    def test_table_is_pinned(self, n):
+        digest = hashlib.sha256(repr(ncl_table(n)).encode()).hexdigest()
+        assert digest == TABLE_DIGESTS[n]
 
     def test_repeated_calls_agree(self):
         abc = (F(3, 4), F(5, 3), F(2))
