@@ -56,14 +56,22 @@ _FAMILIES = {
 }
 
 
+# one flag per parameter field of any family, with its parser
+_FAMILY_FLAGS = {f.name: float if f.type == "float" else _rat
+                 for cls in _FAMILIES.values() for f in fields(cls)}
+
+
+def _families_with(op: str) -> tuple[str, ...]:
+    """The --family keys whose class defines the Family operation ``op``."""
+    base = getattr(distributions.Family, op)
+    return tuple(k for k, cls in _FAMILIES.items()
+                 if getattr(cls, op) is not base)
+
+
 def _add_family_flags(p: argparse.ArgumentParser, families) -> None:
     """--family plus one flag per parameter field of any family."""
     p.add_argument("--family", required=True, choices=families)
-    flags = {}
-    for cls in _FAMILIES.values():
-        for f in fields(cls):
-            flags[f.name] = float if f.type == "float" else _rat
-    for name, kind in flags.items():
+    for name, kind in _FAMILY_FLAGS.items():
         p.add_argument(f"--{name}", type=kind)
 
 
@@ -78,6 +86,10 @@ def _build_family(args):
         if isinstance(v, float) and not math.isfinite(v):
             raise FreeBetaError(f"--{f.name} must be finite, got {v}")
         params[f.name] = v
+    for name in _FAMILY_FLAGS:
+        if name not in params and getattr(args, name) is not None:
+            raise FreeBetaError(
+                f"--{name} is not a parameter of --family {args.family}")
     return _FAMILIES[args.family](**params), params
 
 
@@ -355,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("moments", _cmd_moments, "moments",
             help="moments by one or all routes")
-    _add_family_flags(p, ("fp", "ifp", "fbp", "ff", "ft", "fb"))
+    _add_family_flags(p, _families_with("_moments"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--route", default="all", choices=(*MOMENT_ROUTES, "all"))
 
@@ -397,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("score-check", _cmd_score_check, "grid",
             help="score function vs potential derivative")
-    _add_family_flags(p, ("fbp", "ft", "fb"))
+    _add_family_flags(p, _families_with("_v_prime"))
     p.add_argument("--points", type=int, default=20)
 
     p = add("mc-fisher", _cmd_mc_fisher, "histogram",

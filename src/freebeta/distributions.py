@@ -294,9 +294,8 @@ def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
     alpha_0 = s = a/(b-1); alpha_k = t*u^k for k >= 1 with
     t = (a+b-1)/(b-1) and u = 1/(b-1).
     """
-    a, b = _frac(a), _frac(b)
-    if a <= 0 or b <= 1:
-        raise InvalidParameters("need a > 0 and b > 1")
+    fam = FreeBetaPrime(a, b)
+    a, b = fam.a, fam.b
     return a / (b - 1), (a + b - 1) / (b - 1), 1 / (b - 1)
 
 
@@ -614,9 +613,8 @@ class MeixnerStandardization:
 
 def standardize_to_meixner(a, b) -> MeixnerStandardization:
     """Shape parameters of the standardized free beta prime law."""
-    a, b = _frac(a), _frac(b)
-    if a <= 0 or b <= 1:
-        raise InvalidParameters("need a > 0 and b > 1")
+    fam = FreeBetaPrime(a, b)
+    a, b = fam.a, fam.b
     mean = a / (b - 1)
     variance = a * (a + b - 1) / (b - 1) ** 3
     theta_sq = (2 * a + b - 1) ** 2 / (a * (a + b - 1) * (b - 1))

@@ -93,13 +93,14 @@ class LinkedPartition:
         return len(self.blocks)
 
 
-def _sweep(p: LinkedPartition) -> list[int] | None:
-    """Cover counts of a linked partition (index x for element x), or None.
+def _sweep(p: LinkedPartition) -> tuple[list[int], dict] | None:
+    """Cover counts (index x for element x) and ``inner``, or None.
 
     Blocks are filed under their minima and other elements under their
-    blocks, so structural faults fail before any walk over 1..n.  The walk
-    keeps the open blocks on a stack: the block holding x must be on top
-    (it pops at its maximum), then a block opening at x is pushed.
+    blocks (``inner``), so structural faults fail before any walk over
+    1..n.  The walk keeps the open blocks on a stack: the block holding x
+    must be on top (it pops at its maximum), then a block opening at x is
+    pushed.
     """
     first: dict[int, tuple[int, ...]] = {}
     inner: dict[int, tuple[int, ...]] = {}
@@ -131,7 +132,7 @@ def _sweep(p: LinkedPartition) -> list[int] | None:
                 return None  # a shared singleton
             cover[x] = 2
             stack.append(block)
-    return cover
+    return cover, inner
 
 
 def validate_ncl(p: LinkedPartition) -> bool:
@@ -259,9 +260,10 @@ def statistics(p: LinkedPartition) -> NclStatistics:
     dc + sc + sg = number of blocks, and counting elements with
     multiplicity gives sum of block sizes = n + dc.
     """
-    cover = _sweep(p)
-    if cover is None:
+    swept = _sweep(p)
+    if swept is None:
         raise InvalidPartition("not a non-crossing linked partition")
+    cover = swept[0]
     dc = cover.count(2)
     sg = sum(1 for b in p.blocks if len(b) == 1)
     sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
@@ -299,15 +301,14 @@ def doubly_covered_types(
     two* otherwise; type one corresponds to flat-step linked cards, type
     two to up-step linked cards in the card model.
     """
-    cover = _sweep(p)
-    if cover is None:
+    swept = _sweep(p)
+    if swept is None:
         raise InvalidPartition("not a non-crossing linked partition")
+    cover, host = swept
     t1, t2 = [], []
     for x, c in enumerate(cover):
-        if c != 2:
-            continue
-        host = next(b for b in p.blocks if x in b and x != b[0])
-        (t1 if x == host[-1] else t2).append(x)
+        if c == 2:
+            (t1 if x == host[x][-1] else t2).append(x)
     return tuple(t1), tuple(t2)
 
 

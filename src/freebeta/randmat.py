@@ -138,7 +138,7 @@ def ks_distance(eigs, f: Family) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def histogram_rows(eigs, f: Family, bins: int = 40):
+def histogram_rows(eigs, f: Family, bins: int):
     """(bin_left, bin_right, empirical_density, theoretical_density) rows."""
     eigs = np.asarray(eigs, dtype=float)
     counts, edges = np.histogram(eigs, bins=bins)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     InsufficientOrder,
@@ -31,7 +30,6 @@ __all__ = [
     "s_to_t",
     "free_add_convolve",
     "free_mult_convolve",
-    "noncrossing_partitions",
 ]
 
 
@@ -95,53 +93,17 @@ def moments_to_r(m: MomentSequence) -> PowerSeries:
     return PowerSeries(c.coefficients[1:])
 
 
-def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield all non-crossing set partitions of {1..n} as block tuples.
+def r_to_moments(r: PowerSeries) -> MomentSequence:
+    """Moments from the R-transform series, the inverse of moments_to_r.
 
-    The interval recursion: the block of the smallest element of lo..hi-1
-    splits the rest into independent gaps, one after each block element.
-    """
-
-    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if lo == hi:
-            yield ()
-            return
-        for k in range(hi - lo):
-            for picks in combinations(range(lo + 1, hi), k):
-                block = (lo,) + picks
-                gaps = [rec(x + 1, y) for x, y in zip(block, picks + (hi,))]
-                for combo in product(*gaps):
-                    yield (block,) + tuple(chain.from_iterable(combo))
-
-    yield from rec(1, n + 1)
-
-
-def r_to_moments(r: PowerSeries, route: str = "series") -> MomentSequence:
-    """Moments from the R-transform series by one of two independent routes.
-
-    ``series`` reverts u / C(u), C(u) = 1 + u R(u), into w = z M(z);
-    ``nc_sum`` evaluates m_n = sum over non-crossing partitions of the
-    product of r_{|B|} = R[|B| - 1] over blocks.
+    Reverts u / C(u), C(u) = 1 + u R(u), into w = z M(z).
     """
     n = r.order + 1
-    if route == "series":
-        c = PowerSeries((Fraction(1),) + r.coefficients)
-        u_over_c = PowerSeries(
-            (Fraction(0),) + (PowerSeries.constant(1, n) / c).coefficients
-        )
-        return MomentSequence(ps_reversion(u_over_c).shift_down().coefficients)
-    if route == "nc_sum":
-        moments = [Fraction(1)]
-        for k in range(1, n + 1):
-            total = Fraction(0)
-            for part in noncrossing_partitions(k):
-                prod = Fraction(1)
-                for block in part:
-                    prod *= r[len(block) - 1]
-                total += prod
-            moments.append(total)
-        return MomentSequence(tuple(moments))
-    raise ValueError(f"unknown route {route!r}")
+    c = PowerSeries((Fraction(1),) + r.coefficients)
+    u_over_c = PowerSeries(
+        (Fraction(0),) + (PowerSeries.constant(1, n) / c).coefficients
+    )
+    return MomentSequence(ps_reversion(u_over_c).shift_down().coefficients)
 
 
 def moments_to_s(m: MomentSequence) -> PowerSeries:
@@ -155,15 +117,11 @@ def moments_to_s(m: MomentSequence) -> PowerSeries:
     return base * _poly(base.order, 1, 1)
 
 
-def s_to_moments(s: PowerSeries, order: int) -> MomentSequence:
-    """Invert moments_to_s: recover m_1..m_order from S to order-1."""
-    if s.order < order - 1:
-        raise InsufficientOrder(
-            f"S-series order {s.order} < {order - 1} needed"
-        )
+def s_to_moments(s: PowerSeries) -> MomentSequence:
+    """Invert moments_to_s: recover m_1..m_(n+1) from S to order n."""
     if s[0] == 0:
         raise ZeroConstantS("S(0) = 0 has no moment inverse here")
-    phi_inv = PowerSeries((0,) + s.coefficients[:order]) / _poly(order, 1, 1)
+    phi_inv = PowerSeries((0,) + s.coefficients) / _poly(s.order + 1, 1, 1)
     phi = ps_reversion(phi_inv)
     return MomentSequence((Fraction(1),) + phi.coefficients[1:])
 
@@ -190,4 +148,4 @@ def free_mult_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence
     if ma[1] == 0 or mb[1] == 0:
         raise ZeroMeanError("multiplicative convolution needs m_1 != 0")
     s = moments_to_s(ma) * moments_to_s(mb)
-    return s_to_moments(s, ma.order)
+    return s_to_moments(s)

@@ -1,11 +1,13 @@
 """Tests for the command-line interface: JSON envelope, CSV, exit codes."""
 
+import argparse
 import inspect
 import io
 import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -329,6 +331,23 @@ class TestExitCodes:
         assert code == 0
 
 
+def _family_choices(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == "family")
+
+
+@pytest.mark.parametrize("command, op", [
+    ("moments", "_moments"), ("density", None), ("support", None),
+    ("score-check", "_v_prime"),
+])
+def test_family_choices_come_from_the_classes(command, op):
+    want = [key for key, cls in _FAMILIES.items()
+            if op is None or op in vars(cls)]
+    assert list(_family_choices(command)) == want
+
+
 class TestInputGuards:
     def assert_one_error_line(self, capsys, *argv):
         start = time.perf_counter()
@@ -338,6 +357,24 @@ class TestInputGuards:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         return elapsed
+
+    @pytest.mark.parametrize("command, extra", [
+        ("moments", ["--n", "2"]), ("density", []), ("support", []),
+        ("score-check", []),
+    ])
+    def test_stray_family_flag_is_refused(self, capsys, command, extra):
+        code, out, err = run_cli(
+            capsys, command, "--family", "fbp", "--a", "2", "--b", "3",
+            "--m", "5", *extra,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --m is not a parameter of --family fbp\n"
+
+    def test_moments_refuses_a_family_without_moments(self, capsys):
+        self.assert_one_error_line(
+            capsys, "moments", "--family", "meixner", "--theta", "1",
+            "--tau", "1", "--n", "2",
+        )
 
     @pytest.mark.parametrize("n", ["-1", "0"])
     def test_moments_rejects_nonpositive_n(self, capsys, n):
@@ -669,14 +706,27 @@ _COMMANDS = {
 _TABULAR = {"moments", "density", "gamma-gf", "score-check", "mc-fisher"}
 
 
+_PARAM_FLAGS = {f"--{f.name}" for cls in _FAMILIES.values()
+                for f in fields(cls)}
+
+
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = [command]
-    for flag, values in _COMMANDS[command].items():
+    flags = _COMMANDS[command]
+    family = draw(flags["--family"]) if "--family" in flags else None
+    own = ({f"--{f.name}" for f in fields(_FAMILIES[family])}
+           if family in _FAMILIES else _PARAM_FLAGS)
+    for flag, values in flags.items():
+        # a parameter of another family is refused: draw one in five
+        if flag in _PARAM_FLAGS - own and draw(st.integers(0, 4)):
+            continue
         if draw(st.integers(0, 9)):
             argv.append(flag)
-            if values is not None:
+            if flag == "--family":
+                argv.append(family)
+            elif values is not None:
                 argv.append(draw(values))
     if draw(st.integers(0, 19)) == 0:
         argv.append("--zebra")

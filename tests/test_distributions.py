@@ -27,6 +27,7 @@ from freebeta.distributions import (
     InverseFreePoisson,
     cauchy_eval,
     classify_meixner,
+    fbp_t_params,
     measure_of,
     moment_series,
     s_transform_of,
@@ -76,6 +77,15 @@ class TestParameterValidation:
             FreeBeta(F(1, 4), F(1, 2))
         with pytest.raises(InvalidTau):
             FreeMeixnerStd(0.0, -1.5)
+
+    @pytest.mark.parametrize("a, b", [(0, 3), (2, 1)])
+    @pytest.mark.parametrize("fn", [fbp_t_params, standardize_to_meixner])
+    def test_fbp_parameter_functions_share_the_family_check(self, fn, a, b):
+        with pytest.raises(InvalidParameters) as want:
+            FreeBetaPrime(a, b)
+        with pytest.raises(InvalidParameters) as got:
+            fn(a, b)
+        assert str(got.value) == str(want.value)
 
     def test_parameters_coerced_to_fractions(self):
         f = FreeBetaPrime(2, 3)

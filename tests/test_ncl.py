@@ -7,6 +7,7 @@ generator, so the two implementations share no code paths.
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -418,6 +419,16 @@ class TestStatistics:
         for p in enumerate_ncl(n):
             assert statistics(p) == pairwise_statistics(p)
             assert doubly_covered_types(p) == pairwise_doubly_covered_types(p)
+
+    def test_doubly_covered_types_are_linear_in_n(self):
+        # the chain 1,2|2,3|...: every inner element is a host's maximum
+        n = 10**5
+        p = LinkedPartition(n, tuple((x, x + 1) for x in range(1, n)))
+        start = time.perf_counter()
+        type_one, type_two = doubly_covered_types(p)
+        assert time.perf_counter() - start < 1.0
+        assert type_one == tuple(range(2, n))
+        assert type_two == ()
 
     def test_invalid_partition_raises(self):
         p = LinkedPartition(4, ((1, 3), (2, 4)))

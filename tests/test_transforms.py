@@ -3,6 +3,8 @@
 import itertools
 import random
 from fractions import Fraction
+from itertools import chain, combinations, product
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -17,13 +19,52 @@ from freebeta.transforms import (
     free_mult_convolve,
     moments_to_r,
     moments_to_s,
-    noncrossing_partitions,
     r_to_moments,
     s_to_moments,
     s_to_t,
 )
 
 F = Fraction
+
+
+def noncrossing_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield all non-crossing set partitions of {1..n} as block tuples.
+
+    The interval recursion: the block of the smallest element of lo..hi-1
+    splits the rest into independent gaps, one after each block element.
+    """
+
+    def rec(lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if lo == hi:
+            yield ()
+            return
+        for k in range(hi - lo):
+            for picks in combinations(range(lo + 1, hi), k):
+                block = (lo,) + picks
+                gaps = [rec(x + 1, y) for x, y in zip(block, picks + (hi,))]
+                for combo in product(*gaps):
+                    yield (block,) + tuple(chain.from_iterable(combo))
+
+    yield from rec(1, n + 1)
+
+
+def nc_sum_moments(r: PowerSeries) -> MomentSequence:
+    """The oracle for r_to_moments: the moment-cumulant formula.
+
+    m_n = sum over non-crossing partitions of the product of
+    r_{|B|} = R[|B| - 1] over blocks.
+    """
+    n = r.order + 1
+    moments = [Fraction(1)]
+    for k in range(1, n + 1):
+        total = Fraction(0)
+        for part in noncrossing_partitions(k):
+            prod = Fraction(1)
+            for block in part:
+                prod *= r[len(block) - 1]
+            total += prod
+        moments.append(total)
+    return MomentSequence(tuple(moments))
 
 
 def semicircle_moments(order):
@@ -39,11 +80,8 @@ def semicircle_moments(order):
 
 
 def poisson_moments(lam, order):
-    """Free Poisson moments: sum over NC(n) of lam^{#blocks}."""
-    vals = [F(1)]
-    for n in range(1, order + 1):
-        vals.append(sum(F(lam) ** len(p) for p in noncrossing_partitions(n)))
-    return MomentSequence(tuple(vals))
+    """Free Poisson moments: every free cumulant is lam."""
+    return nc_sum_moments(PowerSeries([F(lam)] * order))
 
 
 moment_strategy = st.lists(
@@ -76,14 +114,11 @@ class TestMomentCumulant:
 
     def test_nc_sum_route_matches_series_route(self):
         r = PowerSeries(F(k + 1, 2) for k in range(8))
-        via_series = r_to_moments(r, route="series")
-        via_sum = r_to_moments(r, route="nc_sum")
-        assert via_series.moments == via_sum.moments
+        assert r_to_moments(r).moments == nc_sum_moments(r).moments
 
     def test_series_route_matches_nc_sum_to_order_10(self):
         r = PowerSeries(F((-1) ** k * (k + 2), k + 1) for k in range(10))
-        assert r_to_moments(r, route="series").moments == \
-            r_to_moments(r, route="nc_sum").moments
+        assert r_to_moments(r).moments == nc_sum_moments(r).moments
 
     def test_round_trip_order_24(self):
         m = MomentSequence(
@@ -144,19 +179,18 @@ class TestSTransform:
         if m[1] == 0:
             m = MomentSequence((F(1), F(1)) + m.moments[2:])
         s = moments_to_s(m)
-        back = s_to_moments(s, m.order)
+        back = s_to_moments(s)
         assert back.moments == m.moments
 
     def test_s_conversions_at_edge_orders(self):
-        # one moment gives S to order 0; S of a higher order is truncated
+        # one moment gives S to order 0; S to order n gives n + 1 moments
         lam = F(2)
         assert moments_to_s(poisson_moments(lam, 1)) == \
             PowerSeries.constant(F(1, 2), 0)
         s = moments_to_s(poisson_moments(lam, 8))
         for order in (1, 3, 8):
             m = poisson_moments(lam, order)
-            assert s_to_moments(s.truncate(order - 1), order) == m
-            assert s_to_moments(s, order) == m
+            assert s_to_moments(s.truncate(order - 1)) == m
 
     def test_s_requires_nonzero_mean(self):
         m = MomentSequence((F(1), F(0), F(1), F(0)))
