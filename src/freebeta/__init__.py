@@ -28,7 +28,6 @@ from .ncl import LinkedPartition, enumerate_ncl, fbp_moment, gamma_poly
 from .series import PowerSeries
 from .transforms import (
     MomentSequence,
-    TCoefficients,
     free_add_convolve,
     free_mult_convolve,
 )

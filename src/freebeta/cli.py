@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -112,22 +113,29 @@ def _all_int_digits():
 
 
 def _emit(args, params: dict, results, provenance) -> None:
-    """Print the JSON envelope, or as CSV the rows under the table key."""
+    """Print the JSON envelope, or as CSV the rows under the table key.
+
+    A reader that closes stdout early (``| head``) ends the output quietly:
+    the rest goes to the null device and the command keeps its exit code.
+    """
     with _all_int_digits():
         if args.format == "csv":
             rows = results[args.table]
-            print(",".join(rows[0]))
-            for row in rows:
-                print(",".join(str(_fmt(c)) for c in row.values()))
-            return
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "params": _fmt(params),
-            "results": _fmt(results),
-            "provenance": list(provenance),
-        }
-        print(json.dumps(envelope))
+            lines = [",".join(rows[0])] + [
+                ",".join(str(_fmt(c)) for c in row.values()) for row in rows]
+        else:
+            lines = [json.dumps({
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "params": _fmt(params),
+                "results": _fmt(results),
+                "provenance": list(provenance),
+            })]
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --------------------------------------------------------------------------
@@ -270,7 +278,7 @@ def _cmd_t_coeffs(args) -> int:
     coeffs = distributions.t_coeffs_of(fam, args.order)
     s, t, u = distributions.fbp_t_params(args.a, args.b)
     _emit(args, {"a": args.a, "b": args.b, "order": args.order},
-          {"alphas": list(coeffs.alphas), "s": s, "t": t, "u": u},
+          {"alphas": list(coeffs.coefficients), "s": s, "t": t, "u": u},
           ["closed-form"])
     return 0
 

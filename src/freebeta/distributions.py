@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .series import PowerSeries, _poly, ps_sqrt
-from .transforms import MomentSequence, TCoefficients, _frac
+from .transforms import MomentSequence, _frac
 
 __all__ = [
     "FreePoisson",
@@ -230,7 +230,7 @@ class FreePoisson(Family):
         lam = self.lam
         n = order + 1
         disc = _poly(n, 1, -2 * (1 + lam), (1 - lam) ** 2)
-        num = _poly(n, 0, 1 - lam) + _poly(n, 1) - ps_sqrt(disc, branch=1)
+        num = _poly(n, 0, 1 - lam) + _poly(n, 1) - ps_sqrt(disc)
         m = num.shift_down().scale(Fraction(1, 2))
         return MomentSequence(m.coefficients)
 
@@ -279,7 +279,7 @@ class InverseFreePoisson(Family):
         # m_k = -[z^(k-1)] of the Taylor series at 0 of the free Poisson G
         b, n = self.b, order + 1
         disc = _poly(n, (1 - b) ** 2, -2 * (1 + b), 1)
-        num = _poly(n, 1 - b, 1) - ps_sqrt(disc, branch=-1)
+        num = _poly(n, 1 - b, 1) + ps_sqrt(disc)
         g = num.shift_down().scale(Fraction(1, 2))
         m = _poly(order, 1) - g.truncate(order).shift_up()
         return MomentSequence(m.coefficients)
@@ -334,16 +334,16 @@ class FreeBetaPrime(Family):
         a, b = self.a, self.b
         disc = (_poly(order, b - 1, -(1 + a)) * _poly(order, b - 1, -(1 + a))
                 - _poly(order, 0, 4 * a) * _poly(order, 1, 1))
-        num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc, branch=1)
+        num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc)
         m = num / _poly(order, 2, 2)
         return MomentSequence(m.coefficients)
 
     def _s_transform(self, order: int) -> PowerSeries:
         return _poly(order, self.b - 1, -1) / _poly(order, self.a, 1)
 
-    def _t_coeffs(self, order: int) -> TCoefficients:
+    def _t_coeffs(self, order: int) -> PowerSeries:
         s, t, u = fbp_t_params(self.a, self.b)
-        return TCoefficients(
+        return PowerSeries(
             (s,) + tuple(t * u ** k for k in range(1, order + 1))
         )
 
@@ -473,7 +473,7 @@ class FreeBeta(Family):
         a, b = self.a, self.b
         mid = a * b + a * a - a + b
         disc = _poly(order, (a + b) ** 2, -2 * mid, (a - 1) ** 2)
-        num = _poly(order, a + b - 2, 1 - a) - ps_sqrt(disc, branch=1)
+        num = _poly(order, a + b - 2, 1 - a) - ps_sqrt(disc)
         m = num / _poly(order, -2, 2)
         return MomentSequence(m.coefficients)
 
@@ -582,8 +582,8 @@ def s_transform_of(f: Family, order: int) -> PowerSeries:
     return f._s_transform(order)
 
 
-def t_coeffs_of(f: FreeBetaPrime, order: int) -> TCoefficients:
-    """Exact T-transform coefficients alpha_0 = s, alpha_k = t*u^k."""
+def t_coeffs_of(f: FreeBetaPrime, order: int) -> PowerSeries:
+    """T(z) = 1/S(z) = sum alpha_k z^k: alpha_0 = s, alpha_k = t*u^k."""
     return f._t_coeffs(order)
 
 

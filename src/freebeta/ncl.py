@@ -31,7 +31,7 @@ from .errors import (
 )
 from .series import PowerSeries, cf_expand, ps_sqrt
 from .series import _poly
-from .transforms import TCoefficients, _frac
+from .transforms import _frac
 
 __all__ = [
     "LinkedPartition",
@@ -362,8 +362,9 @@ def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
                   gamma: Fraction) -> PowerSeries:
     """Expand the algebraic solution of the defining quadratic.
 
-    The discriminant's constant term is beta^2, and the square-root branch
-    with value beta at z = 0 selects the solution with G(0) = 1.
+    The discriminant's constant term is beta^2, and the square root with
+    value beta at z = 0 (ps_sqrt's root, negated when beta < 0) selects the
+    solution with G(0) = 1.
     """
     n = order
     if beta == 0:
@@ -372,7 +373,8 @@ def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
     # one order more, so that a factor z can be cancelled when A(0) = 0
     a_ser, b_ser, c_ser = _gamma_quadratic(n + 1, alpha, beta, gamma)
     disc = b_ser * b_ser - (a_ser * c_ser).scale(4)
-    num = b_ser - ps_sqrt(disc, branch=1 if beta > 0 else -1)
+    root = ps_sqrt(disc)
+    num = b_ser - root if beta > 0 else b_ser + root
     den = a_ser.scale(2)
     if alpha == 0:
         # A(0) = alpha = 0 and num(0) = B(0) - beta = 0: cancel one z
@@ -411,8 +413,13 @@ def gamma_poly(n: int, alpha, beta, gamma) -> Fraction:
 # Moment formulas
 # --------------------------------------------------------------------------
 
-def moment_via_ncl(alphas: TCoefficients, n: int) -> Fraction:
-    """m_n = sum over NCL(n) of alpha_0^{n - #blocks} prod_B alpha_{|B|-1}."""
+def moment_via_ncl(alphas: PowerSeries, n: int) -> Fraction:
+    """m_n = sum over NCL(n) of alpha_0^{n - #blocks} prod_B alpha_{|B|-1}.
+
+    ``alphas`` is the T-transform T(z) = 1/S(z) = sum alpha_k z^k.
+    """
+    if alphas[0] == 0:
+        raise ValueError("T-transform needs alpha_0 != 0")
     if n == 0:
         return Fraction(1)
     if alphas.order < n - 1:

@@ -223,16 +223,15 @@ def _sqrt_fraction(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def ps_sqrt(f: PowerSeries, branch: int = 1) -> PowerSeries:
-    """Exact series square root; f(0) must be a nonzero rational square.
+def ps_sqrt(f: PowerSeries) -> PowerSeries:
+    """Exact series square root with a positive constant term.
 
-    ``branch`` selects the sign of the constant term (+1 or -1).
+    f(0) must be a positive rational square.  The other root is the
+    negation: negating g_0 negates every g_k exactly.
     """
     if f[0] == 0:
         raise ValueError("series sqrt needs a nonzero constant term")
     g0 = _sqrt_fraction(f[0])
-    if branch < 0:
-        g0 = -g0
     # g_k = (f_k - sum_{0<i<k} g_i g_(k-i)) / (2 g0), the self-convolution
     # taken in integers over the running lcm L of g_1..g_(k-1), halved by
     # symmetry, and one reduction per output.

@@ -1,4 +1,4 @@
-"""Moment sequences and the G/M/Phi/R/S/T transform algebra.
+"""Moment sequences and the G/M/Phi/R/S transform algebra.
 
 Everything here lives at the level of truncated exact-rational series;
 closed-form function objects belong to :mod:`freebeta.distributions` and are
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import (
     InsufficientOrder,
@@ -22,12 +21,10 @@ from .series import PowerSeries, _poly, ps_reversion
 
 __all__ = [
     "MomentSequence",
-    "TCoefficients",
     "moments_to_r",
     "r_to_moments",
     "moments_to_s",
     "s_to_moments",
-    "s_to_t",
     "free_add_convolve",
     "free_mult_convolve",
 ]
@@ -37,10 +34,6 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _fracs(xs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(_frac(x) for x in xs)
-
-
 @dataclass(frozen=True)
 class MomentSequence:
     """Moments m_0..m_order of a compactly supported measure, m_0 = 1."""
@@ -48,7 +41,7 @@ class MomentSequence:
     moments: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moments", _fracs(self.moments))
+        object.__setattr__(self, "moments", tuple(map(_frac, self.moments)))
         if not self.moments or self.moments[0] != 1:
             raise ValueError("a moment sequence starts with m_0 = 1")
 
@@ -58,25 +51,6 @@ class MomentSequence:
 
     def __getitem__(self, n: int) -> Fraction:
         return self.moments[n]
-
-
-@dataclass(frozen=True)
-class TCoefficients:
-    """Coefficients of the T-transform T(z) = sum alpha_k z^k; alpha_0 != 0."""
-
-    alphas: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", _fracs(self.alphas))
-        if not self.alphas or self.alphas[0] == 0:
-            raise ValueError("T-transform needs alpha_0 != 0")
-
-    @property
-    def order(self) -> int:
-        return len(self.alphas) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.alphas[k]
 
 
 def moments_to_r(m: MomentSequence) -> PowerSeries:
@@ -124,14 +98,6 @@ def s_to_moments(s: PowerSeries) -> MomentSequence:
     phi_inv = PowerSeries((0,) + s.coefficients) / _poly(s.order + 1, 1, 1)
     phi = ps_reversion(phi_inv)
     return MomentSequence((Fraction(1),) + phi.coefficients[1:])
-
-
-def s_to_t(s: PowerSeries) -> TCoefficients:
-    """Reciprocal series: T(z) S(z) = 1 to order."""
-    if s[0] == 0:
-        raise ZeroConstantS("cannot invert an S-series vanishing at 0")
-    recip = PowerSeries.constant(1, s.order) / s
-    return TCoefficients(recip.coefficients)
 
 
 def free_add_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:

@@ -4,11 +4,14 @@ import argparse
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -329,6 +332,24 @@ class TestExitCodes:
     def test_success_is_0(self, capsys):
         code, _, _ = run_cli(capsys, "support", "--family", "ft", "--m", "2")
         assert code == 0
+
+    def test_closed_stdout_ends_quietly(self):
+        # --list prints ~170 KB, more than a pipe holds, so the command is
+        # still writing when the reader closes the pipe after 100 bytes
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "freebeta.cli", "enumerate-ncl", "--n", "8",
+             "--list"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 def _family_choices(command):

@@ -36,7 +36,7 @@ from freebeta.ncl import (
     statistics,
     validate_ncl,
 )
-from freebeta.transforms import TCoefficients
+from freebeta.series import PowerSeries
 from freebeta.verification import _FBP_PARAMS
 
 F = Fraction
@@ -473,6 +473,18 @@ class TestGammaPolynomial:
             for n in range(1, 7):
                 assert gamma_poly(n, *abc) == cf[n] == closed[n]
 
+    @pytest.mark.parametrize("abc", [(F(1, 3), F(-2), F(5)),
+                                     (F(0), F(-1), F(1)),
+                                     (F(2), F(-1, 2), F(-3))])
+    def test_routes_agree_at_negative_beta(self, abc):
+        # beta < 0 takes the negated square root in the closed route
+        cf = gamma_series(7, *abc, route="cf")
+        closed = gamma_series(7, *abc, route="closed")
+        for n in range(1, 8):
+            assert gamma_poly(n, *abc) == cf[n] == closed[n]
+        res = gamma_quadratic_residual(closed, *abc)
+        assert all(c == 0 for c in res.coefficients)
+
     def test_closed_form_satisfies_quadratic(self):
         for abc in [(F(1), F(1), F(1)), (F(2), F(1, 2), F(3)),
                     (F(0), F(1), F(1)), (F(1, 3), F(4), F(2, 5))]:
@@ -519,7 +531,7 @@ class TestMomentViaNcl:
 
     def test_moment_via_ncl_partition_weights(self):
         # with alphas (1, x, x, ...) the sum counts blocks of size >= 2
-        alphas = TCoefficients((F(1), F(3), F(3), F(3), F(3)))
+        alphas = PowerSeries((F(1), F(3), F(3), F(3), F(3)))
         got = moment_via_ncl(alphas, 3)
         brute = sum(
             F(3) ** sum(1 for blk in p.blocks if len(blk) >= 2)
@@ -606,7 +618,7 @@ class TestNclTable:
 
     def test_size_limit_applies_to_every_sum(self):
         n = NCL_SIZE_LIMIT + 1
-        alphas = TCoefficients((F(1),) * n)
+        alphas = PowerSeries((F(1),) * n)
         with pytest.raises(SizeLimitExceeded):
             gamma_poly(n, 1, 1, 1)
         with pytest.raises(SizeLimitExceeded):

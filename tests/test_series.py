@@ -292,8 +292,10 @@ class TestSqrt:
         assert r.coefficients == (F(1), F(1, 2), F(-1, 8), F(1, 16))
 
     def test_branch_sign(self):
-        r = ps_sqrt(poly(4, 4, 1), branch=-1)
-        assert r[0] == F(-2)
+        # the positive root; callers that want the other one negate it
+        assert ps_sqrt(poly(4, 4, 1))[0] == F(2)
+        r = -ps_sqrt(poly(4, 4, 1))
+        assert r == plain_sqrt(poly(4, 4, 1), -1)
         assert (r * r) == poly(4, 4, 1)
 
     def test_non_square_constant_rejected(self):
@@ -311,7 +313,7 @@ class TestSqrt:
            st.sampled_from([1, -1]))
     def test_sqrt_matches_term_by_term_oracle(self, c0, tail, branch):
         f = PowerSeries([c0 * c0] + tail)
-        r = ps_sqrt(f, branch=branch)
+        r = ps_sqrt(f) if branch > 0 else -ps_sqrt(f)
         assert r == plain_sqrt(f, branch)
         assert r * r == f
 
