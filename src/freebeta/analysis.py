@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-def _extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
+def _extrapolate(xs: Sequence[float], ys: Sequence[complex]) -> complex:
     """Neville's polynomial extrapolation of (xs, ys) to x = 0."""
     tab = list(ys)
     n = len(tab)
@@ -60,29 +60,23 @@ def _extrapolate(xs: Sequence[float], ys: Sequence[float]) -> float:
     return tab[0]
 
 
-def _require_interior(f: Family, x: float) -> None:
+def _boundary_g(f: Family, x: float) -> complex:
+    """lim G(x + i*eps) as eps -> 0+, extrapolated along _LADDER."""
     lo, hi = support_of(f)
     if not lo < x < hi:
         raise OutsideSupport(f"{x} not strictly inside [{lo}, {hi}]")
+    return _extrapolate(
+        _LADDER, [cauchy_eval(f, complex(x, eps)) for eps in _LADDER])
 
 
 def stieltjes_density(f: Family, x: float) -> float:
     """density(x) = -(1/pi) * lim Im G(x + i*eps), extrapolated to eps = 0."""
-    _require_interior(f, x)
-    vals = [
-        -cauchy_eval(f, complex(x, eps)).imag / math.pi
-        for eps in _LADDER
-    ]
-    return _extrapolate(_LADDER, vals)
+    return -_boundary_g(f, x).imag / math.pi
 
 
 def hilbert_score(f: Family, x: float) -> float:
     """The free score 2*H(x): twice the boundary real part of G."""
-    _require_interior(f, x)
-    vals = [
-        2 * cauchy_eval(f, complex(x, eps)).real for eps in _LADDER
-    ]
-    return _extrapolate(_LADDER, vals)
+    return 2 * _boundary_g(f, x).real
 
 
 def potential_derivative(f: Family, x: float) -> float:

@@ -16,13 +16,14 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
 
 from . import analysis, distributions, ncl, randmat
-from .errors import FreeBetaError
+from .errors import FreeBetaError, SizeLimitExceeded
 from .verification import GAMMA_ROUTES, MOMENT_ROUTES, route_rows, run_all
 
 SCHEMA_VERSION = "1.0"
@@ -163,7 +164,8 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 
 
 def _emit_routes(args, table, subject, params: dict) -> int:
-    """Emit the rows of the --route routes (all: those for the subject)."""
+    """Emit the rows of the --route routes (all: those for the subject);
+    under all, routes over their limits are listed under "skipped"."""
     defined = [r for r in table if isinstance(subject, table[r].family)]
     routes = defined if args.route == "all" else [args.route]
     if not set(routes) <= set(defined):
@@ -172,8 +174,15 @@ def _emit_routes(args, table, subject, params: dict) -> int:
         raise FreeBetaError(
             f"routes other than {', '.join(map(repr, defined))} are "
             f"defined for --family {', '.join(owners)}")
-    rows = route_rows({r: table[r].fn(subject, args.n) for r in routes})
-    _emit(args, {**params, "route": args.route}, {args.table: rows}, routes)
+    over = {r: why for r in routes if (why := table[r].limit(subject, args.n))}
+    if args.route in over:
+        raise SizeLimitExceeded(over[args.route])
+    routes = [r for r in routes if r not in over]
+    results = {args.table: route_rows(
+        {r: table[r].fn(subject, args.n) for r in routes})}
+    if over:
+        results["skipped"] = over
+    _emit(args, {**params, "route": args.route}, results, routes)
     return 0
 
 
@@ -353,6 +362,11 @@ def _cmd_verify(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as exceptions, for main's one-line error."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -2, -0.5 and -1/2 are values, not options
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(/\d+)?$")
 
     def error(self, message):
         raise FreeBetaError(message)

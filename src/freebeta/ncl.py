@@ -38,7 +38,6 @@ __all__ = [
     "NclStatistics",
     "level_weights",
     "validate_ncl",
-    "check_ncl_size",
     "enumerate_ncl",
     "motzkin_paths",
     "path_arrangements",
@@ -223,17 +222,12 @@ def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:
     return LinkedPartition(n, tuple(done))
 
 
-def check_ncl_size(n: int) -> None:
-    """Raise unless NCL(n) is small enough to enumerate exhaustively."""
+def enumerate_ncl(n: int) -> list[LinkedPartition]:
+    """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
     if not 1 <= n <= NCL_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"exhaustive enumeration capped at n = {NCL_SIZE_LIMIT}"
         )
-
-
-def enumerate_ncl(n: int) -> list[LinkedPartition]:
-    """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
-    check_ncl_size(n)
     out = []
     for path in motzkin_paths(n):
         for cards in path_arrangements(path):

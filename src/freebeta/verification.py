@@ -22,7 +22,6 @@ from .distributions import (
     FreeT,
     InverseFreePoisson,
 )
-from .errors import SizeLimitExceeded
 from .series import PowerSeries
 
 __all__ = ["CRITERIA", "run_all"]
@@ -38,59 +37,56 @@ _DEEP_ORDER = 16
 _NCL_ORDER = 8
 
 
-def _ncl_range(n: int) -> range:
-    """0..n, once NCL(n) is known to be small enough to enumerate."""
-    ncl.check_ncl_size(n)
-    return range(n + 1)
-
-
 # The transform route's time grows about as n^4 bits(b)^1.7, where bits(x)
 # sums the bit lengths of x's numerator and denominator; a's bits cost about
 # an eighth as much as b's.  At n^2.5 * (bits(b) + bits(a) / 8) = 2e6 it takes
 # 5-7 s from n = 25 to 100 (7 s at n = 10 with the bits in b, 14 s with them in
 # a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
-# 0.1 s inputs at n = 10.)
-_TRANSFORM_SIZE_LIMIT = 2_000_000
+# 0.1 s inputs at n = 10.)  The NCL route shares the bound: at it, its sums
+# take 1-6 s for n = 3..10, on top of building NCL(n) (6-7 s at n = 10).
+_SIZE_LIMIT = 2_000_000
 
 
-def _transform_size(fam: FreeBetaPrime, n: int) -> float:
-    """n^2.5 * (bits(b) + bits(a) / 8), the transform route's cost measure."""
+def _size_limit(route: str, fam: FreeBetaPrime, n: int) -> str | None:
+    """Why n^2.5 * (bits(b) + bits(a) / 8) is over _SIZE_LIMIT, if it is."""
     def bits(x: Fraction) -> int:
         return x.numerator.bit_length() + x.denominator.bit_length()
-    return n ** 2.5 * (bits(fam.b) + bits(fam.a) / 8)
+    size = n ** 2.5 * (bits(fam.b) + bits(fam.a) / 8)
+    if size > _SIZE_LIMIT:
+        return (f"the {route} route is capped at n^2.5 * (bits of b + bits "
+                f"of a / 8) <= {_SIZE_LIMIT}, got {size:.0f}")
 
 
-def _transform_moments(fam: FreeBetaPrime, n: int) -> list[Fraction]:
-    """Moments 0..n of FP(a) boxtimes IFP(b), once the size is under the cap."""
-    size = _transform_size(fam, n)
-    if size > _TRANSFORM_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"the transform route is capped at n^2.5 * (bits of b + bits of "
-            f"a / 8) <= {_TRANSFORM_SIZE_LIMIT}, got {size:.0f}")
-    return transforms.free_mult_convolve(
-        distributions.moment_series(FreePoisson(fam.a), n),
-        distributions.moment_series(InverseFreePoisson(fam.b), n)).moments
+def _ncl_limit(subject, n: int) -> str | None:
+    """Why NCL(n) is too large to enumerate exhaustively, if it is."""
+    if n > ncl.NCL_SIZE_LIMIT:
+        return f"exhaustive enumeration capped at n = {ncl.NCL_SIZE_LIMIT}"
 
 
 # One table per exact quantity, read by the CLI and the criteria: route ->
-# (fn(subject, n) giving terms 0..n, type of subject).  Each fn looks its
-# layer function up at call time, so a traced rebinding is the one called;
-# exhaustive routes come first, so that their size guard fires before any work.
-# The transform route checks its own cap as it starts, so under "all" at
-# n <= 10 the other routes have run by the time it refuses.
-Route = namedtuple("Route", "fn family")
+# (fn(subject, n) giving terms 0..n, type of subject, limit(subject, n)
+# giving the reason the input is over the route's cap, or None).  Each fn
+# looks its layer function up at call time, so a traced rebinding is the one
+# called.
+Route = namedtuple("Route", "fn family limit",
+                   defaults=(lambda subject, n: None,))
 MOMENT_ROUTES = {
     "ncl": Route(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
-                                 for k in _ncl_range(n)], FreeBetaPrime),
+                                 for k in range(n + 1)], FreeBetaPrime,
+                 lambda fam, n: (_ncl_limit(fam, n)
+                                 or _size_limit("ncl", fam, n))),
     "series": Route(lambda fam, n: distributions.moment_series(fam, n).moments,
                     distributions.Family),
     "fock": Route(lambda fam, n: fock.vacuum_moments(
         fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime),
-    "transform": Route(_transform_moments, FreeBetaPrime),
+    "transform": Route(lambda fam, n: transforms.free_mult_convolve(
+        distributions.moment_series(FreePoisson(fam.a), n),
+        distributions.moment_series(InverseFreePoisson(fam.b), n)).moments,
+        FreeBetaPrime, lambda fam, n: _size_limit("transform", fam, n)),
 }
 GAMMA_ROUTES = {
     "brute": Route(lambda abc, n: [ncl.gamma_poly(k, *abc)
-                                   for k in _ncl_range(n)], tuple),
+                                   for k in range(n + 1)], tuple, _ncl_limit),
     "cf": Route(lambda abc, n: ncl.gamma_series(
         n, *abc, route="cf").coefficients, tuple),
     "closed": Route(lambda abc, n: ncl.gamma_series(

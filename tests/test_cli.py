@@ -21,7 +21,7 @@ from freebeta import cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
-from freebeta.errors import SizeLimitExceeded
+from freebeta.errors import InvalidParameters
 
 
 def run_cli(capsys, *argv):
@@ -410,13 +410,50 @@ class TestInputGuards:
             "--n", "0",
         )
 
+    def assert_over_limit(self, capsys, route, skipped, *argv):
+        """Named, a route over its limit exits 2 with its reason before any
+        work; under all it is listed under "skipped" and the others run."""
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--route", route)
+        elapsed = time.perf_counter() - start
+        if route != "all":
+            assert (code, out) == (2, "")
+            assert err == f"error: {skipped[route]}\n"
+            return elapsed
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        results, ran = payload["results"], payload["provenance"]
+        assert results.pop("skipped") == skipped
+        assert ran and not set(ran) & set(skipped)
+        [rows] = results.values()
+        n = int(argv[argv.index("--n") + 1])
+        assert [row["n"] for row in rows] == list(range(1, n + 1))
+        assert all(set(row) == {"n", "agree", *ran} and row["agree"]
+                   for row in rows)
+        return elapsed
+
     @pytest.mark.parametrize("route", ["ncl", "all"])
     def test_moments_size_guard_fires_first(self, capsys, route):
-        elapsed = self.assert_one_error_line(
-            capsys, "moments", "--family", "fbp", "--a", "2", "--b", "3",
-            "--n", "13", "--route", route,
+        elapsed = self.assert_over_limit(
+            capsys, route, {"ncl": "exhaustive enumeration capped at n = 10"},
+            "moments", "--family", "fbp", "--a", "2", "--b", "3",
+            "--n", "13",
         )
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("route", ["ncl", "all"])
+    def test_ncl_route_is_capped_in_parameter_size(self, capsys, route):
+        # at n = 10 the ncl route took 16.5 s on this b before it had this
+        # cap; 10^2.5 * (bits of b + bits of a / 8) = 10^2.5 * (7002 + 3/8)
+        reason = ("the {} route is capped at n^2.5 * (bits of b + bits of "
+                  "a / 8) <= 2000000, got 2214345")
+        elapsed = self.assert_over_limit(
+            capsys, route, {r: reason.format(r) for r in ("ncl", "transform")},
+            "moments", "--family", "fbp", "--a", "2", "--b",
+            str(2 ** 7000 + 1), "--n", "10",
+        )
+        if route == "ncl":
+            assert elapsed < 1
 
     def test_transform_size_cap_fires_first(self, capsys):
         # the transform route ran 79 s on this input before it had a cap
@@ -438,17 +475,19 @@ class TestInputGuards:
         ((2 ** 133 + 1, 3), (2 ** 135 + 1, 3)),
     ], ids=["bits-in-b", "bits-in-a"])
     def test_transform_size_cap_bound(self, inside, outside):
-        fbp, size = distributions.FreeBetaPrime, verification._transform_size
-        assert (size(fbp(*inside), 100) <= verification._TRANSFORM_SIZE_LIMIT
-                < size(fbp(*outside), 100))
-        with pytest.raises(SizeLimitExceeded):
-            verification.MOMENT_ROUTES["transform"].fn(fbp(*outside), 100)
+        fbp = distributions.FreeBetaPrime
+        limit = verification.MOMENT_ROUTES["transform"].limit
+        assert limit(fbp(*inside), 100) is None
+        assert limit(fbp(*outside), 100).startswith(
+            "the transform route is capped")
 
     @pytest.mark.parametrize("route", ["brute", "all"])
     def test_gamma_gf_size_guard_fires_first(self, capsys, route):
-        elapsed = self.assert_one_error_line(
-            capsys, "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
-            "--n", "13", "--route", route,
+        elapsed = self.assert_over_limit(
+            capsys, route,
+            {"brute": "exhaustive enumeration capped at n = 10"},
+            "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--n", "13",
         )
         assert elapsed < 0.5
 
@@ -588,6 +627,16 @@ class TestInputGuards:
     def test_usage_errors_are_one_line(self, capsys, argv):
         elapsed = self.assert_one_error_line(capsys, *argv)
         assert elapsed < 0.5
+
+    def test_a_negative_rational_is_a_value(self, capsys):
+        payload = run_json(capsys, "gamma-gf", "--n", "3", "--alpha", "1",
+                           "--beta", "-1/2", "--gamma", "1", "--route", "cf")
+        assert payload["params"]["beta"] == "-1/2"
+        with pytest.raises(InvalidParameters) as exc:
+            distributions.FreeBetaPrime(Fraction(-1, 2), 3)
+        code, out, err = run_cli(capsys, "moments", "--family", "fbp",
+                                 "--a", "-1/2", "--b", "3", "--n", "2")
+        assert (code, out, err) == (2, "", f"error: {exc.value}\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["density", "--help"]])
     def test_help_exits_0(self, capsys, argv):
