@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh
 
 from .distributions import Family, FreeF, measure_of
 from .errors import SingularCovariance, SizeLimitExceeded
@@ -34,8 +33,8 @@ __all__ = [
 _CDF_RESOLUTION = 4000
 
 # Size guard of one sample.  p = 1000 at a = 2, b = 3 (5e6 entries) takes
-# ~0.45 s and ~160 MB peak RSS and a p = 2000 eigh ~1 s (2-vCPU x86_64); the
-# caps admit p = 2000 at those ratios, ~4x the work and 160 MB of entries.
+# ~0.45 s and ~160 MB peak RSS and a p = 2000 eigensolve ~1 s (2-vCPU x86_64);
+# the caps admit p = 2000 at those ratios, ~4x the work and 160 MB of entries.
 _MAX_P = 2000
 _MAX_ENTRIES = 2 * 10**7
 
@@ -74,12 +73,38 @@ class FisherSampleConfig:
         return round(self.b * self.p)
 
 
+# Diagonal blocks of at most this size are inverted directly.
+_TRIL_BLOCK = 128
+
+
+def _tril_inv(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by recursive 2x2 blocking.
+
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]: the off-diagonal
+    block is two matmuls, so no general LU runs on the full matrix.
+    """
+    n = len(low)
+    if n <= _TRIL_BLOCK:
+        return np.linalg.inv(low)
+    k = n // 2
+    a_inv = _tril_inv(low[:k, :k])
+    d_inv = _tril_inv(low[k:, k:])
+    out = np.zeros_like(low)
+    out[:k, :k] = a_inv
+    out[k:, k:] = d_inv
+    out[k:, :k] = -d_inv @ (low[k:, :k] @ a_inv)
+    return out
+
+
 def sample_fisher_spectrum(cfg: FisherSampleConfig) -> np.ndarray:
     """Eigenvalues of S1 S2^{-1}, ascending; deterministic given the seed.
 
-    Solved as the generalized symmetric-definite problem S1 v = x S2 v, so
-    all eigenvalues come out real.  On a numerically singular S2 the draw
-    is retried on a fresh Philox substream, at most 3 times.
+    Solved as the generalized symmetric-definite problem S1 v = x S2 v by
+    Cholesky reduction (Golub & Van Loan, *Matrix Computations*, 8.7):
+    S2 = L L^T, and the eigenvalues are those of the symmetric
+    L^-1 S1 L^-T, so all come out real.  On a numerically singular S2 (the
+    Cholesky factorization fails) the draw is retried on a fresh Philox
+    substream, at most 3 times.
     """
     n1, n2 = cfg.n1, cfg.n2
     for attempt in range(3):
@@ -89,9 +114,11 @@ def sample_fisher_spectrum(cfg: FisherSampleConfig) -> np.ndarray:
         s1 = (x1 @ x1.T) / n1
         s2 = (x2 @ x2.T) / n2
         try:
-            return eigh(s1, s2, eigvals_only=True)
-        except LinAlgError:
+            low = np.linalg.cholesky(s2)
+        except np.linalg.LinAlgError:
             continue
+        low_inv = _tril_inv(low)
+        return np.linalg.eigvalsh(low_inv @ s1 @ low_inv.T)
     raise SingularCovariance("sample covariance singular after 3 retries")
 
 

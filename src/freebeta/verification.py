@@ -22,6 +22,7 @@ from .distributions import (
     FreeT,
     InverseFreePoisson,
 )
+from .errors import SizeLimitExceeded
 from .series import PowerSeries
 
 __all__ = ["CRITERIA", "run_all"]
@@ -70,23 +71,39 @@ def _ncl_limit(subject, n: int) -> str | None:
 # called.
 Route = namedtuple("Route", "fn family limit",
                    defaults=(lambda subject, n: None,))
+
+
+def _capped(fn, family, limit) -> Route:
+    """A Route whose fn checks its limit first.
+
+    An input over the limit raises SizeLimitExceeded before any table is
+    built, so a caller that does not read ``limit`` is refused at once.
+    """
+    def checked(subject, n):
+        reason = limit(subject, n)
+        if reason:
+            raise SizeLimitExceeded(reason)
+        return fn(subject, n)
+    return Route(checked, family, limit)
+
+
 MOMENT_ROUTES = {
-    "ncl": Route(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
-                                 for k in range(n + 1)], FreeBetaPrime,
-                 lambda fam, n: (_ncl_limit(fam, n)
-                                 or _size_limit("ncl", fam, n))),
+    "ncl": _capped(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
+                                   for k in range(n + 1)], FreeBetaPrime,
+                   lambda fam, n: (_ncl_limit(fam, n)
+                                   or _size_limit("ncl", fam, n))),
     "series": Route(lambda fam, n: distributions.moment_series(fam, n).moments,
                     distributions.Family),
     "fock": Route(lambda fam, n: fock.vacuum_moments(
         fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime),
-    "transform": Route(lambda fam, n: transforms.free_mult_convolve(
+    "transform": _capped(lambda fam, n: transforms.free_mult_convolve(
         distributions.moment_series(FreePoisson(fam.a), n),
         distributions.moment_series(InverseFreePoisson(fam.b), n)).moments,
         FreeBetaPrime, lambda fam, n: _size_limit("transform", fam, n)),
 }
 GAMMA_ROUTES = {
-    "brute": Route(lambda abc, n: [ncl.gamma_poly(k, *abc)
-                                   for k in range(n + 1)], tuple, _ncl_limit),
+    "brute": _capped(lambda abc, n: [ncl.gamma_poly(k, *abc)
+                                     for k in range(n + 1)], tuple, _ncl_limit),
     "cf": Route(lambda abc, n: ncl.gamma_series(
         n, *abc, route="cf").coefficients, tuple),
     "closed": Route(lambda abc, n: ncl.gamma_series(

@@ -5,7 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from freebeta.analysis import (
+    _GK_NODES,
+    _GK_WEIGHTS,
     atom_masses,
     hilbert_score,
     potential_derivative,
@@ -21,11 +25,12 @@ from freebeta.distributions import (
     FreePoisson,
     FreeT,
     InverseFreePoisson,
+    MeasureSpec,
     measure_of,
     moment_series,
     support_of,
 )
-from freebeta.errors import OutsideDomain, OutsideSupport
+from freebeta.errors import OutsideDomain, OutsideSupport, QuadratureFailure
 
 F = Fraction
 
@@ -144,6 +149,33 @@ class TestQuadrature:
         for n in range(4):
             got = quadrature_moment(spec, n)
             assert abs(got - float(exact[n])) < 1e-8
+
+
+class TestGaussKronrod:
+    def test_kronrod_weights_sum_to_two(self):
+        assert _GK_WEIGHTS[0].sum() == pytest.approx(2, abs=1e-15)
+
+    @pytest.mark.parametrize("k", range(23))
+    def test_monomials_integrate_exactly(self, k):
+        # K15 is exact through degree 22 (3 * 7 + 1), G7 through 13; odd
+        # powers vanish by symmetry in both
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        kronrod, gauss = _GK_WEIGHTS @ _GK_NODES ** k
+        assert abs(kronrod - exact) <= 1e-15
+        if k <= 13:
+            assert abs(gauss - exact) <= 1e-15
+        elif k % 2 == 0:
+            assert abs(gauss - exact) > 1e-5
+
+    def test_unresolvable_density_raises(self):
+        # 1 + sin(w x) on [0, 1]: 200 subintervals resolve w = 1e3, not 1e5
+        def spec(w):
+            return MeasureSpec(lambda x: 1 + math.sin(w * x), (0.0, 1.0), ())
+        want = 1 + (1 - math.cos(1e3)) / 1e3
+        assert quadrature_moment(spec(1e3), 0) == pytest.approx(want,
+                                                                 abs=1e-9)
+        with pytest.raises(QuadratureFailure):
+            quadrature_moment(spec(1e5), 0)
 
 
 class TestTLimits:

@@ -7,7 +7,10 @@ fail on a stale entry, so a deletion must take its export with it.
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +34,14 @@ def test_package_reexports_are_exported_by_their_module():
         home = importlib.import_module(value.__module__)
         assert attr in home.__all__, f"{attr} not in {home.__name__}.__all__"
         assert getattr(home, attr) is value
+
+
+def test_cli_import_loads_no_scipy():
+    """The package runs on numpy alone: importing the CLI loads no scipy."""
+    src = os.path.dirname(os.path.dirname(freebeta.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, freebeta.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

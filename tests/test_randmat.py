@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from freebeta.distributions import FreeF, FreePoisson
-from freebeta.errors import SizeLimitExceeded
+from freebeta.errors import SingularCovariance, SizeLimitExceeded
 from freebeta.randmat import (
     FisherSampleConfig,
+    _tril_inv,
     histogram_rows,
     ks_distance,
     median_ks,
@@ -76,6 +77,66 @@ class TestSampling:
             FisherSampleConfig(p=2, a=5000, b=5000, seed=9)
         )
         assert np.allclose(eigs, 1.0, atol=0.2)
+
+
+def _dense_spectrum(cfg, attempt):
+    """Sorted eigenvalues of S1 inv(S2) drawn on Philox key (seed, attempt).
+
+    The reference: a general eigensolver on the explicit product.
+    """
+    rng = np.random.Generator(np.random.Philox(key=(cfg.seed, attempt)))
+    x1 = rng.standard_normal((cfg.p, cfg.n1))
+    x2 = rng.standard_normal((cfg.p, cfg.n2))
+    s1 = (x1 @ x1.T) / cfg.n1
+    s2 = (x2 @ x2.T) / cfg.n2
+    return np.sort(np.linalg.eigvals(s1 @ np.linalg.inv(s2)).real)
+
+
+class TestEigensolver:
+    def test_matches_dense_eigenvalues(self):
+        cfg = FisherSampleConfig(p=40, a=2, b=3, seed=7)
+        want = _dense_spectrum(cfg, 0)
+        got = sample_fisher_spectrum(cfg)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    def test_blocked_triangular_inverse(self):
+        # 300 splits into 150 + 150 and then into blocks of 75 and 75
+        rng = np.random.Generator(np.random.Philox(key=(3, 0)))
+        x = rng.standard_normal((300, 600))
+        low = np.linalg.cholesky(x @ x.T / 600)
+        want = np.linalg.inv(low)
+        assert np.max(np.abs(_tril_inv(low) - want)) <= (
+            1e-12 * np.max(np.abs(want)))
+
+    def test_singular_after_three_attempts(self, monkeypatch):
+        calls = []
+
+        def fail(a):
+            calls.append(a)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(SingularCovariance):
+            sample_fisher_spectrum(FisherSampleConfig(p=20, a=2, b=3, seed=1))
+        assert len(calls) == 3
+
+    def test_retry_draws_the_next_stream(self, monkeypatch):
+        cfg = FisherSampleConfig(p=20, a=2, b=3, seed=5)
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def fail_once(a):
+            calls.append(a)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail_once)
+        got = sample_fisher_spectrum(cfg)
+        assert len(calls) == 2
+        want = _dense_spectrum(cfg, 1)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+        assert not np.allclose(got, _dense_spectrum(cfg, 0))
 
 
 class TestTheoreticalCdf:

@@ -7,12 +7,14 @@ itself, so a table built under the patch never outlives it.
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from freebeta import cli, ncl, verification
-from freebeta.distributions import FreeBeta
+from freebeta.distributions import FreeBeta, FreeBetaPrime
+from freebeta.errors import SizeLimitExceeded
 from freebeta.verification import (
     CRITERIA,
     criterion_counts,
@@ -152,3 +154,20 @@ def test_a_perturbed_route_fails_and_disagrees(capsys, monkeypatch, route):
     assert cli.main([*argv, "--n", "6", "--route", "all"]) == 0
     rows = json.loads(capsys.readouterr().out)["results"][key]
     assert [r["agree"] for r in rows] == [True] * 4 + [False, True]
+
+
+@pytest.mark.parametrize("table, route, subject", [
+    ("GAMMA_ROUTES", "brute", (1, 1, 1)),
+    ("MOMENT_ROUTES", "ncl", FreeBetaPrime(2, 3)),
+])
+def test_route_refuses_oversized_n_before_any_table(monkeypatch, table,
+                                                    route, subject):
+    # called directly, not through the CLI, which reads the limit first;
+    # building NCL(1..10) on the way to n = 11 took 8 s
+    built = []
+    monkeypatch.setattr(ncl, "ncl_table", built.append)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match="capped at n = 10"):
+        getattr(verification, table)[route].fn(subject, 11)
+    assert time.perf_counter() - start < 1
+    assert built == []
