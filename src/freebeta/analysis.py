@@ -35,7 +35,7 @@ _LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _ATOM_LADDER = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 # Extrapolated masses at or below this are removable singularities.
 _ATOM_THRESHOLD = 1e-9
-_QUAD_REL_TOL = 1e-9
+_QUAD_REL_TOL, _QUAD_ABS_TOL, _QUAD_LIMIT = 1e-9, 1e-12, 200
 # QUADPACK's qk15 constants: the 15 Kronrod nodes on [-1, 1], and the
 # Kronrod (row 0) and embedded 7-point Gauss (row 1) weights of each node.
 _XK = np.array([
@@ -137,17 +137,17 @@ def _gk15(f: Callable[[float], float], a: float,
     return float(kronrod), float(abs(kronrod - gauss))
 
 
-def _adaptive_gk15(f: Callable[[float], float], a: float, b: float,
-                   limit: int, epsabs: float,
-                   epsrel: float) -> tuple[float, float]:
+def _adaptive_gk15(f: Callable[[float], float], a: float,
+                   b: float) -> tuple[float, float]:
     """Integral of f over [a, b] and its error estimate, sum |K15 - G7|.
 
-    Bisects the subinterval of largest error until the estimate meets
-    max(epsabs, epsrel * |value|) or there are ``limit`` subintervals.
+    Bisects the subinterval of largest error, up to _QUAD_LIMIT of them,
+    until the estimate meets max(_QUAD_ABS_TOL, _QUAD_REL_TOL * |value|).
     """
     value, err = _gk15(f, a, b)
     heap = [(-err, a, b, value)]
-    while err > max(epsabs, epsrel * abs(value)) and len(heap) < limit:
+    while (err > max(_QUAD_ABS_TOL, _QUAD_REL_TOL * abs(value))
+           and len(heap) < _QUAD_LIMIT):
         neg_err, lo, hi, part = heapq.heappop(heap)
         mid = (lo + hi) / 2
         value -= part
@@ -175,8 +175,7 @@ def quadrature_moment(spec: MeasureSpec, n: int) -> float:
         x = lo + width * s * s
         return spec.density(x) * width * math.sin(2 * theta) * x ** n
 
-    value, err = _adaptive_gk15(integrand, 0.0, math.pi / 2, limit=200,
-                                epsabs=1e-12, epsrel=_QUAD_REL_TOL)
+    value, err = _adaptive_gk15(integrand, 0.0, math.pi / 2)
     if err > max(1e-9, abs(value) * 1e-6):
         raise QuadratureFailure(
             f"estimated error {err} too large for moment {n}"

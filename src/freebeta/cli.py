@@ -58,9 +58,9 @@ _FAMILIES = {
 }
 
 
-# one flag per parameter field of any family, with its parser
-_FAMILY_FLAGS = {f.name: float if f.type == "float" else _rat
-                 for cls in _FAMILIES.values() for f in fields(cls)}
+# one rational flag per parameter field of any family
+_FAMILY_FLAGS = tuple(dict.fromkeys(
+    f.name for cls in _FAMILIES.values() for f in fields(cls)))
 
 
 def _families_with(op: str) -> tuple[str, ...]:
@@ -73,26 +73,21 @@ def _families_with(op: str) -> tuple[str, ...]:
 def _add_family_flags(p: argparse.ArgumentParser, families) -> None:
     """--family plus one flag per parameter field of any family."""
     p.add_argument("--family", required=True, choices=families)
-    for name, kind in _FAMILY_FLAGS.items():
-        p.add_argument(f"--{name}", type=kind)
+    for name in _FAMILY_FLAGS:
+        p.add_argument(f"--{name}", type=_rat)
 
 
 def _build_family(args):
-    params = {}
-    for f in fields(_FAMILIES[args.family]):
-        v = getattr(args, f.name)
-        if v is None:
-            raise FreeBetaError(
-                f"family {args.family} requires --{f.name}"
-            )
-        if isinstance(v, float) and not math.isfinite(v):
-            raise FreeBetaError(f"--{f.name} must be finite, got {v}")
-        params[f.name] = v
+    cls = _FAMILIES[args.family]
+    params = {f.name: getattr(args, f.name) for f in fields(cls)}
+    for name, value in params.items():
+        if value is None:
+            raise FreeBetaError(f"family {args.family} requires --{name}")
     for name in _FAMILY_FLAGS:
         if name not in params and getattr(args, name) is not None:
             raise FreeBetaError(
                 f"--{name} is not a parameter of --family {args.family}")
-    return _FAMILIES[args.family](**params), params
+    return cls(**params), params
 
 
 @contextlib.contextmanager

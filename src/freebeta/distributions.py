@@ -14,9 +14,9 @@ Exact-rational moment sequences come from series-expanding the same closed
 forms with :func:`freebeta.series.ps_sqrt`; the discriminants' constant
 terms are rational squares, so no algebraic numbers appear.
 
-Each family is one frozen dataclass carrying its own pieces (Cauchy
-parameters, support, measure, moments, S-transform, potential V', atom
-sites); the functions here and in :mod:`freebeta.analysis` make one call
+Each family is one frozen dataclass of exact rational parameters carrying
+its own pieces (Cauchy parameters, support, measure, moments, potential V',
+atom sites); the functions here and in :mod:`freebeta.analysis` make one call
 on it.  The free F, inverse free Poisson and free T delegate to a base law
 by a dilation, a reciprocal and a symmetric square.  Densities, V', atom
 sites and moment series are written out per family, never derived from the
@@ -62,11 +62,9 @@ __all__ = [
     "measure_of",
     "support_of",
     "moment_series",
-    "s_transform_of",
     "t_coeffs_of",
     "fbp_t_params",
     "standardize_to_meixner",
-    "classify_meixner",
 ]
 
 
@@ -146,14 +144,10 @@ def _lacks(what: str):
     return missing
 
 
-# Coercion of a family parameter, by its field annotation.
-_COERCE = {"Fraction": _frac, "float": float}
-
-
 class Family:
     """Base class of the families, each a frozen dataclass.
 
-    The fields are the parameters, coerced by annotation and then checked
+    The fields are the parameters, coerced to ``Fraction`` and then checked
     by ``_check``.  The underscore members are the family's operations
     (``_atom_sites`` holds the candidate atom locations); the defaults raise
     UnsupportedFamily, but ``_cauchy`` and ``_support`` use ``_pieces``.
@@ -167,8 +161,7 @@ class Family:
 
     def __post_init__(self):
         for f in fields(self):
-            value = _COERCE[f.type](getattr(self, f.name))
-            object.__setattr__(self, f.name, value)
+            object.__setattr__(self, f.name, _frac(getattr(self, f.name)))
         self._check()
 
     def __getstate__(self):
@@ -177,7 +170,6 @@ class Family:
     _pieces = _lacks("direct closed form")
     _measure = _lacks("measure")
     _moments = _lacks("exact moment series")
-    _s_transform = _lacks("S-transform")
     _t_coeffs = _lacks("T-coefficients")
     _v_prime = _lacks("classical potential")
     _atom_sites = property(_lacks("atom candidates"))
@@ -234,9 +226,6 @@ class FreePoisson(Family):
         m = num.shift_down().scale(Fraction(1, 2))
         return MomentSequence(m.coefficients)
 
-    def _s_transform(self, order: int) -> PowerSeries:
-        return _poly(order, 1) / _poly(order, self.lam, 1)
-
 
 @dataclass(frozen=True)
 class InverseFreePoisson(Family):
@@ -283,9 +272,6 @@ class InverseFreePoisson(Family):
         g = num.shift_down().scale(Fraction(1, 2))
         m = _poly(order, 1) - g.truncate(order).shift_up()
         return MomentSequence(m.coefficients)
-
-    def _s_transform(self, order: int) -> PowerSeries:
-        return _poly(order, self.b - 1, -1)
 
 
 def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
@@ -338,9 +324,6 @@ class FreeBetaPrime(Family):
         m = num / _poly(order, 2, 2)
         return MomentSequence(m.coefficients)
 
-    def _s_transform(self, order: int) -> PowerSeries:
-        return _poly(order, self.b - 1, -1) / _poly(order, self.a, 1)
-
     def _t_coeffs(self, order: int) -> PowerSeries:
         s, t, u = fbp_t_params(self.a, self.b)
         return PowerSeries(
@@ -392,10 +375,6 @@ class FreeF(Family):
         return MomentSequence(
             tuple(c ** k * base[k] for k in range(order + 1))
         )
-
-    def _s_transform(self, order: int) -> PowerSeries:
-        base = s_transform_of(self._base, order)
-        return base.scale(self.a / self.b)  # dilation by c divides S by c
 
 
 @dataclass(frozen=True)
@@ -488,27 +467,27 @@ class FreeBeta(Family):
 class FreeMeixnerStd(Family):
     """Standardized free Meixner law with shape (theta, tau), tau >= -1."""
 
-    theta: float
-    tau: float
+    theta: Fraction
+    tau: Fraction
 
     def _check(self) -> None:
         if self.tau < -1:
             raise InvalidTau("free Meixner needs tau >= -1")
 
     def _poles(self) -> tuple[float, ...]:
-        # real roots of tau z^2 + theta z + 1
+        # real roots of tau z^2 + theta z + 1, counted in exact arithmetic
         theta, tau = self.theta, self.tau
         if tau == 0:
-            return (-1 / theta,) if theta != 0 else ()
+            return (-1 / float(theta),) if theta != 0 else ()
         disc = theta * theta - 4 * tau
         if disc < 0:
             return ()
-        r = math.sqrt(disc)
-        return tuple(sorted(((-theta - r) / (2 * tau),
-                             (-theta + r) / (2 * tau))))
+        # at disc = 0, r = 0 and the double root is one float
+        th, tau, r = float(theta), float(tau), math.sqrt(disc)
+        return tuple(sorted({(-th - r) / (2 * tau), (-th + r) / (2 * tau)}))
 
     def _pieces(self) -> _Pieces:
-        th, tau = self.theta, self.tau
+        th, tau = float(self.theta), float(self.tau)
         half = 2 * math.sqrt(1 + tau)
         return _Pieces(th, 1 + 2 * tau, 1.0, th - half, th + half,
                        lambda z: 2 * (tau * z * z + th * z + 1),
@@ -517,7 +496,7 @@ class FreeMeixnerStd(Family):
     def _measure(self) -> MeasureSpec:
         p = self._params
         lo, hi = p.e_minus, p.e_plus
-        th, tau = self.theta, self.tau
+        th, tau = float(self.theta), float(self.tau)
 
         def body(x: float) -> float:
             return math.sqrt(max(4 * (1 + tau) - (x - th) ** 2, 0.0)) / (
@@ -577,11 +556,6 @@ def moment_series(f: Family, order: int) -> MomentSequence:
     return f._moments(order)
 
 
-def s_transform_of(f: Family, order: int) -> PowerSeries:
-    """Series expansion of the closed-form S-transform."""
-    return f._s_transform(order)
-
-
 def t_coeffs_of(f: FreeBetaPrime, order: int) -> PowerSeries:
     """T(z) = 1/S(z) = sum alpha_k z^k: alpha_0 = s, alpha_k = t*u^k."""
     return f._t_coeffs(order)
@@ -627,15 +601,6 @@ def standardize_to_meixner(a, b) -> MeixnerStandardization:
         mean=mean,
         variance=variance,
     )
-
-
-def classify_meixner(theta, tau) -> str:
-    """Class label of the free Meixner law with shape (theta, tau).
-
-    Float inputs are converted exactly, so the label is decided in exact
-    arithmetic on the values given.
-    """
-    return _meixner_class(_frac(theta) ** 2, _frac(tau))
 
 
 def _meixner_class(theta_sq: Fraction, tau: Fraction) -> str:

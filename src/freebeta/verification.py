@@ -7,7 +7,6 @@ green exactly when the command is.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from collections import namedtuple
@@ -18,6 +17,7 @@ from .distributions import (
     FreeBeta,
     FreeBetaPrime,
     FreeF,
+    FreeMeixnerStd,
     FreePoisson,
     FreeT,
     InverseFreePoisson,
@@ -43,8 +43,9 @@ _NCL_ORDER = 8
 # an eighth as much as b's.  At n^2.5 * (bits(b) + bits(a) / 8) = 2e6 it takes
 # 5-7 s from n = 25 to 100 (7 s at n = 10 with the bits in b, 14 s with them in
 # a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
-# 0.1 s inputs at n = 10.)  The NCL route shares the bound: at it, its sums
-# take 1-6 s for n = 3..10, on top of building NCL(n) (6-7 s at n = 10).
+# 0.1 s inputs at n = 10.)  The NCL and Fock routes share the bound: at it,
+# the NCL sums take 1-6 s for n = 3..10, on top of building NCL(n) (6-7 s at
+# n = 10), and the Fock route 0.2-2.3 s (42 s at n = 100, b = 2^256 + 1).
 _SIZE_LIMIT = 2_000_000
 
 
@@ -94,8 +95,9 @@ MOMENT_ROUTES = {
                                    or _size_limit("ncl", fam, n))),
     "series": Route(lambda fam, n: distributions.moment_series(fam, n).moments,
                     distributions.Family),
-    "fock": Route(lambda fam, n: fock.vacuum_moments(
-        fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime),
+    "fock": _capped(lambda fam, n: fock.vacuum_moments(
+        fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime,
+        lambda fam, n: _size_limit("fock", fam, n)),
     "transform": _capped(lambda fam, n: transforms.free_mult_convolve(
         distributions.moment_series(FreePoisson(fam.a), n),
         distributions.moment_series(InverseFreePoisson(fam.b), n)).moments,
@@ -309,11 +311,15 @@ def criterion_symmetric_square() -> tuple[bool, str]:
 
 
 def criterion_meixner() -> tuple[bool, str]:
-    """theta^2 - 4 tau = (b-1)/(a(a+b-1)) exactly; class is free neg. binomial."""
+    """Exact disc (b-1)/(a(a+b-1)) and class; G_std(z) = sd G(sd z + mean)."""
     grid_a = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
               Fraction(7, 3)]
     grid_b = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3),
               Fraction(13, 4)]
+    # |G_std - sd G_fbp| is at most 6.1e-15 here; a relative 1e-9 error in
+    # theta makes it 2.9e-9, one of 1e-8 in the variance 2.0e-8
+    points = [complex(x, y) for x in (-3, -1, 0.5, 2, 4) for y in (0.2, 1)]
+    cauchy, worst = distributions.cauchy_eval, 0.0
     for a in grid_a:
         for b in grid_b:
             std = distributions.standardize_to_meixner(a, b)
@@ -323,7 +329,16 @@ def criterion_meixner() -> tuple[bool, str]:
             label = std.classify()
             if label != "free negative binomial":
                 return False, f"(a,b)=({a},{b}) classified {label}"
-    return True, "5x5 grid: exact discriminants, all free negative binomial"
+            law, fbp = FreeMeixnerStd(std.theta, std.tau), FreeBetaPrime(a, b)
+            mean, sd = float(std.mean), math.sqrt(float(std.variance))
+            err = max(abs(cauchy(law, z) - sd * cauchy(fbp, sd * z + mean))
+                      for z in points)
+            worst = max(worst, err)
+            if err > 1e-11:
+                return False, (f"(a,b)=({a},{b}): "
+                               f"|G_std - sd G_fbp| = {err:.2e}")
+    return True, ("5x5 grid: exact discriminants, all free negative binomial, "
+                  f"standardized G max deviation {worst:.2e}")
 
 
 # KS bound of the Fisher Monte Carlo at p = 500.  Seeds 0..249 gave KS

@@ -108,7 +108,7 @@ class TestAtomMasses:
         assert got == pytest.approx({0.0: 0.5}, abs=1e-6)
 
     @pytest.mark.parametrize("fam", [
-        FreeMeixnerStd(2.5, -0.9),        # atom 2.8e-5 above the upper edge
+        FreeMeixnerStd(F(5, 2), F(-9, 10)),  # atom 2.8e-5 above the edge
         FreeBeta(F(999, 1000), F(1, 2)),  # atom 5.0e-7 below the lower edge
         FreePoisson(1),                   # no atom; site on the lower edge
         FreeBetaPrime(1, 2),

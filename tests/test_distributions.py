@@ -25,12 +25,11 @@ from freebeta.distributions import (
     FreePoisson,
     FreeT,
     InverseFreePoisson,
+    _meixner_class,
     cauchy_eval,
-    classify_meixner,
     fbp_t_params,
     measure_of,
     moment_series,
-    s_transform_of,
     standardize_to_meixner,
     support_of,
     t_coeffs_of,
@@ -40,9 +39,10 @@ from freebeta.errors import (
     InvalidTau,
     OnSupportError,
     UnsupportedFamily,
+    ZeroMeanError,
 )
 from freebeta.ncl import fbp_moment
-from freebeta.series import PowerSeries
+from freebeta.series import PowerSeries, _poly
 from freebeta.transforms import moments_to_s
 
 F = Fraction
@@ -58,7 +58,7 @@ ALL_FAMILIES = [
     FreeT(10),
     FreeBeta(2, 2),
     FreeBeta(F(1, 2), F(3, 4)),
-    FreeMeixnerStd(1.5, 0.5),
+    FreeMeixnerStd(F(3, 2), F(1, 2)),
 ]
 
 
@@ -203,10 +203,32 @@ class TestSupportAndMeasure:
                                            (0.1, 0.0025), (0.2, 0.01)])
     def test_free_gamma_double_pole_has_no_atom(self, theta, tau):
         # theta^2 = 4 tau: Q has a double root outside the support (in the
-        # last two only up to float rounding, which must not leave an atom)
+        # last two only up to the rounding of the decimals to binary, which
+        # splits the root but must not leave an atom)
         fam = FreeMeixnerStd(theta, tau)
         assert measure_of(fam).atoms == ()
         assert atom_masses(fam) == []
+
+    @pytest.mark.parametrize("theta,tau,pole", [
+        (F(1, 5), F(1, 100), -10.0), (F(1, 10), F(1, 400), -20.0),
+        (F(-3), F(9, 4), 2 / 3)])
+    def test_free_gamma_double_pole_is_one_pole(self, theta, tau, pole):
+        # decided on the exact parameters: 0.2 and 0.01 as floats split it
+        # at -10.00000013 and -9.99999987
+        fam = FreeMeixnerStd(theta, tau)
+        assert fam._poles() == (pole,)
+        assert measure_of(fam).atoms == ()
+        assert atom_masses(fam) == []
+
+    def test_meixner_poles(self):
+        # tau z^2 + theta z + 1: a simple root at tau = 0, two roots when
+        # theta^2 > 4 tau, none when theta^2 < 4 tau or theta = tau = 0
+        assert FreeMeixnerStd(2, 0)._poles() == (-0.5,)
+        assert FreeMeixnerStd(F(1, 3), 0)._poles() == (-3.0,)
+        assert FreeMeixnerStd(0, 0)._poles() == ()
+        assert FreeMeixnerStd(3, 2)._poles() == (-1.0, -0.5)
+        assert FreeMeixnerStd(F(1, 2), F(1, 4))._poles() == ()
+        assert all(type(x) is float for x in FreeMeixnerStd(1, 0)._poles())
 
     def test_density_positive_inside_support(self):
         for fam in ALL_FAMILIES:
@@ -270,7 +292,7 @@ class TestMomentSeries:
 
     def test_meixner_not_supported(self):
         with pytest.raises(UnsupportedFamily):
-            moment_series(FreeMeixnerStd(1.0, 0.5), 4)
+            moment_series(FreeMeixnerStd(1, F(1, 2)), 4)
 
     @pytest.mark.parametrize("family, edge_roots, lead, linear, denominator", [
         # G = ((b+1)z + 1-a - (b-1) sqrt((z-e-)(z-e+))) / (2z(1+z)),
@@ -306,14 +328,18 @@ class TestMomentSeries:
 
 class TestSTransforms:
     def test_closed_form_matches_moment_route(self):
-        for fam in [FreePoisson(2), InverseFreePoisson(3),
-                    FreeBetaPrime(2, 3), FreeF(2, 3)]:
-            closed = s_transform_of(fam, 6)
-            via_moments = moments_to_s(moment_series(fam, 7))
-            assert closed.truncate(6) == via_moments.truncate(6)
+        fbp = _poly(6, 2, -1) / _poly(6, 2, 1)  # (b - 1 - z)/(a + z)
+        closed = {
+            FreePoisson(2): _poly(6, 1) / _poly(6, 2, 1),  # 1/(lam + z)
+            InverseFreePoisson(3): _poly(6, 2, -1),  # b - 1 - z
+            FreeBetaPrime(2, 3): fbp,
+            FreeF(2, 3): fbp.scale(F(2, 3)),  # the dilation by b/a
+        }
+        for fam, want in closed.items():
+            assert moments_to_s(moment_series(fam, 7)).truncate(6) == want
 
     def test_fbp_s_at_zero(self):
-        s = s_transform_of(FreeBetaPrime(2, 3), 4)
+        s = moments_to_s(moment_series(FreeBetaPrime(2, 3), 5))
         assert s[0] == F(2, 2)  # (b-1)/a = 1
 
     def test_t_coeffs_geometric(self):
@@ -329,8 +355,9 @@ class TestSTransforms:
         assert via_closed == via_s
 
     def test_unsupported(self):
-        with pytest.raises(UnsupportedFamily):
-            s_transform_of(FreeT(2), 4)
+        # the free T law has mean 0, so it has no S-transform
+        with pytest.raises(ZeroMeanError):
+            moments_to_s(moment_series(FreeT(2), 4))
 
 
 class TestMeixner:
@@ -353,7 +380,7 @@ class TestMeixner:
         """G of the standardized law equals the shifted/scaled fbp G."""
         a, b = F(2), F(3)
         std = standardize_to_meixner(a, b)
-        fam = FreeMeixnerStd(std.theta, float(std.tau))
+        fam = FreeMeixnerStd(std.theta, std.tau)
         fbp = FreeBetaPrime(a, b)
         mean, sd = float(std.mean), math.sqrt(float(std.variance))
         rng = random.Random(17)
@@ -364,21 +391,22 @@ class TestMeixner:
             assert abs(lhs - rhs) < 1e-10
 
     def test_classification_labels(self):
-        assert classify_meixner(0, 0) == "semicircle"
-        assert classify_meixner(1, 0) == "free Poisson"
-        assert classify_meixner(F(3, 2), F(1, 2)) == "free negative binomial"
-        assert classify_meixner(2, 1) == "free gamma"  # boundary disc = 0
-        assert classify_meixner(0, 1) == "pure free Meixner"
-        assert classify_meixner(0, F(-1, 2)) == "free binomial"
+        # the class of (theta^2, tau)
+        assert _meixner_class(F(0), F(0)) == "semicircle"
+        assert _meixner_class(F(1), F(0)) == "free Poisson"
+        assert _meixner_class(F(9, 4), F(1, 2)) == "free negative binomial"
+        assert _meixner_class(F(4), F(1)) == "free gamma"  # disc = 0
+        assert _meixner_class(F(0), F(1)) == "pure free Meixner"
+        assert _meixner_class(F(0), F(-1, 2)) == "free binomial"
         with pytest.raises(InvalidTau):
-            classify_meixner(0, -2)
+            _meixner_class(F(0), F(-2))
 
     def test_fbp_is_always_free_negative_binomial(self):
         for a in (F(1, 2), F(2)):
             for b in (F(3, 2), F(3)):
                 std = standardize_to_meixner(a, b)
                 assert std.discriminant > 0
-                label = classify_meixner(std.theta, float(std.tau))
+                label = _meixner_class(F(std.theta) ** 2, std.tau)
                 assert label == "free negative binomial"
                 assert std.classify() == "free negative binomial"
 
@@ -393,17 +421,19 @@ class TestMeixner:
 
     def test_float_inputs_are_classified_exactly(self):
         # in floats theta * theta - 4 tau rounds to 0 here; the exact
-        # value of the two given floats is negative
+        # value of the two given floats is negative, so the law is pure
+        # free Meixner and Q has no real root
         theta = math.sqrt(2)
         tau = theta * theta / 4
         assert theta * theta - 4 * tau == 0
-        assert classify_meixner(theta, tau) == "pure free Meixner"
+        fam = FreeMeixnerStd(theta, tau)
+        assert _meixner_class(fam.theta ** 2, fam.tau) == "pure free Meixner"
+        assert fam._poles() == ()
 
 
 # The CLI family keys that answer each operation; every other pair raises.
 _ANSWERS = {
     "moment_series": {"fp", "ifp", "fbp", "ff", "ft", "fb"},
-    "s_transform_of": {"fp", "ifp", "fbp", "ff"},
     "t_coeffs_of": {"fbp"},
     "potential_derivative": {"fbp", "ft", "fb"},
     "measure_of": set(_FAMILIES),
@@ -414,7 +444,6 @@ _ANSWERS = {
 
 _CALLS = {
     "moment_series": lambda f: moment_series(f, 4),
-    "s_transform_of": lambda f: s_transform_of(f, 4),
     "t_coeffs_of": lambda f: t_coeffs_of(f, 4),
     "potential_derivative": lambda f: potential_derivative(f, 0.5),
     "measure_of": measure_of,
@@ -423,7 +452,7 @@ _CALLS = {
     "atom_masses": atom_masses,
 }
 
-_PARAMS = {"lam": 2, "a": 2, "b": 3, "m": 2, "theta": 1.5, "tau": 0.5}
+_PARAMS = {"lam": 2, "a": 2, "b": 3, "m": 2, "theta": F(3, 2), "tau": F(1, 2)}
 
 
 class TestFamilyTable:
@@ -439,8 +468,9 @@ class TestFamilyTable:
                 _CALLS[op](fam)
 
     def test_field_coercion(self):
-        meixner = FreeMeixnerStd(Fraction(3, 2), 1)
-        assert type(meixner.theta) is float and type(meixner.tau) is float
+        meixner = FreeMeixnerStd(1.5, 1)
+        assert (meixner.theta, meixner.tau) == (F(3, 2), 1)
+        assert {type(meixner.theta), type(meixner.tau)} == {Fraction}
         free_t = FreeT(2.5)
         assert free_t.m == Fraction(5, 2) and type(free_t.m) is Fraction
 
@@ -449,7 +479,8 @@ class TestDerivedOncePerInstance:
     """The closed-form parameters and base laws are built once per law."""
 
     LAWS = [FreePoisson(2), FreeBetaPrime(2, 3), FreeT(3), FreeBeta(2, 2),
-            FreeMeixnerStd(0.5, 0.25), FreeF(2, 3), InverseFreePoisson(3)]
+            FreeMeixnerStd(F(1, 2), F(1, 4)), FreeF(2, 3),
+            InverseFreePoisson(3)]
 
     @staticmethod
     def evaluate(fam, times: int) -> None:

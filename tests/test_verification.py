@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from freebeta import cli, ncl, verification
+from freebeta import cli, distributions, fock, ncl, verification
 from freebeta.distributions import FreeBeta, FreeBetaPrime
 from freebeta.errors import SizeLimitExceeded
 from freebeta.verification import (
@@ -85,6 +85,25 @@ def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
     assert not ok
     assert detail.startswith("FreeBeta(a=Fraction(2, 1), b=Fraction(2, 1)) at x=")
     assert "|closed - Stieltjes|" in detail
+
+
+@pytest.mark.parametrize("field, factor", [
+    ("theta", 1 + 1e-9), ("variance", 1 + Fraction(1, 10**8))])
+def test_meixner_checks_the_standardized_law(monkeypatch, field, factor):
+    # a relative 1e-9 error in theta moves G by 2.9e-9 and one of 1e-8 in
+    # the variance by 2.0e-8; neither touches the discriminant or the class
+    standardize = distributions.standardize_to_meixner
+
+    def perturbed(a, b):
+        std = standardize(a, b)
+        return dataclasses.replace(
+            std, **{field: getattr(std, field) * factor})
+
+    monkeypatch.setattr(distributions, "standardize_to_meixner", perturbed)
+    ok, detail = dict(CRITERIA)["meixner-classification"]()
+    assert not ok
+    assert detail.startswith("(a,b)=(1/2,3/2): ")
+    assert "|G_std - sd G_fbp|" in detail
 
 
 def test_orders_come_from_the_two_constants(fresh_tables, monkeypatch):
@@ -169,5 +188,18 @@ def test_route_refuses_oversized_n_before_any_table(monkeypatch, table,
     start = time.perf_counter()
     with pytest.raises(SizeLimitExceeded, match="capped at n = 10"):
         getattr(verification, table)[route].fn(subject, 11)
+    assert time.perf_counter() - start < 1
+    assert built == []
+
+
+def test_fock_route_refuses_oversized_parameters_before_the_operator(
+        monkeypatch):
+    # called directly; the route took 42 s on this input before its cap
+    built = []
+    monkeypatch.setattr(fock, "fbp_operator", lambda *args: built.append(args))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded, match="the fock route is capped"):
+        verification.MOMENT_ROUTES["fock"].fn(
+            FreeBetaPrime(2, 2 ** 256 + 1), 100)
     assert time.perf_counter() - start < 1
     assert built == []
