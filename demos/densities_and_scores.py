@@ -11,11 +11,7 @@ derivative of its potential is checked on a grid.  Run::
 from fractions import Fraction
 
 from freebeta import FreeBeta, FreeBetaPrime, FreeT, measure_of, support_of
-from freebeta.analysis import (
-    hilbert_score,
-    potential_derivative,
-    stieltjes_density,
-)
+from freebeta.analysis import score_grid, stieltjes_density
 
 FAMILIES = [
     FreeBetaPrime(2, 3),
@@ -35,12 +31,10 @@ def main():
         print(f"{'x':>10} {'closed form':>14} {'inversion':>14} "
               f"{header:>12}")
         worst_density, worst_score = 0.0, 0.0
-        for k in range(1, 10):
-            x = lo + (hi - lo) * k / 10
+        for x, score, v_prime in score_grid(fam, 9):
             closed = spec.density(x)
             inverted = stieltjes_density(fam, x)
-            score_err = abs(hilbert_score(fam, x)
-                            - potential_derivative(fam, x))
+            score_err = abs(score - v_prime)
             worst_density = max(worst_density, abs(closed - inverted))
             worst_score = max(worst_score, score_err)
             print(f"{x:>10.4f} {closed:>14.8f} {inverted:>14.8f} "

@@ -64,6 +64,7 @@ __all__ = [
     "stieltjes_density",
     "hilbert_score",
     "potential_derivative",
+    "score_grid",
     "atom_masses",
     "quadrature_moment",
     "t_density_limits",
@@ -103,6 +104,14 @@ def hilbert_score(f: Family, x: float) -> float:
 def potential_derivative(f: Family, x: float) -> float:
     """Closed-form V'(x) of the classical potential matched by the score."""
     return f._v_prime(x)
+
+
+def score_grid(f: Family, points: int) -> list[tuple[float, float, float]]:
+    """(x, 2H(x), V'(x)) at x = lo + (hi - lo) * i / (points + 1) for
+    i = 1..points, evenly inside the continuous support [lo, hi]."""
+    lo, hi = support_of(f)
+    xs = (lo + (hi - lo) * i / (points + 1) for i in range(1, points + 1))
+    return [(x, hilbert_score(f, x), potential_derivative(f, x)) for x in xs]
 
 
 def atom_masses(f: Family) -> list[tuple[float, float]]:

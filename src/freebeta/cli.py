@@ -138,18 +138,14 @@ def _emit(args, params: dict, results, provenance) -> None:
 # Subcommands
 # --------------------------------------------------------------------------
 
-def _require_positive_n(n: int) -> None:
-    if n < 1:
-        raise FreeBetaError(f"--n must be >= 1, got {n}")
-
-
 # Largest exact series order (moments --n, gamma-gf --n, t-coeffs --order).
 # At 100 with small rationals the slowest route, moments transform, takes
-# ~2.5 s and gamma-gf cf ~1.1 s, each with a ~0.9 s start-up.
+# 0.9-1.1 s end to end and gamma-gf cf 0.3-0.4 s, of which ~0.25 s is
+# start-up.
 _MAX_ORDER = 100
 # Largest evaluation grid (density --grid count, score-check --points,
-# mc-fisher --bins): 10000 points take ~1.1 s of score ladders, ~0.1 s of
-# densities, ~0.02 s of histogram densities.
+# mc-fisher --bins): at 10000 points score-check takes 0.6-0.9 s end to end
+# and density 0.4-0.6 s.
 _MAX_POINTS = 10_000
 
 
@@ -160,7 +156,7 @@ def _check_size(flag: str, value: int, lo: int, hi: int) -> None:
 
 def _emit_routes(args, table, subject, params: dict) -> int:
     """Emit the rows of the --route routes (all: those for the subject);
-    under all, routes over their limits are listed under "skipped"."""
+    under all, a route that refuses the input is listed under "skipped"."""
     defined = [r for r in table if isinstance(subject, table[r].family)]
     routes = defined if args.route == "all" else [args.route]
     if not set(routes) <= set(defined):
@@ -169,15 +165,21 @@ def _emit_routes(args, table, subject, params: dict) -> int:
         raise FreeBetaError(
             f"routes other than {', '.join(map(repr, defined))} are "
             f"defined for --family {', '.join(owners)}")
-    over = {r: why for r in routes if (why := table[r].limit(subject, args.n))}
-    if args.route in over:
-        raise SizeLimitExceeded(over[args.route])
-    routes = [r for r in routes if r not in over]
-    results = {args.table: route_rows(
-        {r: table[r].fn(subject, args.n) for r in routes})}
-    if over:
-        results["skipped"] = over
-    _emit(args, {**params, "route": args.route}, results, routes)
+    columns, skipped = {}, {}
+    for r in routes:
+        try:
+            columns[r] = table[r].fn(subject, args.n)
+        except SizeLimitExceeded as exc:
+            if args.route != "all":
+                raise
+            skipped[r] = str(exc)
+    if not columns:
+        raise SizeLimitExceeded("every route refused: " + "; ".join(
+            f"{r}: {why}" for r, why in skipped.items()))
+    results = {args.table: route_rows(columns)}
+    if skipped:
+        results["skipped"] = skipped
+    _emit(args, {**params, "route": args.route}, results, columns)
     return 0
 
 
@@ -234,7 +236,7 @@ def _fmt_partition(p: ncl.LinkedPartition) -> str:
 
 
 def _cmd_enumerate_ncl(args) -> int:
-    _require_positive_n(args.n)
+    _check_size("--n", args.n, 1, ncl.NCL_SIZE_LIMIT)
     parts = ncl.enumerate_ncl(args.n)
     results = {"n": args.n, "count": len(parts)}
     if args.list:
@@ -248,11 +250,7 @@ def _cmd_ncl_stats(args) -> int:
         tuple(int(x) for x in block.split(","))
         for block in args.partition.split("|")
     )
-    if args.n is None:
-        n = max(max(b) for b in blocks)
-    else:
-        n = args.n
-        _require_positive_n(n)
+    n = max(max(b) for b in blocks)
     p = ncl.LinkedPartition(n, blocks)
     valid = ncl.validate_ncl(p)
     results = {"n": n, "valid": valid}
@@ -299,18 +297,12 @@ def _cmd_meixner(args) -> int:
 
 
 def _cmd_score_check(args) -> int:
-    k = args.points
-    _check_size("--points", k, 1, _MAX_POINTS)
+    _check_size("--points", args.points, 1, _MAX_POINTS)
     fam, params = _build_family(args)
-    lo, hi = distributions.support_of(fam)
-    grid = []
-    for i in range(1, k + 1):
-        x = lo + (hi - lo) * i / (k + 1)
-        score = analysis.hilbert_score(fam, x)
-        vprime = analysis.potential_derivative(fam, x)
-        grid.append({"x": x, "score": score, "v_prime": vprime,
-                     "deviation": abs(score - vprime)})
-    _emit(args, {**params, "points": k},
+    grid = [{"x": x, "score": score, "v_prime": v_prime,
+             "deviation": abs(score - v_prime)}
+            for x, score, v_prime in analysis.score_grid(fam, args.points)]
+    _emit(args, {**params, "points": args.points},
           {"max_abs_deviation": max(r["deviation"] for r in grid),
            "grid": grid},
           ["epsilon-ladder", "closed-form"])
@@ -403,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ncl-stats", _cmd_ncl_stats,
             help="validate a partition and compute (dc, sc, sg)")
     p.add_argument("--partition", required=True,
-                   help='blocks as "1,2,7|2,4|3|..."')
-    p.add_argument("--n", type=int)
+                   help='blocks as "1,2,7|2,4|3|..." on 1..the largest')
 
     p = add("gamma-gf", _cmd_gamma_gf, "values",
             help="the statistics generating polynomial by route")

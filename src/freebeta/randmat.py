@@ -33,8 +33,8 @@ __all__ = [
 _CDF_RESOLUTION = 4000
 
 # Size guard of one sample.  p = 1000 at a = 2, b = 3 (5e6 entries) takes
-# ~0.45 s and ~160 MB peak RSS and a p = 2000 eigensolve ~1 s (2-vCPU x86_64);
-# the caps admit p = 2000 at those ratios, ~4x the work and 160 MB of entries.
+# 0.4-0.9 s and ~140 MB peak RSS, and p = 2000 (2e7 entries, 160 MB of them)
+# ~3.1 s and ~430 MB (2-vCPU x86_64); the caps admit p = 2000 at those ratios.
 _MAX_P = 2000
 _MAX_ENTRIES = 2 * 10**7
 

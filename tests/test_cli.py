@@ -21,7 +21,7 @@ from freebeta import cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
-from freebeta.errors import InvalidParameters
+from freebeta.errors import InvalidParameters, SizeLimitExceeded
 
 
 def run_cli(capsys, *argv):
@@ -369,6 +369,13 @@ def test_family_choices_come_from_the_classes(command, op):
     assert list(_family_choices(command)) == want
 
 
+# before their caps the cf and closed routes took 1.9-2.4 s on this input,
+# and 4.4-4.6 s on a loaded host
+_FOUND_GAMMA = ["gamma-gf", "--alpha", str(2 ** 1023 + 1), "--beta",
+                str(2 ** 1024 + 3), "--gamma", "1", "--n", "100"]
+_U64 = str(2 ** 64 - 59)
+
+
 class TestInputGuards:
     def assert_one_error_line(self, capsys, *argv):
         start = time.perf_counter()
@@ -479,10 +486,73 @@ class TestInputGuards:
     ], ids=["bits-in-b", "bits-in-a"])
     def test_transform_size_cap_bound(self, inside, outside):
         fbp = distributions.FreeBetaPrime
-        limit = verification.MOMENT_ROUTES["transform"].limit
-        assert limit(fbp(*inside), 100) is None
-        assert limit(fbp(*outside), 100).startswith(
+        limit = verification._size_limit
+        assert limit("transform", fbp(*inside), 100) is None
+        assert limit("transform", fbp(*outside), 100).startswith(
             "the transform route is capped")
+
+    @pytest.mark.parametrize("route, argv", [
+        # over 120 s before the series route had a cap
+        ("series", ["moments", "--family", "fbp", "--a", "2", "--b",
+                    str(2 ** 7000 + 1), "--n", "100"]),
+        ("cf", _FOUND_GAMMA),
+        ("closed", _FOUND_GAMMA),
+    ])
+    def test_parameter_size_caps_fire_first(self, capsys, route, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--route", route)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: the {route} route is capped at n^1.5 "
+                              "* (bits of all parameters) <= ")
+        assert len(err.splitlines()) == 1
+
+    def test_series_route_is_skipped_when_over_its_cap(self, capsys):
+        # 11^1.5 * (8302 + 3) = 302990 for the bits of a and b: series is over
+        # its cap while fock and transform, which weigh a's bits by 1/8, run
+        a = 2 ** 8300 + 1
+        reason = ("the series route is capped at n^1.5 * (bits of all "
+                  "parameters) <= 300000, got 302990")
+        self.assert_over_limit(
+            capsys, "all",
+            {"ncl": "exhaustive enumeration capped at n = 10",
+             "series": reason},
+            "moments", "--family", "fbp", "--a", str(a), "--b", "3",
+            "--n", "11")
+
+    def test_gamma_route_is_skipped_when_over_its_cap(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setitem(verification._PARAMS_LIMITS, "cf", 40)
+        self.assert_over_limit(
+            capsys, "all",
+            {"cf": "the cf route is capped at n^1.5 * (bits of all "
+                   "parameters) <= 40, got 48"},
+            "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--n", "4")
+
+    @pytest.mark.parametrize("argv, table", [
+        (["moments", "--family", "fbp", "--a", "2", "--b",
+          str(2 ** 7000 + 1), "--n", "100"], verification.MOMENT_ROUTES),
+        (["moments", "--family", "fb", "--a", str(2 ** 7000 + 1), "--b",
+          "3", "--n", "100"], {"series": verification.MOMENT_ROUTES[
+              "series"]}),
+        (_FOUND_GAMMA, verification.GAMMA_ROUTES),
+    ], ids=["fbp", "fb", "gamma"])
+    def test_every_route_refusing_is_one_error_line(self, capsys, argv,
+                                                    table):
+        args = cli.build_parser().parse_args(argv)
+        subject = (cli._build_family(args)[0] if args.command == "moments"
+                   else (args.alpha, args.beta, args.gamma))
+        reasons = []
+        for route, entry in table.items():
+            with pytest.raises(SizeLimitExceeded) as exc:
+                entry.fn(subject, args.n)
+            reasons.append(f"{route}: {exc.value}")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--route", "all")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: every route refused: {'; '.join(reasons)}\n"
 
     @pytest.mark.parametrize("route", ["brute", "all"])
     def test_gamma_gf_size_guard_fires_first(self, capsys, route):
@@ -532,11 +602,16 @@ class TestInputGuards:
         ["t-coeffs", "--a", "2", "--b", "3", "--order", str(_MAX_ORDER)],
         ["density", "--family", "fbp", "--a", "2", "--b", "3", "--grid",
          f"0.5:4.5:{_MAX_POINTS}"],
+        # 64-bit parameters at the largest order
+        ["moments", "--family", "fb", "--a", _U64, "--b", _U64, "--n",
+         str(_MAX_ORDER), "--route", "series"],
+        ["gamma-gf", "--alpha", _U64, "--beta", _U64, "--gamma", _U64,
+         "--n", str(_MAX_ORDER), "--route", "all"],
     ], ids=" ".join)
     def test_size_caps_admit_their_bound(self, capsys, argv):
         run_json(capsys, *argv)
 
-    def test_series_route_is_not_size_capped(self, capsys):
+    def test_series_route_runs_past_the_ncl_cap(self, capsys):
         payload = run_json(
             capsys, "moments", "--family", "fbp", "--a", "2", "--b", "3",
             "--n", "13", "--route", "series",
@@ -580,18 +655,23 @@ class TestInputGuards:
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_ncl_stats_rejects_nonpositive_n(self, capsys, n):
-        code, out, err = run_cli(capsys, "ncl-stats", "--partition", "1,2",
-                                 "--n", n)
+        # n is the largest element of the partition
+        code, out, err = run_cli(capsys, "ncl-stats", "--partition", n)
         assert (code, out) == (2, "")
-        assert err == f"error: --n must be >= 1, got {n}\n"
+        assert err == "error: ground set must be nonempty\n"
 
-    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_ncl_stats_has_no_n_flag(self, capsys):
+        # n is the largest element of the partition
+        self.assert_one_error_line(capsys, "ncl-stats", "--partition", "1,2",
+                                   "--n", "2")
+
+    @pytest.mark.parametrize("n", ["0", "-1", "11"])
     def test_enumerate_ncl_rejects_nonpositive_n(self, capsys, n):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "enumerate-ncl", "--n", n)
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (2, "")
-        assert err == f"error: --n must be >= 1, got {n}\n"
+        assert err == f"error: --n must be 1..10, got {n}\n"
 
     def test_mc_fisher_rejects_no_bins_before_sampling(self, capsys):
         elapsed = self.assert_one_error_line(
@@ -755,7 +835,7 @@ _COMMANDS = {
                     "--points": _mostly(["1", "2", "5"],
                                         ["0", "-1", "1000000"])},
     "enumerate-ncl": {"--n": _SMALL_N, "--list": None, "--format": _FORMATS},
-    "ncl-stats": {"--n": _SMALL_N, "--partition": _mostly(
+    "ncl-stats": {"--partition": _mostly(
         ["1,2|3", "1,3|2,4", "1,2,3|3,4", "1", "1,2|2,3|3,4|4,5|5,6"],
         ["1,zebra", "|", "", "0,1", "1,1", "1,1000000000"]),
         "--format": _FORMATS},

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from freebeta import cli, distributions, fock, ncl, verification
+from freebeta import analysis, cli, distributions, fock, ncl, verification
 from freebeta.distributions import FreeBeta, FreeBetaPrime
 from freebeta.errors import SizeLimitExceeded
 from freebeta.verification import (
@@ -85,6 +85,40 @@ def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
     assert not ok
     assert detail.startswith("FreeBeta(a=Fraction(2, 1), b=Fraction(2, 1)) at x=")
     assert "|closed - Stieltjes|" in detail
+
+
+def test_score_gate_catches_a_relative_1e9_change_in_v_prime(monkeypatch):
+    # moves |2H - V'| at the first point checked by 3.7e-10
+    potential_derivative = analysis.potential_derivative
+    monkeypatch.setattr(analysis, "potential_derivative",
+                        lambda f, x: potential_derivative(f, x) * (1 + 1e-9))
+    ok, detail = dict(CRITERIA)["score-identities"]()
+    assert not ok
+    assert detail.startswith(
+        "FreeBetaPrime(a=Fraction(2, 1), b=Fraction(3, 1)) at x=")
+    assert "|2H - V'|" in detail
+
+
+def test_score_check_prints_the_grid_the_criterion_checks(capsys,
+                                                          monkeypatch):
+    score_grid = analysis.score_grid
+
+    def shifted(f, points):
+        return [(x, score + 1, v_prime)
+                for x, score, v_prime in score_grid(f, points)]
+
+    monkeypatch.setattr(analysis, "score_grid", shifted)
+    ok, detail = dict(CRITERIA)["score-identities"]()
+    assert not ok
+    assert detail.startswith(
+        "FreeBetaPrime(a=Fraction(2, 1), b=Fraction(3, 1)) at x=")
+    assert cli.main(["score-check", "--family", "fbp", "--a", "2", "--b", "3",
+                     "--points", "7"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["grid"] == [
+        {"x": x, "score": score, "v_prime": v_prime,
+         "deviation": abs(score - v_prime)}
+        for x, score, v_prime in shifted(FreeBetaPrime(2, 3), 7)]
 
 
 @pytest.mark.parametrize("field, factor", [
@@ -181,14 +215,32 @@ def test_a_perturbed_route_fails_and_disagrees(capsys, monkeypatch, route):
 ])
 def test_route_refuses_oversized_n_before_any_table(monkeypatch, table,
                                                     route, subject):
-    # called directly, not through the CLI, which reads the limit first;
-    # building NCL(1..10) on the way to n = 11 took 8 s
+    # called directly, not through the CLI; building NCL(1..10) on the way
+    # to n = 11 took 8 s
     built = []
     monkeypatch.setattr(ncl, "ncl_table", built.append)
     start = time.perf_counter()
     with pytest.raises(SizeLimitExceeded, match="capped at n = 10"):
         getattr(verification, table)[route].fn(subject, 11)
     assert time.perf_counter() - start < 1
+    assert built == []
+
+
+@pytest.mark.parametrize("table, route, layer, subject", [
+    ("MOMENT_ROUTES", "series", (distributions, "moment_series"),
+     FreeBeta(2 ** 7000 + 1, 3)),
+    ("GAMMA_ROUTES", "cf", (ncl, "gamma_series"),
+     (2 ** 1024 + 1, 2 ** 1024 + 3, 1)),
+    ("GAMMA_ROUTES", "closed", (ncl, "gamma_series"),
+     (2 ** 1024 + 1, 2 ** 1024 + 3, 1)),
+])
+def test_route_refuses_oversized_parameters_before_its_layer(
+        monkeypatch, table, route, layer, subject):
+    built = []
+    monkeypatch.setattr(*layer, lambda *args, **kwargs: built.append(args))
+    with pytest.raises(SizeLimitExceeded,
+                       match=f"the {route} route is capped at n\\^1.5"):
+        getattr(verification, table)[route].fn(subject, 100)
     assert built == []
 
 
