@@ -30,9 +30,7 @@ def main():
         ks = ks_distance(eigs, fam)
         print(f"  p = {p:>4}: KS distance = {ks:.4f}")
 
-    eigs = sample_fisher_spectrum(
-        FisherSampleConfig(p=500, a=A, b=B, seed=SEED)
-    )
+    # eigs is the last sample drawn, at p = 500
     print("\nempirical (#) vs theoretical (|) density, p = 500:")
     rows = histogram_rows(eigs, fam, bins=25)
     peak = max(max(r[2], r[3]) for r in rows)

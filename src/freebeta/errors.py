@@ -91,9 +91,3 @@ class OutsideDomain(FreeBetaError, ValueError):
 
 class QuadratureFailure(FreeBetaError, RuntimeError):
     """Adaptive quadrature did not reach the requested tolerance."""
-
-
-# --- randmat ---
-
-class SingularCovariance(FreeBetaError, RuntimeError):
-    """Sample covariance not invertible after the allowed retries."""

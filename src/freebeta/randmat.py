@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Family, FreeF, measure_of
-from .errors import SingularCovariance, SizeLimitExceeded
+from .errors import SizeLimitExceeded
 
 __all__ = [
     "FisherSampleConfig",
@@ -32,9 +32,9 @@ __all__ = [
 # Trapezoid intervals of the theoretical CDF on the sin^2 grid.
 _CDF_RESOLUTION = 4000
 
-# Size guard of one sample.  p = 1000 at a = 2, b = 3 (5e6 entries) takes
-# 0.4-0.9 s and ~140 MB peak RSS, and p = 2000 (2e7 entries, 160 MB of them)
-# ~3.1 s and ~430 MB (2-vCPU x86_64); the caps admit p = 2000 at those ratios.
+# Size guard of one sample, on the requested sizes.  In a fresh process
+# p = 1000 at a = 2, b = 3 takes 0.23-0.34 s and 81 MB peak RSS, and p = 2000
+# 1.3-1.5 s and 202 MB (2-vCPU x86_64); the caps admit p = 2000 there.
 _MAX_P = 2000
 _MAX_ENTRIES = 2 * 10**7
 
@@ -96,30 +96,34 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bartlett_factor(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
+    """Lower factor C, p x min(p, n), with C C^T distributed as X X^T.
+
+    X is p x n with independent N(0, 1) entries.  Bartlett's decomposition
+    (Muirhead, *Aspects of Multivariate Statistical Theory*, Thm 3.2.14):
+    diagonal entry i (from 1) is chi with n - i + 1 degrees of freedom and
+    the entries below the diagonal are N(0, 1).
+    """
+    k = min(p, n)
+    c = np.tril(rng.standard_normal((p, k)), -1)
+    c[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
+    return c
+
+
 def sample_fisher_spectrum(cfg: FisherSampleConfig) -> np.ndarray:
     """Eigenvalues of S1 S2^{-1}, ascending; deterministic given the seed.
 
-    Solved as the generalized symmetric-definite problem S1 v = x S2 v by
-    Cholesky reduction (Golub & Van Loan, *Matrix Computations*, 8.7):
-    S2 = L L^T, and the eigenvalues are those of the symmetric
-    L^-1 S1 L^-T, so all come out real.  On a numerically singular S2 (the
-    Cholesky factorization fails) the draw is retried on a fresh Philox
-    substream, at most 3 times.
+    S1 = C1 C1^T / n1 and S2 = L2 L2^T / n2 come from Bartlett factors
+    drawn on one Philox stream keyed by the seed, with the law of two
+    Gaussian sample covariances.  The eigenvalues are those of the symmetric
+    Y Y^T, Y = (L2 / sqrt(n2))^-1 (C1 / sqrt(n1)), so all come out real; L2
+    has a chi diagonal, so it is never singular.
     """
-    n1, n2 = cfg.n1, cfg.n2
-    for attempt in range(3):
-        rng = np.random.Generator(np.random.Philox(key=(cfg.seed, attempt)))
-        x1 = rng.standard_normal((cfg.p, n1))
-        x2 = rng.standard_normal((cfg.p, n2))
-        s1 = (x1 @ x1.T) / n1
-        s2 = (x2 @ x2.T) / n2
-        try:
-            low = np.linalg.cholesky(s2)
-        except np.linalg.LinAlgError:
-            continue
-        low_inv = _tril_inv(low)
-        return np.linalg.eigvalsh(low_inv @ s1 @ low_inv.T)
-    raise SingularCovariance("sample covariance singular after 3 retries")
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    c1 = _bartlett_factor(rng, cfg.p, cfg.n1)
+    l2 = _bartlett_factor(rng, cfg.p, cfg.n2)
+    y = _tril_inv(l2) @ (c1 * np.sqrt(cfg.n2 / cfg.n1))
+    return np.linalg.eigvalsh(y @ y.T)
 
 
 def theoretical_cdf(f: Family):
@@ -152,17 +156,21 @@ def theoretical_cdf(f: Family):
     return cdf
 
 
-def ks_distance(eigs, f: Family) -> float:
-    """Two-sided sup distance between the empirical CDF and the family's."""
+def _ks_to_cdf(eigs, cdf) -> float:
+    """Two-sided sup distance between the empirical CDF and ``cdf``."""
     eigs = np.sort(np.asarray(eigs, dtype=float))
     n = len(eigs)
     if n == 0:
         raise ValueError("empty eigenvalue sample")
-    cdf = theoretical_cdf(f)
     theo = cdf(eigs)
     upper = np.arange(1, n + 1) / n - theo
     lower = theo - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+def ks_distance(eigs, f: Family) -> float:
+    """Two-sided sup distance between the empirical CDF and the family's."""
+    return _ks_to_cdf(eigs, theoretical_cdf(f))
 
 
 def histogram_rows(eigs, f: Family, bins: int):
@@ -182,10 +190,10 @@ def histogram_rows(eigs, f: Family, bins: int):
 
 def median_ks(p: int, a: float, b: float, seeds) -> float:
     """Median KS distance to FreeF(a, b) across seeds."""
-    fam = FreeF(a, b)
+    cdf = theoretical_cdf(FreeF(a, b))
     values = [
-        ks_distance(sample_fisher_spectrum(
-            FisherSampleConfig(p=p, a=a, b=b, seed=seed)), fam)
+        _ks_to_cdf(sample_fisher_spectrum(
+            FisherSampleConfig(p=p, a=a, b=b, seed=seed)), cdf)
         for seed in seeds
     ]
     return float(np.median(values))

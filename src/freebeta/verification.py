@@ -374,8 +374,8 @@ def criterion_meixner() -> tuple[bool, str]:
 
 
 # KS bound of the Fisher Monte Carlo at p = 500.  Seeds 0..249 gave KS
-# 0.0047-0.0089 (99th percentile 0.0083; seed 42 gives 0.0052), so the bound
-# sits 35% above the largest.  Sampling at a = 2.2 instead of 2 gives 0.022.
+# 0.0045-0.0088 (99th percentile 0.0084; seed 42 gives 0.0070), so the bound
+# sits 36% above the largest.  Sampling at a = 2.2 instead of 2 gives 0.023.
 _KS_GATE = 0.012
 
 

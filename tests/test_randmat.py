@@ -1,14 +1,17 @@
 """Tests for the Fisher-matrix Monte Carlo and KS comparison machinery."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from freebeta import randmat
 from freebeta.distributions import FreeF, FreePoisson
-from freebeta.errors import SingularCovariance, SizeLimitExceeded
+from freebeta.errors import SizeLimitExceeded
 from freebeta.randmat import (
     FisherSampleConfig,
+    _bartlett_factor,
     _tril_inv,
     histogram_rows,
     ks_distance,
@@ -79,12 +82,13 @@ class TestSampling:
         assert np.allclose(eigs, 1.0, atol=0.2)
 
 
-def _dense_spectrum(cfg, attempt):
-    """Sorted eigenvalues of S1 inv(S2) drawn on Philox key (seed, attempt).
+def _dense_spectrum(cfg):
+    """Sorted eigenvalues of S1 inv(S2) from two full Gaussian data matrices.
 
-    The reference: a general eigensolver on the explicit product.
+    The reference: the data matrices drawn in full on Philox key seed, and a
+    general eigensolver on the explicit product.
     """
-    rng = np.random.Generator(np.random.Philox(key=(cfg.seed, attempt)))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     x1 = rng.standard_normal((cfg.p, cfg.n1))
     x2 = rng.standard_normal((cfg.p, cfg.n2))
     s1 = (x1 @ x1.T) / cfg.n1
@@ -94,10 +98,24 @@ def _dense_spectrum(cfg, attempt):
 
 class TestEigensolver:
     def test_matches_dense_eigenvalues(self):
+        """A general eigensolver on S1 inv(S2), from the same factors."""
         cfg = FisherSampleConfig(p=40, a=2, b=3, seed=7)
-        want = _dense_spectrum(cfg, 0)
+        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+        c1 = _bartlett_factor(rng, cfg.p, cfg.n1)
+        l2 = _bartlett_factor(rng, cfg.p, cfg.n2)
+        s1 = c1 @ c1.T / cfg.n1
+        s2 = l2 @ l2.T / cfg.n2
+        want = np.sort(np.linalg.eigvals(s1 @ np.linalg.inv(s2)).real)
         got = sample_fisher_spectrum(cfg)
         assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    @pytest.mark.parametrize("p,n", [(6, 9), (6, 4)])
+    def test_bartlett_factor_shape(self, p, n):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        c = _bartlett_factor(rng, p, n)
+        assert c.shape == (p, min(p, n))
+        assert np.array_equal(c, np.tril(c))
+        assert (np.diag(c) > 0).all()
 
     def test_blocked_triangular_inverse(self):
         # 300 splits into 150 + 150 and then into blocks of 75 and 75
@@ -108,35 +126,60 @@ class TestEigensolver:
         assert np.max(np.abs(_tril_inv(low) - want)) <= (
             1e-12 * np.max(np.abs(want)))
 
-    def test_singular_after_three_attempts(self, monkeypatch):
-        calls = []
 
-        def fail(a):
-            calls.append(a)
-            raise np.linalg.LinAlgError("not positive definite")
+_LAW_P, _LAW_B, _LAW_SEEDS = 8, 3, range(4000)
 
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(SingularCovariance):
-            sample_fisher_spectrum(FisherSampleConfig(p=20, a=2, b=3, seed=1))
-        assert len(calls) == 3
 
-    def test_retry_draws_the_next_stream(self, monkeypatch):
-        cfg = FisherSampleConfig(p=20, a=2, b=3, seed=5)
-        cholesky = np.linalg.cholesky
-        calls = []
+@functools.cache
+def _law_sample(sampler, a):
+    """Spectra at p = 8, b = 3 over seeds 0..3999, one row per seed."""
+    return np.array([
+        sampler(FisherSampleConfig(p=_LAW_P, a=a, b=_LAW_B, seed=seed))
+        for seed in _LAW_SEEDS])
 
-        def fail_once(a):
-            calls.append(a)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("not positive definite")
-            return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "cholesky", fail_once)
-        got = sample_fisher_spectrum(cfg)
-        assert len(calls) == 2
-        want = _dense_spectrum(cfg, 1)
-        assert np.max(np.abs(got - want) / want) <= 1e-10
-        assert not np.allclose(got, _dense_spectrum(cfg, 0))
+def _within_4_se(values, exact):
+    se = values.std(ddof=1) / math.sqrt(len(values))
+    return abs(values.mean() - exact) <= 4 * se
+
+
+def _digamma_half(k):
+    """psi(k / 2) for a positive integer k, by the recurrence from 1 or 1/2."""
+    euler = 0.5772156649015329
+    m = k // 2
+    if k % 2 == 0:
+        return -euler + sum(1 / j for j in range(1, m))
+    return -euler - 2 * math.log(2) + sum(2 / (2 * j - 1)
+                                          for j in range(1, m + 1))
+
+
+@pytest.mark.parametrize("sampler", [sample_fisher_spectrum, _dense_spectrum],
+                         ids=["bartlett", "dense"])
+class TestFiniteSampleLaw:
+    """Exact finite-p laws of the spectrum, for the sampler and the oracle."""
+
+    @pytest.mark.parametrize("a", [2, 0.5])
+    def test_mean_trace(self, sampler, a):
+        # E[S1] = I and E[S2^-1] = n2/(n2 - p - 1) I, independent
+        n2 = round(_LAW_B * _LAW_P)
+        tr = _law_sample(sampler, a).mean(axis=1)
+        assert _within_4_se(tr, n2 / (n2 - _LAW_P - 1))
+
+    def test_mean_log_determinant(self, sampler):
+        # det(X X^T) is a product of independent chi^2 with n, ..., n - p + 1
+        # degrees of freedom, and E[log chi^2_k] = psi(k/2) + log 2
+        cfg = FisherSampleConfig(p=_LAW_P, a=2, b=_LAW_B, seed=0)
+        exact = _LAW_P * math.log(cfg.n2 / cfg.n1) + sum(
+            _digamma_half(cfg.n1 - i) - _digamma_half(cfg.n2 - i)
+            for i in range(_LAW_P))
+        logdet = np.log(_law_sample(sampler, 2)).sum(axis=1)
+        assert _within_4_se(logdet, exact)
+
+    def test_rank_deficient_first_sample(self, sampler):
+        # n1 = 4 < p = 8: S1 has rank n1, so p - n1 eigenvalues vanish
+        eigs = _law_sample(sampler, 0.5)[:50]
+        assert np.abs(eigs[:, :4]).max() <= 1e-10
+        assert eigs[:, 4:].min() > 1e-3
 
 
 class TestTheoreticalCdf:
@@ -199,6 +242,17 @@ class TestKsDistance:
             for s in seeds
         ]
         assert median_ks(80, 2, 3, seeds) == float(np.median(sequential))
+
+    def test_median_builds_the_cdf_once(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return theoretical_cdf(f)
+
+        monkeypatch.setattr(randmat, "theoretical_cdf", counted)
+        median_ks(40, 2, 3, [1, 2, 3])
+        assert len(calls) == 1
 
     def test_gross_mismatch_detected(self):
         eigs = sample_fisher_spectrum(
