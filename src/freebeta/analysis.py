@@ -27,7 +27,7 @@ from .distributions import (
     measure_of,
     support_of,
 )
-from .errors import OutsideSupport, QuadratureFailure
+from .errors import FreeBetaError
 
 # Imaginary offsets of the boundary limits, extrapolated to zero: the
 # density and score ladder, and the ladder of the atom limit y*|G(x0 + iy)|.
@@ -83,12 +83,18 @@ def _extrapolate(xs: Sequence[float], ys: Sequence[complex]) -> complex:
 
 
 def _boundary_g(f: Family, x: float) -> complex:
-    """lim G(x + i*eps) as eps -> 0+, extrapolated along _LADDER."""
+    """lim G(x + i*eps) as eps -> 0+, extrapolated along _LADDER.
+
+    The ladder is scaled by min(1, d), d the distance to the nearest
+    support edge, as in ``atom_masses``: near an edge the top rungs would
+    otherwise reach past the edge's square-root branch.
+    """
     lo, hi = support_of(f)
     if not lo < x < hi:
-        raise OutsideSupport(f"{x} not strictly inside [{lo}, {hi}]")
-    return _extrapolate(
-        _LADDER, [cauchy_eval(f, complex(x, eps)) for eps in _LADDER])
+        raise FreeBetaError(f"{x} not strictly inside [{lo}, {hi}]")
+    scale = min(1.0, x - lo, hi - x)
+    eps = [e * scale for e in _LADDER]
+    return _extrapolate(eps, [cauchy_eval(f, complex(x, e)) for e in eps])
 
 
 def stieltjes_density(f: Family, x: float) -> float:
@@ -186,9 +192,7 @@ def quadrature_moment(spec: MeasureSpec, n: int) -> float:
 
     value, err = _adaptive_gk15(integrand, 0.0, math.pi / 2)
     if err > max(1e-9, abs(value) * 1e-6):
-        raise QuadratureFailure(
-            f"estimated error {err} too large for moment {n}"
-        )
+        raise FreeBetaError(f"estimated error {err} too large for moment {n}")
     for loc, mass in spec.atoms:
         value += mass * loc ** n
     return value

@@ -37,7 +37,13 @@ def _rat(text: str) -> Fraction:
 
 
 def _fmt(value):
-    """Serialize rationals as 'num/den'; pass floats/ints/strings through."""
+    """Serialize rationals as 'num/den'; pass floats/ints/strings through.
+
+    A NaN or an infinity, which the float routes give at extreme parameters,
+    is refused: it is not JSON.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FreeBetaError(f"the result holds a non-finite number, {value}")
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):
@@ -438,7 +444,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (FreeBetaError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,13 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .errors import (
-    InvalidParameters,
-    InvalidTau,
-    OnSupportError,
-    OutsideDomain,
-    UnsupportedFamily,
-)
+from .errors import FreeBetaError
 from .series import PowerSeries, _poly, ps_sqrt
 from .transforms import MomentSequence, _frac
 
@@ -114,10 +108,10 @@ def _guard_real(x: float, lo: float, hi: float,
                 poles: tuple[float, ...] = ()) -> None:
     tol = _REAL_TOL * (1 + abs(x))
     if lo - tol <= x <= hi + tol:
-        raise OnSupportError(f"{x} lies on the support")
+        raise FreeBetaError(f"{x} lies on the support")
     for pole in poles:
         if abs(x - pole) <= tol:
-            raise OnSupportError(f"{x} is an atom/pole location")
+            raise FreeBetaError(f"{x} is an atom/pole location")
 
 
 def _measure_on(lo: float, hi: float, body: Callable[[float], float],
@@ -137,9 +131,9 @@ def _measure_on(lo: float, hi: float, body: Callable[[float], float],
 # --------------------------------------------------------------------------
 
 def _lacks(what: str):
-    """The default of a family operation: raise UnsupportedFamily."""
+    """The default of an operation some family lacks: raise FreeBetaError."""
     def missing(self, *args):
-        raise UnsupportedFamily(f"{type(self).__name__} has no {what}")
+        raise FreeBetaError(f"{type(self).__name__} has no {what}")
 
     return missing
 
@@ -149,8 +143,10 @@ class Family:
 
     The fields are the parameters, coerced to ``Fraction`` and then checked
     by ``_check``.  The underscore members are the family's operations
-    (``_atom_sites`` holds the candidate atom locations); the defaults raise
-    UnsupportedFamily, but ``_cauchy`` and ``_support`` use ``_pieces``.
+    (``_atom_sites`` holds the candidate atom locations).  The defaults of
+    ``_moments``, ``_t_coeffs`` and ``_v_prime`` raise FreeBetaError for a
+    family without one; ``_cauchy`` and ``_support`` use ``_pieces``, which
+    each family defines unless it overrides both.
 
     ``_pieces`` builds the closed-form parameters from the frozen fields;
     ``_params`` holds its result, built once per instance.  A delegating
@@ -167,12 +163,9 @@ class Family:
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    _pieces = _lacks("direct closed form")
-    _measure = _lacks("measure")
     _moments = _lacks("exact moment series")
     _t_coeffs = _lacks("T-coefficients")
     _v_prime = _lacks("classical potential")
-    _atom_sites = property(_lacks("atom candidates"))
 
     @cached_property
     def _params(self) -> _Pieces:
@@ -201,7 +194,7 @@ class FreePoisson(Family):
 
     def _check(self) -> None:
         if self.lam <= 0:
-            raise InvalidParameters("free Poisson needs lam > 0")
+            raise FreeBetaError("free Poisson needs lam > 0")
 
     def _pieces(self) -> _Pieces:
         lam = float(self.lam)
@@ -239,7 +232,7 @@ class InverseFreePoisson(Family):
 
     def _check(self) -> None:
         if self.b <= 1:
-            raise InvalidParameters("inverse free Poisson needs b > 1")
+            raise FreeBetaError("inverse free Poisson needs b > 1")
 
     @cached_property
     def _base(self) -> FreePoisson:
@@ -295,7 +288,7 @@ class FreeBetaPrime(Family):
 
     def _check(self) -> None:
         if self.a <= 0 or self.b <= 1:
-            raise InvalidParameters("free beta prime needs a > 0, b > 1")
+            raise FreeBetaError("free beta prime needs a > 0, b > 1")
 
     def _pieces(self) -> _Pieces:
         a, b = float(self.a), float(self.b)
@@ -332,7 +325,7 @@ class FreeBetaPrime(Family):
 
     def _v_prime(self, x: float) -> float:
         if x <= 0:
-            raise OutsideDomain("the beta prime potential lives on x > 0")
+            raise FreeBetaError("the beta prime potential lives on x > 0")
         a, b = float(self.a), float(self.b)
         return ((b + 1) * x + (1 - a)) / (x * (1 + x))
 
@@ -347,7 +340,7 @@ class FreeF(Family):
 
     def _check(self) -> None:
         if self.a <= 0 or self.b <= 1:
-            raise InvalidParameters("free F needs a > 0, b > 1")
+            raise FreeBetaError("free F needs a > 0, b > 1")
 
     @cached_property
     def _base(self) -> FreeBetaPrime:
@@ -386,7 +379,7 @@ class FreeT(Family):
 
     def _check(self) -> None:
         if self.m <= 1:
-            raise InvalidParameters("free T needs m > 1")
+            raise FreeBetaError("free T needs m > 1")
 
     def _pieces(self) -> _Pieces:
         m = float(self.m)
@@ -427,7 +420,7 @@ class FreeBeta(Family):
 
     def _check(self) -> None:
         if self.a <= 0 or self.b <= 0 or self.a + self.b <= 1:
-            raise InvalidParameters("free beta needs a, b > 0, a + b > 1")
+            raise FreeBetaError("free beta needs a, b > 0, a + b > 1")
 
     def _pieces(self) -> _Pieces:
         a, b = float(self.a), float(self.b)
@@ -458,7 +451,7 @@ class FreeBeta(Family):
 
     def _v_prime(self, x: float) -> float:
         if not 0 < x < 1:
-            raise OutsideDomain("the beta potential lives on 0 < x < 1")
+            raise FreeBetaError("the beta potential lives on 0 < x < 1")
         a, b = float(self.a), float(self.b)
         return ((a + b - 2) * x + (1 - a)) / (x * (1 - x))
 
@@ -472,7 +465,7 @@ class FreeMeixnerStd(Family):
 
     def _check(self) -> None:
         if self.tau < -1:
-            raise InvalidTau("free Meixner needs tau >= -1")
+            raise FreeBetaError("free Meixner needs tau >= -1")
 
     def _poles(self) -> tuple[float, ...]:
         # real roots of tau z^2 + theta z + 1, counted in exact arithmetic
@@ -605,7 +598,7 @@ def standardize_to_meixner(a, b) -> MeixnerStandardization:
 
 def _meixner_class(theta_sq: Fraction, tau: Fraction) -> str:
     if tau < -1:
-        raise InvalidTau("tau must be >= -1")
+        raise FreeBetaError("tau must be >= -1")
     if tau < 0:
         return "free binomial"
     if tau == 0:

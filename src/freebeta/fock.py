@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .distributions import fbp_t_params
-from .errors import TruncationTooSmall
+from .errors import FreeBetaError
 from .ncl import level_weights
 from .transforms import _frac
 
@@ -83,9 +83,8 @@ def vacuum_moments(op: TruncatedFockOperator, n_max: int) -> tuple[Fraction, ...
     exact whenever n_max <= N.
     """
     if n_max > op.truncation:
-        raise TruncationTooSmall(
-            f"n_max = {n_max} exceeds truncation N = {op.truncation}"
-        )
+        raise FreeBetaError(
+            f"n_max = {n_max} exceeds truncation N = {op.truncation}")
     v = (Fraction(1),) + (Fraction(0),) * op.truncation
     out = [Fraction(1)]
     for _ in range(n_max):

@@ -24,11 +24,7 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .distributions import FreeBetaPrime, t_coeffs_of
-from .errors import (
-    InvalidPartition,
-    MalformedInput,
-    SizeLimitExceeded,
-)
+from .errors import FreeBetaError, SizeLimitExceeded
 from .series import PowerSeries, cf_expand, ps_sqrt
 from .series import _poly
 from .transforms import _frac
@@ -74,16 +70,16 @@ class LinkedPartition:
 
     def __post_init__(self):
         if self.n < 1:
-            raise MalformedInput("ground set must be nonempty")
+            raise FreeBetaError("ground set must be nonempty")
         canon = []
         for block in self.blocks:
             if len(block) == 0:
-                raise MalformedInput("empty block")
+                raise FreeBetaError("empty block")
             b = tuple(sorted(block))
             if len(set(b)) != len(b):
-                raise MalformedInput("repeated element inside a block")
+                raise FreeBetaError("repeated element inside a block")
             if b[0] < 1 or b[-1] > self.n:
-                raise MalformedInput("element outside the ground set")
+                raise FreeBetaError("element outside the ground set")
             canon.append(b)
         canon.sort()
         object.__setattr__(self, "blocks", tuple(canon))
@@ -224,7 +220,9 @@ def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:
 
 def enumerate_ncl(n: int) -> list[LinkedPartition]:
     """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
-    if not 1 <= n <= NCL_SIZE_LIMIT:
+    if n < 1:
+        raise FreeBetaError(f"NCL(n) needs n >= 1, got n = {n}")
+    if n > NCL_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"exhaustive enumeration capped at n = {NCL_SIZE_LIMIT}"
         )
@@ -256,7 +254,7 @@ def statistics(p: LinkedPartition) -> NclStatistics:
     """
     swept = _sweep(p)
     if swept is None:
-        raise InvalidPartition("not a non-crossing linked partition")
+        raise FreeBetaError("not a non-crossing linked partition")
     cover = swept[0]
     dc = cover.count(2)
     sg = sum(1 for b in p.blocks if len(b) == 1)
@@ -297,7 +295,7 @@ def doubly_covered_types(
     """
     swept = _sweep(p)
     if swept is None:
-        raise InvalidPartition("not a non-crossing linked partition")
+        raise FreeBetaError("not a non-crossing linked partition")
     cover, host = swept
     t1, t2 = [], []
     for x, c in enumerate(cover):

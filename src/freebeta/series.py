@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import (
-    DivisionByZeroSeries,
-    InsufficientDepth,
-    NonzeroConstantInner,
-    NotInvertibleSeries,
-)
+from .errors import FreeBetaError
 
 RationalLike = Union[int, str, Fraction]
 
@@ -139,9 +134,7 @@ class PowerSeries:
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         if other.coefficients[0] == 0:
-            raise DivisionByZeroSeries(
-                "division by a series with zero constant term"
-            )
+            raise FreeBetaError("division by a series with zero constant term")
         # q_k = (a_k - sum_i b_i q_(k-i)) / b_0 with the divisor scaled to
         # integer numerators once and the earlier quotients held as integer
         # numerators over their running lcm: one reduction per output.
@@ -185,9 +178,7 @@ def _poly(n: int, *coeffs) -> PowerSeries:
 def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
     """Compose ``outer(inner(z))`` exactly to the minimum order."""
     if inner.coefficients[0] != 0:
-        raise NonzeroConstantInner(
-            "composition needs an inner series vanishing at 0"
-        )
+        raise FreeBetaError("composition needs an inner series vanishing at 0")
     n = min(outer.order, inner.order)
     inner = inner.truncate(n)
     acc = PowerSeries.constant(outer[min(n, outer.order)], n)
@@ -204,7 +195,7 @@ def ps_reversion(f: PowerSeries) -> PowerSeries:
     the n coefficients cost one series division and n-1 products.
     """
     if f.order < 1 or f[0] != 0 or f[1] == 0:
-        raise NotInvertibleSeries("reversion needs f(0) = 0 and f'(0) != 0")
+        raise FreeBetaError("reversion needs f(0) = 0 and f'(0) != 0")
     n = f.order
     phi = PowerSeries.constant(1, n - 1) / f.shift_down()
     power = phi
@@ -268,9 +259,8 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
         raise ValueError("products must have one entry fewer than diagonal")
     needed = (order + 1) // 2 + 1
     if depth < needed:
-        raise InsufficientDepth(
-            f"depth {depth} < {needed} required for order {order}"
-        )
+        raise FreeBetaError(
+            f"depth {depth} < {needed} required for order {order}")
     if order == 0:
         return PowerSeries.constant(1, 0)
     # The tail below level i is a quotient num/den of polynomials, fixed up

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InsufficientOrder,
-    OrderMismatch,
-    ZeroConstantS,
-    ZeroMeanError,
-)
+from .errors import FreeBetaError
 from .series import PowerSeries, _poly, ps_reversion
 
 __all__ = [
@@ -61,7 +56,7 @@ def moments_to_r(m: MomentSequence) -> PowerSeries:
     """
     n = m.order
     if n < 1:
-        raise InsufficientOrder("need at least one moment")
+        raise FreeBetaError("need at least one moment")
     w = PowerSeries((Fraction(0),) + m.moments)  # z*M(z), exact to order n+1
     c = PowerSeries.constant(1, n) / ps_reversion(w).shift_down()
     return PowerSeries(c.coefficients[1:])
@@ -83,9 +78,9 @@ def r_to_moments(r: PowerSeries) -> MomentSequence:
 def moments_to_s(m: MomentSequence) -> PowerSeries:
     """S-transform series from moments: S(z) = ((z+1)/z) Phi^{<-1>}(z)."""
     if m.order < 1:
-        raise InsufficientOrder("need at least one moment")
+        raise FreeBetaError("need at least one moment")
     if m[1] == 0:
-        raise ZeroMeanError("S-transform needs m_1 != 0")
+        raise FreeBetaError("S-transform needs m_1 != 0")
     phi = PowerSeries((Fraction(0),) + m.moments[1:])  # sum_{n>=1} m_n z^n
     base = ps_reversion(phi).shift_down()  # Phi^{<-1>}(z)/z, order n-1
     return base * _poly(base.order, 1, 1)
@@ -94,7 +89,7 @@ def moments_to_s(m: MomentSequence) -> PowerSeries:
 def s_to_moments(s: PowerSeries) -> MomentSequence:
     """Invert moments_to_s: recover m_1..m_(n+1) from S to order n."""
     if s[0] == 0:
-        raise ZeroConstantS("S(0) = 0 has no moment inverse here")
+        raise FreeBetaError("S(0) = 0 has no moment inverse here")
     phi_inv = PowerSeries((0,) + s.coefficients) / _poly(s.order + 1, 1, 1)
     phi = ps_reversion(phi_inv)
     return MomentSequence((Fraction(1),) + phi.coefficients[1:])
@@ -103,15 +98,15 @@ def s_to_moments(s: PowerSeries) -> MomentSequence:
 def free_add_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:
     """Moments of the additive free convolution: R-transforms add."""
     if ma.order != mb.order:
-        raise OrderMismatch("operands must share a truncation order")
+        raise FreeBetaError("operands must share a truncation order")
     return r_to_moments(moments_to_r(ma) + moments_to_r(mb))
 
 
 def free_mult_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:
     """Moments of the multiplicative free convolution: S-transforms multiply."""
     if ma.order != mb.order:
-        raise OrderMismatch("operands must share a truncation order")
+        raise FreeBetaError("operands must share a truncation order")
     if ma[1] == 0 or mb[1] == 0:
-        raise ZeroMeanError("multiplicative convolution needs m_1 != 0")
+        raise FreeBetaError("multiplicative convolution needs m_1 != 0")
     s = moments_to_s(ma) * moments_to_s(mb)
     return s_to_moments(s)

@@ -14,6 +14,7 @@ from freebeta.analysis import (
     hilbert_score,
     potential_derivative,
     quadrature_moment,
+    score_grid,
     stieltjes_density,
     t_density_limits,
 )
@@ -30,7 +31,8 @@ from freebeta.distributions import (
     moment_series,
     support_of,
 )
-from freebeta.errors import OutsideDomain, OutsideSupport, QuadratureFailure
+from freebeta.errors import FreeBetaError
+from freebeta.verification import _SCORE_GATE
 
 F = Fraction
 
@@ -56,8 +58,27 @@ class TestStieltjesDensity:
     def test_outside_support_raises(self):
         fam = FreeBetaPrime(2, 3)
         lo, _ = support_of(fam)
-        with pytest.raises(OutsideSupport):
+        with pytest.raises(FreeBetaError, match="not strictly inside"):
             stieltjes_density(fam, lo - 0.5)
+
+
+class TestEdgeScaledLadder:
+    # FreeBeta(4/5, 24) has its support in [0.00047, 0.139], so the points
+    # near its edges lie closer to them than the 1e-2 top of the ladder
+    fam = FreeBeta(F(4, 5), 24)
+
+    def test_score_near_an_edge_meets_the_verify_gate(self):
+        worst = max(abs(score - v_prime)
+                    for _, score, v_prime in score_grid(self.fam, 20))
+        assert worst <= _SCORE_GATE  # 1.2e-8 with an unscaled ladder
+
+    def test_density_near_an_edge_matches_the_closed_form(self):
+        spec = measure_of(self.fam)
+        lo, hi = support_of(self.fam)
+        xs = [lo + (hi - lo) * k / 21 for k in range(1, 21)]
+        worst = max(abs(spec.density(x) - stieltjes_density(self.fam, x))
+                    for x in xs)
+        assert worst <= 1e-10  # 1.6e-10 with an unscaled ladder
 
 
 class TestScores:
@@ -84,9 +105,9 @@ class TestScores:
         ) == pytest.approx(1.5)
 
     def test_domain_guard(self):
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(FreeBetaError, match="lives on x > 0"):
             potential_derivative(FreeBetaPrime(2, 3), -1.0)
-        with pytest.raises(OutsideDomain):
+        with pytest.raises(FreeBetaError, match="lives on 0 < x < 1"):
             potential_derivative(FreeBeta(2, 2), 1.5)
 
 
@@ -174,7 +195,7 @@ class TestGaussKronrod:
         want = 1 + (1 - math.cos(1e3)) / 1e3
         assert quadrature_moment(spec(1e3), 0) == pytest.approx(want,
                                                                  abs=1e-9)
-        with pytest.raises(QuadratureFailure):
+        with pytest.raises(FreeBetaError, match="too large for moment 0"):
             quadrature_moment(spec(1e5), 0)
 
 

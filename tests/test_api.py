@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import freebeta
+from freebeta.errors import FreeBetaError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(freebeta.__path__))
 
@@ -45,3 +46,17 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_errors_are_the_two_the_program_acts_on():
+    """errors.py defines the two classes the CLI catches; no other module
+    of the package defines an exception class."""
+    defined = {}
+    for name in MODULES:
+        module = importlib.import_module(f"freebeta.{name}")
+        for attr, value in vars(module).items():
+            if (inspect.isclass(value) and issubclass(value, BaseException)
+                    and value.__module__ == module.__name__):
+                defined[f"{name}.{attr}"] = value.__bases__
+    assert defined == {"errors.FreeBetaError": (ValueError,),
+                       "errors.SizeLimitExceeded": (FreeBetaError,)}

@@ -21,7 +21,7 @@ from freebeta import cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
-from freebeta.errors import InvalidParameters, SizeLimitExceeded
+from freebeta.errors import FreeBetaError, SizeLimitExceeded
 
 
 def run_cli(capsys, *argv):
@@ -653,6 +653,15 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize("family", ["fbp", "ff"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_results_are_refused(self, capsys, family, fmt):
+        # at a = 1e300 the float support and densities are NaN
+        code, out, err = run_cli(capsys, "density", "--family", family,
+                                 "--a", "1e300", "--b", "3", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: the result holds a non-finite number, nan\n"
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_ncl_stats_rejects_nonpositive_n(self, capsys, n):
         # n is the largest element of the partition
@@ -718,7 +727,7 @@ class TestInputGuards:
         payload = run_json(capsys, "gamma-gf", "--n", "3", "--alpha", "1",
                            "--beta", "-1/2", "--gamma", "1", "--route", "cf")
         assert payload["params"]["beta"] == "-1/2"
-        with pytest.raises(InvalidParameters) as exc:
+        with pytest.raises(FreeBetaError) as exc:
             distributions.FreeBetaPrime(Fraction(-1, 2), 3)
         code, out, err = run_cli(capsys, "moments", "--family", "fbp",
                                  "--a", "-1/2", "--b", "3", "--n", "2")
@@ -800,7 +809,7 @@ def _mostly(usual, edge):
 
 _RATIONALS = _mostly(
     ["2", "3", "1/2", "3/2", "7/3", "5", "2.5"],
-    ["1", "0", "-1", "-3/4", "1e-9", "1e400", "zebra", "1/0", ""])
+    ["1", "0", "-1", "-3/4", "1e-9", "1e300", "1e400", "zebra", "1/0", ""])
 _FLOATS = st.integers(0, 4).flatmap(
     lambda k: st.floats(-5, 5).map(repr) if k else st.sampled_from(
         ["-1", "-2", "nan", "inf", "-inf", "1e308", "zebra"]))

@@ -34,13 +34,7 @@ from freebeta.distributions import (
     support_of,
     t_coeffs_of,
 )
-from freebeta.errors import (
-    InvalidParameters,
-    InvalidTau,
-    OnSupportError,
-    UnsupportedFamily,
-    ZeroMeanError,
-)
+from freebeta.errors import FreeBetaError
 from freebeta.ncl import fbp_moment
 from freebeta.series import PowerSeries, _poly
 from freebeta.transforms import moments_to_s
@@ -64,27 +58,27 @@ ALL_FAMILIES = [
 
 class TestParameterValidation:
     def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="free Poisson needs lam > 0"):
             FreePoisson(0)
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="inverse free Poisson needs"):
             InverseFreePoisson(1)
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="free beta prime needs"):
             FreeBetaPrime(2, F(1, 2))
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="free F needs"):
             FreeF(-1, 2)
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="free T needs m > 1"):
             FreeT(1)
-        with pytest.raises(InvalidParameters):
+        with pytest.raises(FreeBetaError, match="free beta needs"):
             FreeBeta(F(1, 4), F(1, 2))
-        with pytest.raises(InvalidTau):
+        with pytest.raises(FreeBetaError, match="free Meixner needs tau"):
             FreeMeixnerStd(0.0, -1.5)
 
     @pytest.mark.parametrize("a, b", [(0, 3), (2, 1)])
     @pytest.mark.parametrize("fn", [fbp_t_params, standardize_to_meixner])
     def test_fbp_parameter_functions_share_the_family_check(self, fn, a, b):
-        with pytest.raises(InvalidParameters) as want:
+        with pytest.raises(FreeBetaError) as want:
             FreeBetaPrime(a, b)
-        with pytest.raises(InvalidParameters) as got:
+        with pytest.raises(FreeBetaError) as got:
             fn(a, b)
         assert str(got.value) == str(want.value)
 
@@ -147,10 +141,10 @@ class TestCauchyTransform:
     def test_on_support_raises(self):
         fam = FreeBetaPrime(2, 3)
         lo, hi = support_of(fam)
-        with pytest.raises(OnSupportError):
+        with pytest.raises(FreeBetaError, match="lies on the support"):
             cauchy_eval(fam, (lo + hi) / 2)
-        with pytest.raises(OnSupportError):
-            cauchy_eval(FreePoisson(1), 0.0)  # pole at the origin
+        with pytest.raises(FreeBetaError, match="is an atom/pole location"):
+            cauchy_eval(FreePoisson(2), 0.0)  # pole at the origin
 
     def test_real_axis_outside_support(self):
         fam = FreeBetaPrime(2, 3)
@@ -291,7 +285,8 @@ class TestMomentSeries:
             assert m[1] == a / (a + b)
 
     def test_meixner_not_supported(self):
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(FreeBetaError,
+                           match="FreeMeixnerStd has no exact moment series"):
             moment_series(FreeMeixnerStd(1, F(1, 2)), 4)
 
     @pytest.mark.parametrize("family, edge_roots, lead, linear, denominator", [
@@ -356,7 +351,7 @@ class TestSTransforms:
 
     def test_unsupported(self):
         # the free T law has mean 0, so it has no S-transform
-        with pytest.raises(ZeroMeanError):
+        with pytest.raises(FreeBetaError, match="S-transform needs m_1 != 0"):
             moments_to_s(moment_series(FreeT(2), 4))
 
 
@@ -398,7 +393,7 @@ class TestMeixner:
         assert _meixner_class(F(4), F(1)) == "free gamma"  # disc = 0
         assert _meixner_class(F(0), F(1)) == "pure free Meixner"
         assert _meixner_class(F(0), F(-1, 2)) == "free binomial"
-        with pytest.raises(InvalidTau):
+        with pytest.raises(FreeBetaError, match="tau must be >= -1"):
             _meixner_class(F(0), F(-2))
 
     def test_fbp_is_always_free_negative_binomial(self):
@@ -464,7 +459,7 @@ class TestFamilyTable:
         if key in _ANSWERS[op]:
             _CALLS[op](fam)
         else:
-            with pytest.raises(UnsupportedFamily):
+            with pytest.raises(FreeBetaError, match=f"{cls.__name__} has no "):
                 _CALLS[op](fam)
 
     def test_field_coercion(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freebeta.errors import TruncationTooSmall
+from freebeta.errors import FreeBetaError
 from freebeta.fock import (
     TruncatedFockOperator,
     build_operator,
@@ -82,7 +82,8 @@ class TestVacuumMoments:
 
     def test_truncation_too_small(self):
         op = build_operator(F(1), F(1), F(1), 3)
-        with pytest.raises(TruncationTooSmall):
+        with pytest.raises(FreeBetaError,
+                           match="n_max = 5 exceeds truncation N = 3"):
             vacuum_moments(op, 5)
 
 

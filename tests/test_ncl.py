@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from freebeta.distributions import FreeBetaPrime, fbp_t_params, t_coeffs_of
-from freebeta.errors import InvalidPartition, MalformedInput, SizeLimitExceeded
+from freebeta.errors import FreeBetaError, SizeLimitExceeded
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
     LinkedPartition,
@@ -267,8 +267,14 @@ class TestEnumeration:
             assert len({p.blocks for p in parts}) == len(parts)
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(SizeLimitExceeded, match="capped at n = 10"):
             enumerate_ncl(13)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_ground_set_is_not_over_the_cap(self, n):
+        with pytest.raises(FreeBetaError, match=f"got n = {n}$") as exc:
+            enumerate_ncl(n)
+        assert not isinstance(exc.value, SizeLimitExceeded)
 
     @pytest.mark.parametrize("n", sorted(ENUMERATION_DIGESTS))
     def test_order_is_pinned(self, n):
@@ -335,11 +341,11 @@ class TestValidation:
         assert not validate_ncl(p)
 
     def test_malformed_inputs(self):
-        with pytest.raises(MalformedInput):
+        with pytest.raises(FreeBetaError, match="outside the ground set"):
             LinkedPartition(3, ((1, 5),))
-        with pytest.raises(MalformedInput):
+        with pytest.raises(FreeBetaError, match="repeated element"):
             LinkedPartition(3, ((1, 1, 2), (3,)))
-        with pytest.raises(MalformedInput):
+        with pytest.raises(FreeBetaError, match="ground set must be nonempty"):
             LinkedPartition(0, ())
 
 
@@ -432,9 +438,9 @@ class TestStatistics:
 
     def test_invalid_partition_raises(self):
         p = LinkedPartition(4, ((1, 3), (2, 4)))
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(FreeBetaError, match="not a non-crossing linked"):
             statistics(p)
-        with pytest.raises(InvalidPartition):
+        with pytest.raises(FreeBetaError, match="not a non-crossing linked"):
             doubly_covered_types(p)
 
     def test_identities_exhaustive(self):
@@ -625,5 +631,7 @@ class TestNclTable:
             moment_via_ncl(alphas, n)
         with pytest.raises(SizeLimitExceeded):
             fbp_moment(2, 3, n)
-        with pytest.raises(SizeLimitExceeded):
+        # n < 1 is malformed input, not over the cap
+        with pytest.raises(FreeBetaError, match="n >= 1, got n = -1") as exc:
             fbp_moment(2, 3, -1)
+        assert not isinstance(exc.value, SizeLimitExceeded)

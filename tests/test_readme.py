@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from freebeta.cli import build_parser, main
+from test_cli import _strict_constant
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -54,4 +55,5 @@ def test_command_line_example_runs(capsys, argv):
     code = main(argv[1:])
     out = capsys.readouterr().out
     assert code == 0
-    assert json.loads(out)["command"] == argv[1]
+    payload = json.loads(out, parse_constant=_strict_constant)
+    assert payload["command"] == argv[1]

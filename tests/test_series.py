@@ -13,12 +13,7 @@ from freebeta.distributions import (
     InverseFreePoisson,
     moment_series,
 )
-from freebeta.errors import (
-    DivisionByZeroSeries,
-    InsufficientDepth,
-    NonzeroConstantInner,
-    NotInvertibleSeries,
-)
+from freebeta.errors import FreeBetaError
 from freebeta.fock import fbp_operator, vacuum_moments
 from freebeta.ncl import gamma_quadratic_residual, gamma_series
 from freebeta.series import (
@@ -145,7 +140,7 @@ class TestBasicArithmetic:
         assert g.coefficients == (F(1),) * 7
 
     def test_division_by_zero_constant_raises(self):
-        with pytest.raises(DivisionByZeroSeries):
+        with pytest.raises(FreeBetaError, match="division by a series"):
             poly(1, 1) / poly(0, 1)
 
     def test_float_coefficients_rejected(self):
@@ -205,7 +200,7 @@ class TestBasicArithmetic:
     @given(series_strategy(max_order=8), st.lists(wide_fracs, max_size=8))
     def test_zero_constant_divisor_raises(self, a, tail):
         b = PowerSeries([F(0)] + tail)
-        with pytest.raises(DivisionByZeroSeries):
+        with pytest.raises(FreeBetaError, match="division by a series"):
             a / b
 
 
@@ -217,7 +212,7 @@ class TestComposition:
         assert ps_compose(f, g).coefficients == (F(1), F(2), F(4))
 
     def test_compose_nonzero_constant_rejected(self):
-        with pytest.raises(NonzeroConstantInner):
+        with pytest.raises(FreeBetaError, match="inner series vanishing at 0"):
             ps_compose(poly(1, 1), poly(1, 1))
 
     @given(series_strategy(min_order=1))
@@ -235,9 +230,9 @@ class TestReversion:
         assert g.coefficients == tuple(want)
 
     def test_reversion_requires_unit_linear_structure(self):
-        with pytest.raises(NotInvertibleSeries):
+        with pytest.raises(FreeBetaError, match="reversion needs"):
             ps_reversion(poly(1, 1))  # nonzero constant term
-        with pytest.raises(NotInvertibleSeries):
+        with pytest.raises(FreeBetaError, match="reversion needs"):
             ps_reversion(poly(0, 0, 1))  # vanishing linear term
 
     @given(series_strategy(min_order=2, max_order=6))
@@ -424,7 +419,8 @@ class TestContinuedFraction:
         assert cf == gamma_series(100, *abc, route="closed")
 
     def test_insufficient_depth_raises(self):
-        with pytest.raises(InsufficientDepth):
+        with pytest.raises(FreeBetaError,
+                           match="depth 2 < 5 required for order 8"):
             cf_expand((F(0),) * 2, (F(1),), 8)
 
     def test_spec_validation(self):

@@ -255,3 +255,19 @@ def test_fock_route_refuses_oversized_parameters_before_the_operator(
             FreeBetaPrime(2, 2 ** 256 + 1), 100)
     assert time.perf_counter() - start < 1
     assert built == []
+
+
+def test_score_identities_checks_a_law_near_its_edges(monkeypatch):
+    # FreeBeta(4/5, 24): its grid points lie as close as 0.007 to an edge
+    seen = []
+    score_grid = analysis.score_grid
+
+    def recorded(f, points):
+        seen.append(f)
+        return score_grid(f, points)
+
+    monkeypatch.setattr(analysis, "score_grid", recorded)
+    ok, detail = dict(CRITERIA)["score-identities"]()
+    assert ok, detail
+    assert FreeBeta(Fraction(4, 5), 24) in seen
+    assert detail.endswith(f"over {len(seen)} families x 20 points")
