@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import analysis, distributions, ncl, randmat
 from .errors import FreeBetaError, SizeLimitExceeded
-from .verification import GAMMA_ROUTES, MOMENT_ROUTES, route_rows, run_all
+from .verification import (GAMMA_ROUTES, MOMENT_ROUTES, _params_limit,
+                           route_rows, run_all)
 
 SCHEMA_VERSION = "1.0"
 
@@ -283,6 +284,9 @@ def _cmd_gamma_gf(args) -> int:
 def _cmd_t_coeffs(args) -> int:
     _check_size("--order", args.order, 0, _MAX_ORDER)
     fam = distributions.FreeBetaPrime(args.a, args.b)
+    reason = _params_limit("t-coeffs", fam, args.order)
+    if reason:
+        raise SizeLimitExceeded(reason)
     coeffs = distributions.t_coeffs_of(fam, args.order)
     s, t, u = distributions.fbp_t_params(args.a, args.b)
     _emit(args, {"a": args.a, "b": args.b, "order": args.order},

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 from .distributions import FreeBetaPrime, t_coeffs_of
 from .errors import FreeBetaError, SizeLimitExceeded
 from .series import PowerSeries, cf_expand, ps_sqrt
-from .series import _poly
+from .series import _poly, _truncation
 from .transforms import _frac
 
 __all__ = [
@@ -330,7 +330,7 @@ def gamma_series(order: int, alpha, beta, gamma,
     """The generating series sum_n Gamma_n z^n by the cf or closed route."""
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     if route == "cf":
-        depth = (order + 1) // 2 + 1
+        depth = _truncation(order) + 1
         return cf_expand(*level_weights(alpha, beta, gamma, depth), order)
     if route == "closed":
         return _gamma_closed(order, alpha, beta, gamma)

@@ -243,6 +243,13 @@ def ps_sqrt(f: PowerSeries) -> PowerSeries:
     return PowerSeries(tuple(out))
 
 
+def _truncation(order: int) -> int:
+    """The highest level N that weighted Motzkin paths of length <= order
+    need: a path that returns to level 0 climbs at most order/2 levels, so
+    levels 0..ceil(order/2) make a path sum exact."""
+    return (order + 1) // 2
+
+
 def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
               order: int) -> PowerSeries:
     """Expand 1/(1 - k0 z - p0 z^2/(1 - k1 z - ...)) to the given order.
@@ -250,14 +257,13 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
     ``diagonal`` holds the level weights (k0, k1, ...) of the flat steps
     and ``products[i]`` the weight of a matched up/down pair between levels
     i and i+1, so the coefficient of ``z**n`` is the weighted Motzkin path
-    sum.  A path of length n climbs at most to height ``ceil(n/2)``, so
-    ``len(diagonal) >= ceil(n/2) + 1`` levels make the expansion exact;
-    shallower fractions are rejected.
+    sum.  Fractions shallower than ``_truncation(order) + 1`` levels are
+    rejected.
     """
     depth = len(diagonal)
     if len(products) != depth - 1:
         raise ValueError("products must have one entry fewer than diagonal")
-    needed = (order + 1) // 2 + 1
+    needed = _truncation(order) + 1
     if depth < needed:
         raise FreeBetaError(
             f"depth {depth} < {needed} required for order {order}")

@@ -24,7 +24,7 @@ from .distributions import (
     InverseFreePoisson,
 )
 from .errors import SizeLimitExceeded
-from .series import PowerSeries
+from .series import PowerSeries, _truncation
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -46,7 +46,8 @@ _NCL_ORDER = 8
 # a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
 # 0.1 s inputs at n = 10.)  The NCL and Fock routes share the bound: at it,
 # the NCL sums take 1-6 s for n = 3..10, on top of building NCL(n) (6-7 s at
-# n = 10), and the Fock route 0.2-2.3 s (42 s at n = 100, b = 2^256 + 1).
+# n = 10), and the Fock route, on ceil(n/2) levels, 0.2-5.3 s (5.3 s at n = 3
+# with the bits in b, under 1 s from n = 10; 20 s at n = 100, b = 2^256 + 1).
 _SIZE_LIMIT = 2_000_000
 
 
@@ -73,6 +74,10 @@ def _size_limit(route: str, fam: FreeBetaPrime, n: int) -> str | None:
 # at n = 100).  n^1.75 * bits would even out series and cf, but let closed
 # take 17 s at n = 10.  64-bit parameters pass every bound at n = 100.
 _PARAMS_LIMITS = {"series": 300_000, "cf": 1_300_000, "closed": 1_200_000}
+# The t-coeffs command is held to the series route's bound.  At it, orders 5
+# to 100 take at most 0.12 s, printing included; a 4000-digit b at order 100
+# printed 21 M characters in 119 s without it.
+_PARAMS_LIMITS["t-coeffs"] = _PARAMS_LIMITS["series"]
 
 
 def _params_limit(route: str, subject, n: int) -> str | None:
@@ -120,7 +125,7 @@ MOMENT_ROUTES = {
         fam, n).moments, distributions.Family,
         lambda fam, n: _params_limit("series", fam, n)),
     "fock": _capped(lambda fam, n: fock.vacuum_moments(
-        fock.fbp_operator(fam.a, fam.b, n), n), FreeBetaPrime,
+        fock.fbp_operator(fam.a, fam.b, _truncation(n)), n), FreeBetaPrime,
         lambda fam, n: _size_limit("fock", fam, n)),
     "transform": _capped(lambda fam, n: transforms.free_mult_convolve(
         distributions.moment_series(FreePoisson(fam.a), n),

@@ -696,13 +696,48 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("p,a", [("1000", "1000000"), ("100000", "2"),
-                                     ("2001", "2")])
+    @pytest.mark.parametrize("p,a", [("100000", "2"), ("2001", "2")])
     def test_mc_fisher_size_guard_fires_before_sampling(self, capsys, p, a):
         elapsed = self.assert_one_error_line(
             capsys, "mc-fisher", "--p", p, "--a", a, "--b", "3",
         )
         assert elapsed < 0.5
+
+    def test_mc_fisher_samples_large_ratios_quickly(self, capsys):
+        # the Bartlett factors are p x p however large n1 = a p grows
+        start = time.perf_counter()
+        payload = run_json(capsys, "mc-fisher", "--p", "1000", "--a",
+                           "1000000", "--b", "3", "--seed", "0")
+        assert time.perf_counter() - start < 3
+        assert payload["results"]["n1"] == 10 ** 9
+        assert payload["results"]["ks_distance"] < 0.01
+
+    def test_mc_fisher_sample_size_past_a_c_long_is_one_error_line(
+            self, capsys):
+        # n1 = round(1e300 * p) is the chi^2 degrees of freedom numpy draws
+        code, out, err = run_cli(capsys, "mc-fisher", "--p", "100", "--a",
+                                 "1e300", "--b", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: Python int too large to convert to C long\n"
+
+    def test_t_coeffs_refuses_wide_parameters_before_any_work(self, capsys):
+        # 119 s, nearly all of it printing 21 M characters, before its cap
+        elapsed = self.assert_one_error_line(
+            capsys, "t-coeffs", "--a", "2", "--b", str(10 ** 3999 + 7),
+            "--order", "100")
+        assert elapsed < 0.5
+
+    def test_t_coeffs_cap_admits_its_bound(self, capsys):
+        # 100^1.5 * (bits(2) + bits(2^295 + 1)) = 1000 * (3 + 297)
+        b = 2 ** 295 + 1
+        payload = run_json(capsys, "t-coeffs", "--a", "2", "--b", str(b),
+                           "--order", "100")
+        assert len(payload["results"]["alphas"]) == 101
+        code, _, err = run_cli(capsys, "t-coeffs", "--a", "2", "--b",
+                               str(2 * b), "--order", "100")
+        assert code == 2
+        assert err == ("error: the t-coeffs route is capped at n^1.5 * (bits "
+                       "of all parameters) <= 300000, got 301000\n")
 
     @pytest.mark.parametrize("argv", [
         ["density", "--family", "fp", "--lam", "zebra"],

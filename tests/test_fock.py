@@ -7,92 +7,109 @@ import pytest
 from freebeta.errors import FreeBetaError
 from freebeta.fock import (
     TruncatedFockOperator,
-    build_operator,
     fbp_operator,
     vacuum_moments,
 )
-from freebeta.ncl import fbp_moment, gamma_series
+from freebeta.ncl import fbp_moment, gamma_series, level_weights
 
 F = Fraction
+
+
+def canonical(alpha, beta, gamma, n_levels):
+    """The canonical operator truncated to levels 0..n_levels."""
+    return TruncatedFockOperator(*level_weights(alpha, beta, gamma,
+                                                n_levels + 1))
 
 
 class TestOperatorStructure:
     def test_tridiagonal_entries(self):
         """Column j of the matrix, X e_j, is zero outside rows j-1..j+1."""
-        op = build_operator(F(2), F(3), F(5), 4)
-        for j in range(op.dim):
-            column = op.apply(tuple(F(int(i == j)) for i in range(op.dim)))
-            for i in range(op.dim):
+        op = canonical(F(2), F(3), F(5), 4)
+        dim = op.truncation + 1
+        for j in range(dim):
+            column = op.apply(tuple(F(int(i == j)) for i in range(dim)))
+            for i in range(dim):
                 if abs(i - j) > 1:
                     assert column[i] == 0
 
     def test_band_values(self):
         alpha, beta, gamma = F(2), F(3), F(5)
-        op = build_operator(alpha, beta, gamma, 4)
-        assert len(op.raising) == len(op.lowering) == 4
+        op = canonical(alpha, beta, gamma, 4)
+        assert len(op.products) == 4
         assert len(op.diagonal) == 5
-        # diagonal: flat weights; subdiagonal pair products: up weights
+        # diagonal: flat weights; pair products across an edge: up weights
         assert op.diagonal[0] == gamma
         assert op.diagonal[1] == 1 + alpha + gamma
-        assert op.raising[0] * op.lowering[0] == beta
-        assert op.raising[1] * op.lowering[1] == alpha + beta
+        assert op.products[0] == beta
+        assert op.products[1] == alpha + beta
 
     def test_apply_is_matrix_action(self):
-        op = build_operator(F(2), F(3), F(5), 3)
+        op = canonical(F(2), F(3), F(5), 3)
         e1 = (F(0), F(1), F(0), F(0))
         v = op.apply(e1)
-        # column 1 holds the entries (0, 1), (1, 1) and (2, 1)
-        assert v == (op.lowering[0], op.diagonal[1], op.raising[1], F(0))
-
-    def test_band_length_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedFockOperator(
-                raising=(F(1),), diagonal=(F(0),) * 3, lowering=(F(1),) * 2
-            )
+        # column 1 holds the entries (0, 1) = 1, (1, 1) and (2, 1)
+        assert v == (F(1), op.diagonal[1], op.products[1], F(0))
 
 
 class TestVacuumMoments:
     def test_semicircle_pattern(self):
         # trivial Jacobi data: vacuum moments are the Catalan/zero pattern
-        op = TruncatedFockOperator(
-            raising=(F(1),) * 8, diagonal=(F(0),) * 9, lowering=(F(1),) * 8
-        )
+        op = TruncatedFockOperator(diagonal=(F(0),) * 5, products=(F(1),) * 4)
         vac = vacuum_moments(op, 8)
         assert list(vac) == [F(x) for x in [1, 0, 1, 0, 2, 0, 5, 0, 14]]
 
     def test_unit_weights_give_partition_counts(self):
-        op = build_operator(F(1), F(1), F(1), 6)
+        op = canonical(F(1), F(1), F(1), 6)
         vac = vacuum_moments(op, 6)
         assert list(vac[1:]) == [F(x) for x in [1, 2, 6, 22, 90, 394]]
 
     def test_matches_gamma_polynomial(self):
         alpha, beta, gamma = F(1, 2), F(3), F(2, 5)
-        op = build_operator(alpha, beta, gamma, 7)
+        op = canonical(alpha, beta, gamma, 7)
         vac = vacuum_moments(op, 7)
         cf = gamma_series(7, alpha, beta, gamma, route="cf")
         for n in range(1, 8):
             assert vac[n] == cf[n]
 
     def test_truncation_independence(self):
-        """Moments up to n are exact for any truncation level >= n."""
+        """Moments up to n are exact for any truncation N >= ceil(n/2)."""
         alpha, beta, gamma = F(2), F(1, 3), F(1)
-        small = vacuum_moments(build_operator(alpha, beta, gamma, 5), 5)
-        large = vacuum_moments(build_operator(alpha, beta, gamma, 9), 5)
+        small = vacuum_moments(canonical(alpha, beta, gamma, 3), 5)
+        large = vacuum_moments(canonical(alpha, beta, gamma, 9), 5)
         assert small == large
 
     def test_truncation_too_small(self):
-        op = build_operator(F(1), F(1), F(1), 3)
+        op = canonical(F(1), F(1), F(1), 3)
+        assert len(vacuum_moments(op, 6)) == 7  # n_max = 2N is admitted
         with pytest.raises(FreeBetaError,
-                           match="n_max = 5 exceeds truncation N = 3"):
-            vacuum_moments(op, 5)
+                           match="n_max = 7 needs truncation N >= 4, "
+                                 "got N = 3"):
+            vacuum_moments(op, 7)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_half_depth_is_the_least_exact_truncation(self, n):
+        abc = F(1, 2), F(3), F(-2, 5)
+        half = (n + 1) // 2
+        assert (vacuum_moments(canonical(*abc, half), n)
+                == vacuum_moments(canonical(*abc, n), n))
+        with pytest.raises(FreeBetaError,
+                           match=f"n_max = {n} .* got N = {half - 1}$"):
+            vacuum_moments(canonical(*abc, half - 1), n)
 
 
 class TestFbpOperator:
+    def test_pair_at_fbp_2_3(self):
+        # the Jacobi bands of FBP(2, 3): a_0 = 1, a_k = 5/2, b_1 = 1,
+        # b_k = 3/2
+        op = fbp_operator(2, 3, 4)
+        assert op.diagonal == (F(1), F(5, 2), F(5, 2), F(5, 2), F(5, 2))
+        assert op.products == (F(1), F(3, 2), F(3, 2), F(3, 2))
+
     @pytest.mark.parametrize(
         "a,b", [(F(2), F(3)), (F(1, 2), F(2)), (F(3), F(3, 2))]
     )
     def test_vacuum_moments_equal_ncl_route(self, a, b):
-        op = fbp_operator(a, b, 8)
+        op = fbp_operator(a, b, 4)
         vac = vacuum_moments(op, 8)
         for n in range(1, 9):
             assert vac[n] == fbp_moment(a, b, n)
@@ -100,4 +117,3 @@ class TestFbpOperator:
     def test_reference_values(self):
         vac = vacuum_moments(fbp_operator(2, 3, 5), 5)
         assert list(vac[1:]) == [F(1), F(2), F(11, 2), F(71, 4), F(503, 8)]
-

@@ -257,6 +257,25 @@ def test_fock_route_refuses_oversized_parameters_before_the_operator(
     assert built == []
 
 
+@pytest.mark.parametrize("band", ["diagonal", "products"])
+def test_triple_route_catches_a_relative_1e9_change_in_a_fock_band(
+        monkeypatch, band):
+    # a_1 = diagonal[1] first shows in m3, b_2 = products[1] in m4
+    fbp_operator = fock.fbp_operator
+
+    def perturbed(a, b, n_levels):
+        op = fbp_operator(a, b, n_levels)
+        entries = list(getattr(op, band))
+        entries[1] *= 1 + Fraction(1, 10**9)
+        return dataclasses.replace(op, **{band: tuple(entries)})
+
+    monkeypatch.setattr(fock, "fbp_operator", perturbed)
+    ok, detail = verification.criterion_triple_route_moments()
+    assert not ok
+    assert detail.startswith(
+        f"(a,b)=(2,3) n={3 if band == 'diagonal' else 4}, ")
+
+
 def test_score_identities_checks_a_law_near_its_edges(monkeypatch):
     # FreeBeta(4/5, 24): its grid points lie as close as 0.007 to an edge
     seen = []
