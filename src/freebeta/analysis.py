@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import (
-    _REAL_TOL,
     Family,
     FreeT,
     MeasureSpec,
@@ -35,6 +34,8 @@ _LADDER = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _ATOM_LADDER = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 # Extrapolated masses at or below this are removable singularities.
 _ATOM_THRESHOLD = 1e-9
+# An atom site within this relative distance of a support edge is on it.
+_REAL_TOL = 1e-12
 _QUAD_REL_TOL, _QUAD_ABS_TOL, _QUAD_LIMIT = 1e-9, 1e-12, 200
 # QUADPACK's qk15 constants: the 15 Kronrod nodes on [-1, 1], and the
 # Kronrod (row 0) and embedded 7-point Gauss (row 1) weights of each node.

@@ -7,8 +7,9 @@ two real roots are the support endpoints.  The square root is evaluated as
 roots per factor: that function is analytic exactly off the support cut,
 behaves like ``sqrt(lead) * z`` at infinity, and therefore selects the
 branch with ``G(z) ~ 1/z`` and ``Im G < 0`` on the upper half-plane
-deterministically — including on the real axis off the support, where the
-transform is real.
+deterministically.  Each family evaluates its closed form on the open upper
+half-plane only; :func:`cauchy_eval` refuses a real z and conjugates the
+lower half-plane.
 
 Exact-rational moment sequences come from series-expanding the same closed
 forms with :func:`freebeta.series.ps_sqrt`; the discriminants' constant
@@ -75,6 +76,8 @@ class MeasureSpec:
 # Closed-form pieces: G = (P - sqrt(D)) / Q with D = lead*(z-e-)(z-e+)
 # --------------------------------------------------------------------------
 
+# An edge that subtracts nearly equal roots, r1 - r2, is computed as the
+# exact rational r1^2 - r2^2 over r1 + r2, which keeps every digit.
 @dataclass(frozen=True)
 class _Pieces:
     p0: float
@@ -83,7 +86,6 @@ class _Pieces:
     e_minus: float
     e_plus: float
     q: Callable[[complex], complex]
-    poles: tuple[float, ...]
 
 
 def _cut_sqrt(z: complex, lead: float, e_minus: float,
@@ -99,19 +101,6 @@ def _cut_sqrt(z: complex, lead: float, e_minus: float,
 def _eval_pieces(p: _Pieces, z: complex) -> complex:
     num = p.p1 * z + p.p0 - _cut_sqrt(z, p.lead, p.e_minus, p.e_plus)
     return num / p.q(z)
-
-
-_REAL_TOL = 1e-12
-
-
-def _guard_real(x: float, lo: float, hi: float,
-                poles: tuple[float, ...] = ()) -> None:
-    tol = _REAL_TOL * (1 + abs(x))
-    if lo - tol <= x <= hi + tol:
-        raise FreeBetaError(f"{x} lies on the support")
-    for pole in poles:
-        if abs(x - pole) <= tol:
-            raise FreeBetaError(f"{x} is an atom/pole location")
 
 
 def _measure_on(lo: float, hi: float, body: Callable[[float], float],
@@ -144,9 +133,9 @@ class Family:
     The fields are the parameters, coerced to ``Fraction`` and then checked
     by ``_check``.  The underscore members are the family's operations
     (``_atom_sites`` holds the candidate atom locations).  The defaults of
-    ``_moments``, ``_t_coeffs`` and ``_v_prime`` raise FreeBetaError for a
-    family without one; ``_cauchy`` and ``_support`` use ``_pieces``, which
-    each family defines unless it overrides both.
+    ``_moments`` and ``_v_prime`` raise FreeBetaError for a family without
+    one; ``_cauchy`` and ``_support`` use ``_pieces``, which each family
+    defines unless it overrides both.
 
     ``_pieces`` builds the closed-form parameters from the frozen fields;
     ``_params`` holds its result, built once per instance.  A delegating
@@ -164,7 +153,6 @@ class Family:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     _moments = _lacks("exact moment series")
-    _t_coeffs = _lacks("T-coefficients")
     _v_prime = _lacks("classical potential")
 
     @cached_property
@@ -172,13 +160,8 @@ class Family:
         return self._pieces()
 
     def _cauchy(self, z: complex) -> complex:
-        """G on the closed upper half-plane, from the closed-form pieces."""
-        p = self._params
-        if z.imag == 0:
-            _guard_real(z.real, p.e_minus, p.e_plus, p.poles)
-            g = _eval_pieces(p, complex(z.real, 0.0))
-            return complex(g.real, 0.0)
-        return _eval_pieces(p, z)
+        """G on the open upper half-plane, from the closed-form pieces."""
+        return _eval_pieces(self._params, z)
 
     def _support(self) -> tuple[float, float]:
         p = self._params
@@ -199,8 +182,8 @@ class FreePoisson(Family):
     def _pieces(self) -> _Pieces:
         lam = float(self.lam)
         rt = math.sqrt(lam)
-        return _Pieces(1 - lam, 1.0, 1.0, (1 - rt) ** 2, (1 + rt) ** 2,
-                       lambda z: 2 * z, (0.0,))
+        lo = (float(1 - self.lam) / (1 + rt)) ** 2  # (1 - rt)^2, see _Pieces
+        return _Pieces(1 - lam, 1.0, 1.0, lo, (1 + rt) ** 2, lambda z: 2 * z)
 
     def _measure(self) -> MeasureSpec:
         lo, hi = support_of(self)
@@ -239,13 +222,8 @@ class InverseFreePoisson(Family):
         return FreePoisson(self.b)
 
     def _cauchy(self, z: complex) -> complex:
-        if z.imag == 0:
-            _guard_real(z.real, *support_of(self))
-            if abs(z.real) <= _REAL_TOL * (1 + abs(z.real)):
-                return complex(-float(self.b), 0.0)  # exact limit at 0
-        w = 1 / z
         # the reciprocal flips the half-plane; cauchy_eval conjugates back
-        return 1 / z - (1 / (z * z)) * cauchy_eval(self._base, w)
+        return 1 / z - (1 / (z * z)) * cauchy_eval(self._base, 1 / z)
 
     def _support(self) -> tuple[float, float]:
         lo, hi = support_of(self._base)
@@ -295,9 +273,9 @@ class FreeBetaPrime(Family):
         ra = math.sqrt(float(self.a * self.b))
         rb = math.sqrt(float(self.a + self.b - 1))
         den = float(self.b - 1)
-        return _Pieces(1 - a, b + 1, (b - 1) ** 2,
-                       ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2,
-                       lambda z: 2 * z * (1 + z), (0.0, -1.0))
+        lo = (float(self.a - 1) / (ra + rb)) ** 2  # ((ra - rb) / den)^2
+        return _Pieces(1 - a, b + 1, (b - 1) ** 2, lo, ((ra + rb) / den) ** 2,
+                       lambda z: 2 * z * (1 + z))
 
     def _measure(self) -> MeasureSpec:
         a, b = float(self.a), float(self.b)
@@ -316,12 +294,6 @@ class FreeBetaPrime(Family):
         num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc)
         m = num / _poly(order, 2, 2)
         return MomentSequence(m.coefficients)
-
-    def _t_coeffs(self, order: int) -> PowerSeries:
-        s, t, u = fbp_t_params(self.a, self.b)
-        return PowerSeries(
-            (s,) + tuple(t * u ** k for k in range(1, order + 1))
-        )
 
     def _v_prime(self, x: float) -> float:
         if x <= 0:
@@ -385,7 +357,7 @@ class FreeT(Family):
         m = float(self.m)
         edge = 2 * m / (m - 1)
         return _Pieces(0.0, m + 1, (m - 1) ** 2, -edge, edge,
-                       lambda z: 2 * (m + z * z), ())
+                       lambda z: 2 * (m + z * z))
 
     def _measure(self) -> MeasureSpec:
         m = float(self.m)
@@ -427,9 +399,9 @@ class FreeBeta(Family):
         ra = math.sqrt(float(self.a * (self.a + self.b - 1)))
         rb = math.sqrt(float(self.b))
         den = float(self.a + self.b)
-        return _Pieces(1 - a, a + b - 2, (a + b) ** 2,
-                       ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2,
-                       lambda z: 2 * z * (1 - z), (0.0, 1.0))
+        lo = (float(self.a - 1) / (ra + rb)) ** 2  # ((ra - rb) / den)^2
+        return _Pieces(1 - a, a + b - 2, (a + b) ** 2, lo,
+                       ((ra + rb) / den) ** 2, lambda z: 2 * z * (1 - z))
 
     def _measure(self) -> MeasureSpec:
         a, b = float(self.a), float(self.b)
@@ -482,9 +454,15 @@ class FreeMeixnerStd(Family):
     def _pieces(self) -> _Pieces:
         th, tau = float(self.theta), float(self.tau)
         half = 2 * math.sqrt(1 + tau)
-        return _Pieces(th, 1 + 2 * tau, 1.0, th - half, th + half,
-                       lambda z: 2 * (tau * z * z + th * z + 1),
-                       self._poles())
+        lo, hi = th - half, th + half
+        # the edge nearer 0 cancels: take it as the exact lo * hi over the other
+        lo_hi = float(self.theta ** 2 - 4 * (1 + self.tau))
+        if th > 0:
+            lo = lo_hi / hi
+        elif th < 0:
+            hi = lo_hi / lo
+        return _Pieces(th, 1 + 2 * tau, 1.0, lo, hi,
+                       lambda z: 2 * (tau * z * z + th * z + 1))
 
     def _measure(self) -> MeasureSpec:
         p = self._params
@@ -497,7 +475,7 @@ class FreeMeixnerStd(Family):
             )
 
         atoms = []
-        for pole in p.poles:
+        for pole in self._poles():
             if lo < pole < hi:
                 continue
             # residue of (P - sqrt(D))/Q at a real pole of Q.  At a root of
@@ -523,12 +501,14 @@ class FreeMeixnerStd(Family):
 # --------------------------------------------------------------------------
 
 def cauchy_eval(f: Family, z: complex) -> complex:
-    """G(z) = integral of dmu(x)/(z - x), on either half-plane or off-support.
+    """G(z) = integral of dmu(x)/(z - x), on either open half-plane.
 
-    Real z strictly off the support (and away from pole locations) is
-    evaluated as the boundary limit, which is real.
+    A real z is refused: the program reads G only off the real axis, and
+    takes its boundary values as limits (:mod:`freebeta.analysis`).
     """
     z = complex(z)
+    if z.imag == 0:
+        raise FreeBetaError(f"G is evaluated off the real axis, got z = {z}")
     if z.imag < 0:
         return cauchy_eval(f, z.conjugate()).conjugate()
     return f._cauchy(z)
@@ -550,8 +530,14 @@ def moment_series(f: Family, order: int) -> MomentSequence:
 
 
 def t_coeffs_of(f: FreeBetaPrime, order: int) -> PowerSeries:
-    """T(z) = 1/S(z) = sum alpha_k z^k: alpha_0 = s, alpha_k = t*u^k."""
-    return f._t_coeffs(order)
+    """T(z) = 1/S(z) = sum alpha_k z^k: alpha_0 = s, alpha_k = t*u^k.
+
+    Only the free beta prime law has these closed coefficients.
+    """
+    if not isinstance(f, FreeBetaPrime):
+        raise FreeBetaError(f"{type(f).__name__} has no T-coefficients")
+    s, t, u = fbp_t_params(f.a, f.b)
+    return PowerSeries((s,) + tuple(t * u ** k for k in range(1, order + 1)))
 
 
 # --------------------------------------------------------------------------

@@ -49,7 +49,8 @@ class TruncatedFockOperator:
         return len(self.diagonal) - 1
 
     def apply(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        top, out = self.truncation, []
+        """The lowest len(v) levels of X v, with v zero above them."""
+        top, out = len(v) - 1, []
         for i in range(top + 1):
             acc = self.diagonal[i] * v[i]
             if i >= 1:
@@ -65,6 +66,8 @@ def vacuum_moments(op: TruncatedFockOperator, n_max: int) -> tuple[Fraction, ...
 
     The truncation is exact whenever it keeps the levels that paths of
     length n_max returning to the vacuum reach, N >= ceil(n_max / 2).
+    With n_max - j steps left, a level above n_max - j can no longer return
+    to the vacuum, so step j = 0, 1, ... reads levels 0..n_max - j only.
     """
     if _truncation(n_max) > op.truncation:
         raise FreeBetaError(
@@ -72,8 +75,8 @@ def vacuum_moments(op: TruncatedFockOperator, n_max: int) -> tuple[Fraction, ...
             f"got N = {op.truncation}")
     v = (Fraction(1),) + (Fraction(0),) * op.truncation
     out = [Fraction(1)]
-    for _ in range(n_max):
-        v = op.apply(v)
+    for j in range(n_max):
+        v = op.apply(v[:n_max - j + 1])
         out.append(v[0])
     return tuple(out)
 

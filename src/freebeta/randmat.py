@@ -38,6 +38,8 @@ _CDF_RESOLUTION = 4000
 # a and b tried up to a = 50, b = 1000 (2-vCPU x86_64); the cap admits
 # p = 2000 there.
 _MAX_P = 2000
+# numpy draws the chi^2 degrees of freedom, up to n1 and n2, as a C long.
+_MAX_N = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,10 @@ class FisherSampleConfig:
             raise ValueError("need n1 = round(a * p) >= 1")
         if self.n2 <= self.p:
             raise ValueError("need n2 = round(b * p) > p")
+        if self.n1 > _MAX_N:
+            raise ValueError(f"need n1 = round(a * p) <= {_MAX_N}")
+        if self.n2 > _MAX_N:
+            raise ValueError(f"need n2 = round(b * p) <= {_MAX_N}")
         if self.p > _MAX_P:
             raise SizeLimitExceeded(f"need p <= {_MAX_P}")
 

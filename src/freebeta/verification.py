@@ -46,8 +46,10 @@ _NCL_ORDER = 8
 # a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
 # 0.1 s inputs at n = 10.)  The NCL and Fock routes share the bound: at it,
 # the NCL sums take 1-6 s for n = 3..10, on top of building NCL(n) (6-7 s at
-# n = 10), and the Fock route, on ceil(n/2) levels, 0.2-5.3 s (5.3 s at n = 3
-# with the bits in b, under 1 s from n = 10; 20 s at n = 100, b = 2^256 + 1).
+# n = 10), and the Fock route, on ceil(n/2) levels and each step on the levels
+# that can still return, 0.1-2.9 s (2.9 s at n = 3 with the bits in b, about
+# 0.5 s at n = 10, under 0.2 s with the bits in a; over the bound, n = 100 at
+# b = 2^256 + 1 takes 7.6 s).
 _SIZE_LIMIT = 2_000_000
 
 
@@ -163,13 +165,14 @@ def _disagreement(columns: dict) -> str | None:
 
 
 def _moment_routes(depths: dict, passed: str) -> tuple[bool, str]:
-    """The routes and the closed m1, m2 ("spot") agree on each fbp law."""
+    """The routes agree on each fbp law, and with m1 and m2 ("spot") read
+    off the exact mean and variance of its Meixner standardization."""
     for a, b in _FBP_PARAMS:
-        m1 = a / (b - 1)
-        m2 = m1 * m1 + a * (a + b - 1) / (b - 1) ** 3
+        std = distributions.standardize_to_meixner(a, b)
+        spot = (1, std.mean, std.mean ** 2 + std.variance)
         fam = FreeBetaPrime(a, b)
         columns = {r: MOMENT_ROUTES[r].fn(fam, d) for r, d in depths.items()}
-        bad = _disagreement({**columns, "spot": (1, m1, m2)})
+        bad = _disagreement({**columns, "spot": spot})
         if bad:
             return False, f"(a,b)=({a},{b}) {bad}"
     return True, passed

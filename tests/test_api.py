@@ -1,10 +1,12 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and every imported name is used.
 
 Each module's ``__all__`` and the package's re-exports are the public API.
 Tools that walk ``__all__`` with ``getattr`` (the benchmark tracer does)
-fail on a stale entry, so a deletion must take its export with it.
+fail on a stale entry, so a deletion must take its export with it, and
+likewise the imports only it used.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -26,6 +28,28 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """The names the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    # the package's __init__ is not in MODULES: its imports are re-exports
+    module = importlib.import_module(f"freebeta.{name}")
+    tree = ast.parse(inspect.getsource(module))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = _imported_names(tree) - used - set(getattr(module, "__all__", ()))
+    assert sorted(unused) == []
 
 
 def test_package_reexports_are_exported_by_their_module():

@@ -714,11 +714,17 @@ class TestInputGuards:
 
     def test_mc_fisher_sample_size_past_a_c_long_is_one_error_line(
             self, capsys):
-        # n1 = round(1e300 * p) is the chi^2 degrees of freedom numpy draws
-        code, out, err = run_cli(capsys, "mc-fisher", "--p", "100", "--a",
-                                 "1e300", "--b", "3")
-        assert (code, out) == (2, "")
-        assert err == "error: Python int too large to convert to C long\n"
+        # n1 and n2 bound the chi^2 degrees of freedom numpy draws as a C long
+        for argv, flag in (("--p 100 --a 1e300 --b 3", "n1 = round(a"),
+                           ("--p 10 --a 2 --b 1e18", "n2 = round(b")):
+            code, out, err = run_cli(capsys, "mc-fisher", *argv.split())
+            assert (code, out) == (2, "")
+            assert err == f"error: need {flag} * p) <= 9223372036854775807\n"
+
+    def test_mc_fisher_samples_just_under_a_c_long(self, capsys):
+        payload = run_json(capsys, "mc-fisher", "--p", "10", "--a", "2",
+                           "--b", "9e17", "--seed", "0")
+        assert payload["results"]["n2"] == 9 * 10 ** 18
 
     def test_t_coeffs_refuses_wide_parameters_before_any_work(self, capsys):
         # 119 s, nearly all of it printing 21 M characters, before its cap

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from dataclasses import fields, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -89,8 +90,9 @@ class TestParameterValidation:
 
 class TestCauchyTransform:
     def test_poisson_reference_value(self):
-        # G(z) = (z - sqrt(z^2 - 4z)) / (2z) for rate 1, at z = 8
-        got = cauchy_eval(FreePoisson(1), 8.0)
+        # G(z) = (z - sqrt(z^2 - 4z)) / (2z) for rate 1, at z = 8 (from just
+        # above the axis, where Im G is about 1e-17)
+        got = cauchy_eval(FreePoisson(1), complex(8.0, 1e-15))
         assert abs(got - (2 - math.sqrt(2)) / 4) < 1e-15
 
     def test_nevanlinna_property(self):
@@ -125,7 +127,7 @@ class TestCauchyTransform:
         ]:
             m = moment_series(fam, 12)
             series = sum(float(m[n]) / z ** (n + 1) for n in range(13))
-            assert abs(cauchy_eval(fam, z) - series) < tol
+            assert abs(cauchy_eval(fam, complex(z, 1e-15)) - series) < tol
 
     def test_dilation_law(self):
         """G of the free F is the rescaled G of the free beta prime."""
@@ -138,20 +140,15 @@ class TestCauchyTransform:
             rhs = c * cauchy_eval(FreeBetaPrime(a, b), c * z)
             assert abs(lhs - rhs) < 1e-13
 
-    def test_on_support_raises(self):
-        fam = FreeBetaPrime(2, 3)
-        lo, hi = support_of(fam)
-        with pytest.raises(FreeBetaError, match="lies on the support"):
-            cauchy_eval(fam, (lo + hi) / 2)
-        with pytest.raises(FreeBetaError, match="is an atom/pole location"):
-            cauchy_eval(FreePoisson(2), 0.0)  # pole at the origin
-
-    def test_real_axis_outside_support(self):
-        fam = FreeBetaPrime(2, 3)
-        g = cauchy_eval(fam, 0.02)  # between the atom location and the cut
-        assert isinstance(g, (float, complex))
-        assert complex(g).imag == 0
-        assert cauchy_eval(fam, -3.0).imag == 0
+    def test_real_axis_is_refused(self):
+        # on the support, at an atom or pole site, and off the support
+        for fam in ALL_FAMILIES:
+            lo, hi = support_of(fam)
+            for x in ((lo + hi) / 2, 0.0, -1.0, hi + 1,
+                      complex(hi + 1, -0.0)):
+                with pytest.raises(FreeBetaError,
+                                   match="off the real axis, got z = "):
+                    cauchy_eval(fam, x)
 
     def test_symmetric_square_identity(self):
         rng = random.Random(77)
@@ -164,7 +161,42 @@ class TestCauchyTransform:
                 assert abs(lhs - rhs) < 1e-12
 
 
+def _dec(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+# Laws whose edge (0 lower, 1 upper) subtracts nearly equal roots, and that
+# edge in decimal arithmetic.
+_CANCELLING_EDGES = [
+    pytest.param(FreePoisson(1 - F(1, 10 ** 8)), 0,
+                 lambda f: (1 - _dec(f.lam).sqrt()) ** 2, id="fp"),
+    pytest.param(FreeBeta(1 + F(1, 10 ** 8), 2), 0,
+                 lambda f: ((_dec(f.a * (f.a + f.b - 1)).sqrt()
+                             - _dec(f.b).sqrt()) / _dec(f.a + f.b)) ** 2,
+                 id="fb"),
+    pytest.param(FreeBetaPrime(F(3, 2), 1 + F(1, 10 ** 6)), 0,
+                 lambda f: ((_dec(f.a * f.b).sqrt()
+                             - _dec(f.a + f.b - 1).sqrt())
+                            / _dec(f.b - 1)) ** 2,
+                 id="fbp"),
+    pytest.param(FreeMeixnerStd(3, F(5, 4) - F(1, 10 ** 8)), 0,
+                 lambda f: _dec(f.theta) - 2 * _dec(1 + f.tau).sqrt(),
+                 id="meixner-lower"),
+    pytest.param(FreeMeixnerStd(-3, F(5, 4) - F(1, 10 ** 8)), 1,
+                 lambda f: _dec(f.theta) + 2 * _dec(1 + f.tau).sqrt(),
+                 id="meixner-upper"),
+]
+
+
 class TestSupportAndMeasure:
+    @pytest.mark.parametrize("fam, side, edge", _CANCELLING_EDGES)
+    def test_edge_keeps_its_digits_near_cancellation(self, fam, side, edge):
+        # the float difference of the roots lost 8 digits at these laws
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float(edge(fam))
+        assert abs(support_of(fam)[side] - want) <= 1e-14 * abs(want)
+
     def test_fbp_endpoints(self):
         lo, hi = support_of(FreeBetaPrime(2, 3))
         # ((sqrt(ab) +- sqrt(a+b-1)) / (b-1))^2 with a=2, b=3

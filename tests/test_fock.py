@@ -50,6 +50,12 @@ class TestOperatorStructure:
         # column 1 holds the entries (0, 1) = 1, (1, 1) and (2, 1)
         assert v == (F(1), op.diagonal[1], op.products[1], F(0))
 
+    def test_apply_on_the_lowest_levels(self):
+        """A shorter v is read as zero above its top level."""
+        op = canonical(F(2), F(3), F(5), 4)
+        v = (F(1), F(-2), F(1, 3))
+        assert op.apply(v) == op.apply(v + (F(0), F(0)))[:3]
+
 
 class TestVacuumMoments:
     def test_semicircle_pattern(self):
