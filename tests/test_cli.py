@@ -305,6 +305,13 @@ class TestMonteCarlo:
         assert payload["results"]["ks_distance"] < 0.15
         assert len(payload["results"]["histogram"]) == 40
 
+    def test_mc_fisher_with_an_atom_at_zero(self, capsys):
+        # FreeF(1/2, 3) has mass 1/2 at 0, where S1 has p - n1 zero
+        # eigenvalues; KS sets the repeated zeros against that mass
+        payload = run_json(capsys, "mc-fisher", "--p", "500", "--a", "1/2",
+                           "--b", "3", "--seed", "42")
+        assert payload["results"]["ks_distance"] < verification._KS_GATE
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, capsys):
@@ -704,7 +711,8 @@ class TestInputGuards:
         assert elapsed < 0.5
 
     def test_mc_fisher_samples_large_ratios_quickly(self, capsys):
-        # the Bartlett factors are p x p however large n1 = a p grows
+        # O(p) Gamma draws and one p x p eigensolve however large n1 = a p
+        # grows
         start = time.perf_counter()
         payload = run_json(capsys, "mc-fisher", "--p", "1000", "--a",
                            "1000000", "--b", "3", "--seed", "0")
@@ -714,7 +722,7 @@ class TestInputGuards:
 
     def test_mc_fisher_sample_size_past_a_c_long_is_one_error_line(
             self, capsys):
-        # n1 and n2 bound the chi^2 degrees of freedom numpy draws as a C long
+        # n1 and n2, and so the Gamma shapes, are capped at a C long
         for argv, flag in (("--p 100 --a 1e300 --b 3", "n1 = round(a"),
                            ("--p 10 --a 2 --b 1e18", "n2 = round(b")):
             code, out, err = run_cli(capsys, "mc-fisher", *argv.split())

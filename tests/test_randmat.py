@@ -2,17 +2,23 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from freebeta import randmat
-from freebeta.distributions import FreeF, FreePoisson
+from freebeta.distributions import (
+    FreeF,
+    FreePoisson,
+    measure_of,
+    moment_series,
+)
 from freebeta.errors import SizeLimitExceeded
 from freebeta.randmat import (
     FisherSampleConfig,
-    _bartlett_factor,
-    _tril_inv,
+    _gram_eigvalsh,
+    _jacobi_bidiagonal,
     histogram_rows,
     ks_distance,
     median_ks,
@@ -35,8 +41,9 @@ class TestConfig:
         with pytest.raises(ValueError):  # b > 1 but n2 = round(10.1) = p
             FisherSampleConfig(p=10, a=2, b=1.01, seed=0)
 
-    # the Bartlett factors are p x min(p, n): n1 and n2 add no cost, so any
-    # ratio is admitted up to the largest p
+    # a sample draws O(p) Gamma variates and solves one p x p tridiagonal
+    # eigenproblem: n1 and n2 add no cost, so any ratio is admitted up to
+    # the largest p
     @pytest.mark.parametrize("p,a,b", [(1000, 2, 3), (500, 2, 3),
                                        (2, 5000, 5000), (2000, 2, 3),
                                        (1000, 1000000, 3), (2000, 2, 3.01),
@@ -84,6 +91,17 @@ class TestSampling:
         )
         assert np.allclose(eigs, 1.0, atol=0.2)
 
+    @pytest.mark.parametrize("p,a,b", [(2, 4.6e18, 4.6e18), (10, 9e17, 3),
+                                       (10, 2, 9e17)])
+    def test_extreme_ratios_give_finite_positive_sorted_spectra(self, p, a,
+                                                                  b):
+        # Gamma shapes up to (n1 + n2)/2 ~ 2^63, past an int64 sum
+        eigs = sample_fisher_spectrum(FisherSampleConfig(p=p, a=a, b=b,
+                                                         seed=0))
+        assert len(eigs) == p
+        assert np.isfinite(eigs).all() and (eigs > 0).all()
+        assert (np.diff(eigs) >= 0).all()
+
 
 def _dense_spectrum(cfg):
     """Sorted eigenvalues of S1 inv(S2) from two full Gaussian data matrices.
@@ -101,43 +119,24 @@ def _dense_spectrum(cfg):
 
 class TestEigensolver:
     def test_matches_dense_eigenvalues(self):
-        """A general eigensolver on S1 inv(S2), from the same factors."""
-        cfg = FisherSampleConfig(p=40, a=2, b=3, seed=7)
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-        c1 = _bartlett_factor(rng, cfg.p, cfg.n1)
-        l2 = _bartlett_factor(rng, cfg.p, cfg.n2)
-        s1 = c1 @ c1.T / cfg.n1
-        s2 = l2 @ l2.T / cfg.n2
-        want = np.sort(np.linalg.eigvals(s1 @ np.linalg.inv(s2)).real)
-        got = sample_fisher_spectrum(cfg)
-        assert np.max(np.abs(got - want) / want) <= 1e-10
-
-    @pytest.mark.parametrize("p,n", [(6, 9), (6, 4)])
-    def test_bartlett_factor_shape(self, p, n):
-        rng = np.random.Generator(np.random.Philox(key=0))
-        c = _bartlett_factor(rng, p, n)
-        assert c.shape == (p, min(p, n))
-        assert np.array_equal(c, np.tril(c))
-        assert (np.diag(c) > 0).all()
-
-    def test_blocked_triangular_inverse(self):
-        # 300 splits into 150 + 150 and then into blocks of 75 and 75
-        rng = np.random.Generator(np.random.Philox(key=(3, 0)))
-        x = rng.standard_normal((300, 600))
-        low = np.linalg.cholesky(x @ x.T / 600)
-        want = np.linalg.inv(low)
-        assert np.max(np.abs(_tril_inv(low) - want)) <= (
-            1e-12 * np.max(np.abs(want)))
+        """eigvalsh of the tridiagonal B B^T against the SVD of B itself."""
+        rng = np.random.Generator(np.random.Philox(key=7))
+        for n, alpha, beta in ((40, 40, 80), (40, 80, 40), (40, 0, 80)):
+            diag, sup = _jacobi_bidiagonal(rng, n, alpha, beta)
+            dense = np.diag(diag) + np.diag(sup, 1)
+            want = np.sort(np.linalg.svd(dense, compute_uv=False) ** 2)
+            got = _gram_eigvalsh(diag, sup)
+            assert np.max(np.abs(got - want) / want) <= 1e-10
 
 
-_LAW_P, _LAW_B, _LAW_SEEDS = 8, 3, range(4000)
+_LAW_P, _LAW_SEEDS = 8, range(4000)
 
 
 @functools.cache
-def _law_sample(sampler, a):
-    """Spectra at p = 8, b = 3 over seeds 0..3999, one row per seed."""
+def _law_sample(sampler, a, b):
+    """Spectra at p = 8 over seeds 0..3999, one row per seed."""
     return np.array([
-        sampler(FisherSampleConfig(p=_LAW_P, a=a, b=_LAW_B, seed=seed))
+        sampler(FisherSampleConfig(p=_LAW_P, a=a, b=b, seed=seed))
         for seed in _LAW_SEEDS])
 
 
@@ -156,31 +155,76 @@ def _digamma_half(k):
                                           for j in range(1, m + 1))
 
 
+def _mean_square_trace(p, n1, n2):
+    """E[tr F^2] / p, exact, for F = S1 inv(S2) at p, n1, n2.
+
+    With V = inv(W2), W2 ~ W_p(n2, I), and E[W B W] = n(n+1) B + n tr(B) I
+    for W ~ W_p(n, I): E tr F^2 = (n2/n1)^2 [n1(n1+1) E tr V^2 +
+    n1 E (tr V)^2].  The inverse Wishart moments, with m = n2 and
+    D = (m-p)(m-p-1)^2(m-p-3), are E tr V^2 = p/(m-p-1)^2 +
+    [2p(m-p) + p(p-1)(m-p-1)]/D and E (tr V)^2 = p^2/(m-p-1)^2 +
+    [2p(m-p) + 2p(p-1)]/D.
+    """
+    m = n2
+    d = (m - p) * (m - p - 1) ** 2 * (m - p - 3)
+    tr_v2 = (Fraction(p, (m - p - 1) ** 2)
+             + Fraction(2 * p * (m - p) + p * (p - 1) * (m - p - 1), d))
+    tr_v_sq = (Fraction(p * p, (m - p - 1) ** 2)
+               + Fraction(2 * p * (m - p) + 2 * p * (p - 1), d))
+    return (Fraction(n2, n1) ** 2
+            * (n1 * (n1 + 1) * tr_v2 + n1 * tr_v_sq) / p)
+
+
+def test_mean_square_trace_values():
+    # p = 8 at (a, b) = (2, 3), (1/2, 3), (3, 2), and the free limit at
+    # (2p, 3p): m_2(FreeF(2, 3)) = 9/2
+    assert [_mean_square_trace(8, 16, 24), _mean_square_trace(8, 4, 24),
+            _mean_square_trace(8, 24, 16)] == [
+        Fraction(303, 52), Fraction(687, 65), Fraction(340, 21)]
+    p = 10 ** 6
+    limit = moment_series(FreeF(2, 3), 2)[2]
+    assert abs(_mean_square_trace(p, 2 * p, 3 * p) - limit) < 10 / p
+
+
+# (a, b) at p = 8, keyed by a alone where b = 3: both orientations of the
+# sampler (n1 <= n2 and n1 > n2) and a rank-deficient S1 (n1 < p)
+_LAW_AB = [pytest.param(2, 3, id="2"), pytest.param(0.5, 3, id="0.5"),
+           pytest.param(3, 2, id="3-2")]
+
+
 @pytest.mark.parametrize("sampler", [sample_fisher_spectrum, _dense_spectrum],
-                         ids=["bartlett", "dense"])
+                         ids=["jacobi", "dense"])
 class TestFiniteSampleLaw:
     """Exact finite-p laws of the spectrum, for the sampler and the oracle."""
 
-    @pytest.mark.parametrize("a", [2, 0.5])
-    def test_mean_trace(self, sampler, a):
+    @pytest.mark.parametrize("a,b", _LAW_AB)
+    def test_mean_trace(self, sampler, a, b):
         # E[S1] = I and E[S2^-1] = n2/(n2 - p - 1) I, independent
-        n2 = round(_LAW_B * _LAW_P)
-        tr = _law_sample(sampler, a).mean(axis=1)
+        n2 = round(b * _LAW_P)
+        tr = _law_sample(sampler, a, b).mean(axis=1)
         assert _within_4_se(tr, n2 / (n2 - _LAW_P - 1))
+
+    @pytest.mark.parametrize("a,b", _LAW_AB)
+    def test_mean_square_trace(self, sampler, a, b):
+        cfg = FisherSampleConfig(p=_LAW_P, a=a, b=b, seed=0)
+        tr2 = (_law_sample(sampler, a, b) ** 2).mean(axis=1)
+        assert _within_4_se(tr2, float(_mean_square_trace(_LAW_P, cfg.n1,
+                                                          cfg.n2)))
 
     def test_mean_log_determinant(self, sampler):
         # det(X X^T) is a product of independent chi^2 with n, ..., n - p + 1
         # degrees of freedom, and E[log chi^2_k] = psi(k/2) + log 2
-        cfg = FisherSampleConfig(p=_LAW_P, a=2, b=_LAW_B, seed=0)
-        exact = _LAW_P * math.log(cfg.n2 / cfg.n1) + sum(
-            _digamma_half(cfg.n1 - i) - _digamma_half(cfg.n2 - i)
-            for i in range(_LAW_P))
-        logdet = np.log(_law_sample(sampler, 2)).sum(axis=1)
-        assert _within_4_se(logdet, exact)
+        for a, b in ((2, 3), (3, 2)):
+            cfg = FisherSampleConfig(p=_LAW_P, a=a, b=b, seed=0)
+            exact = _LAW_P * math.log(cfg.n2 / cfg.n1) + sum(
+                _digamma_half(cfg.n1 - i) - _digamma_half(cfg.n2 - i)
+                for i in range(_LAW_P))
+            logdet = np.log(_law_sample(sampler, a, b)).sum(axis=1)
+            assert _within_4_se(logdet, exact)
 
     def test_rank_deficient_first_sample(self, sampler):
         # n1 = 4 < p = 8: S1 has rank n1, so p - n1 eigenvalues vanish
-        eigs = _law_sample(sampler, 0.5)[:50]
+        eigs = _law_sample(sampler, 0.5, 3)[:50]
         assert np.abs(eigs[:, :4]).max() <= 1e-10
         assert eigs[:, 4:].min() > 1e-3
 
@@ -224,6 +268,21 @@ class TestKsDistance:
             FisherSampleConfig(p=500, a=2.2, b=3, seed=42)
         )
         assert _KS_GATE < ks_distance(eigs, FreeF(2, 3)) < 0.08
+
+    def test_atom_is_matched_by_repeated_points(self):
+        """n/2 zeros on FreePoisson(1/2)'s atom, then quantiles of the rest."""
+        n = 1000
+        fam = FreePoisson(Fraction(1, 2))
+        lo, hi = measure_of(fam).support
+        grid = np.linspace(lo, hi, 20001)
+        cont = np.interp((n / 2 + np.arange(n // 2) + 0.5) / n,
+                         theoretical_cdf(fam)(grid), grid)
+        draws = np.concatenate((np.zeros(n // 2), cont))
+        assert ks_distance(draws, fam) <= 1 / n
+
+    def test_median_with_an_atom_under_the_gate(self):
+        # FreeF(1/2, 3) has mass 1/2 at 0: the p - n1 exact zeros
+        assert median_ks(500, 0.5, 3, range(4)) < _KS_GATE
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
