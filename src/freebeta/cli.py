@@ -248,7 +248,7 @@ def _cmd_enumerate_ncl(args) -> int:
     results = {"n": args.n, "count": len(parts)}
     if args.list:
         results["partitions"] = [_fmt_partition(p) for p in parts]
-    _emit(args, {"n": args.n}, results, ["path-expansion"])
+    _emit(args, {"n": args.n}, results, ["block-recursion"])
     return 0
 
 

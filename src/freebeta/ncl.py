@@ -5,9 +5,11 @@ element once or twice, pairwise non-crossing, and "nearly disjoint": two
 blocks may share at most one element, and a shared element must be the
 minimum of exactly one of the two blocks (that block then has size >= 2).
 
-Enumeration follows the card model: every partition corresponds to a
-Motzkin path of length n decorated with one admissible card per step, and
-expanding all paths yields each partition exactly once.  The statistic
+Enumeration is a block-recursive walk over the block that holds 1 and the
+gaps it leaves (Dykema, Adv. Math. 208, 2007; Chen, Wu & Yan, European J.
+Combin. 29, 2008).  The card model checks it: every partition corresponds
+to a Motzkin path of length n decorated with one admissible card per step,
+and expanding all paths yields each partition exactly once.  The statistic
 triple (dc, sc, sg) — doubly covered elements, singly covered minima of
 non-singleton blocks, singletons — drives the generating polynomial
 ``gamma_poly`` (the brute sum); ``gamma_series`` expands it by two more
@@ -20,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .distributions import FreeBetaPrime, t_coeffs_of
@@ -50,9 +52,10 @@ __all__ = [
 ]
 
 # Largest n with an exhaustive NCL(n).  One enumerate-and-validate pass
-# takes ~1.0-1.3 s at n = 9 and ~6-7.5 s at n = 10 (Python 3.11, 2-vCPU
-# x86_64); n = 11 has five times as many partitions, so ~5x the time
-# (estimated, not run) and the memory to hold a million partitions.
+# (``ncl_table``) takes ~0.4-0.6 s at n = 9 and ~2-3 s at n = 10
+# (Python 3.11, 2-vCPU x86_64, fresh processes); n = 11 has five times as
+# many partitions, so ~5x the time (estimated, not run) and the memory to
+# hold a million partitions.
 NCL_SIZE_LIMIT = 10
 
 
@@ -88,35 +91,59 @@ class LinkedPartition:
         return len(self.blocks)
 
 
-def _sweep(p: LinkedPartition) -> tuple[list[int], dict] | None:
-    """Cover counts (index x for element x) and ``inner``, or None.
+def _canonical(n: int, blocks: tuple[tuple[int, ...], ...]) -> LinkedPartition:
+    """A partition whose blocks are already canonical, built unchecked.
 
-    Blocks are filed under their minima and other elements under their
-    blocks (``inner``), so structural faults fail before any walk over
-    1..n.  The walk keeps the open blocks on a stack: the block holding x
-    must be on top (it pops at its maximum), then a block opening at x is
-    pushed.
+    For the enumerator, which emits sorted blocks in order of their minima;
+    everything else goes through the canonicalizing constructor.
     """
-    first: dict[int, tuple[int, ...]] = {}
-    inner: dict[int, tuple[int, ...]] = {}
+    p = object.__new__(LinkedPartition)
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "blocks", blocks)
+    return p
+
+
+def _sweep(p: LinkedPartition
+           ) -> tuple[list[int], list, tuple[int, int, int]] | None:
+    """Cover counts, ``inner`` (both indexed by element) and (dc, sc, sg).
+
+    None when ``p`` is not a non-crossing linked partition.  Blocks are
+    filed under their minima and other elements under their blocks
+    (``inner``), so a second opener or a second non-minimum holder fails
+    before any walk over 1..n.  The walk fails at an element nothing
+    covers, and keeps the open blocks on a stack: the block holding x must
+    be on top (it pops at its maximum), then a block opening at x is
+    pushed.  It counts each opener once: with a host toward dc, host-free
+    with more than one element toward sc, a host-free singleton toward sg.
+    """
+    n = p.n
+    # fewer listed elements than n cannot cover 1..n; past this check the
+    # tables are linear in the input, however large n is
+    if sum(map(len, p.blocks)) < n:
+        return None
+    first: list = [None] * (n + 1)
+    inner: list = [None] * (n + 1)
     for b in p.blocks:
-        if b[0] in first:
+        if first[b[0]] is not None:
             return None  # a second opener, or a duplicate block
         first[b[0]] = b
         for x in b[1:]:
-            if x in inner:
+            if inner[x] is not None:
                 return None  # a second non-minimum holder
             inner[x] = b
-    # every element lies in 1..n, so n distinct ones cover the ground set
-    if len(first.keys() | inner.keys()) != p.n:
-        return None
-    cover = [0] + [1] * p.n
+    cover = [0] + [1] * n
+    dc = sc = sg = 0
     stack: list[tuple[int, ...]] = [()]  # the sentinel is never a host
-    for x in range(1, p.n + 1):
-        block, host = first.get(x), inner.get(x)
+    for x in range(1, n + 1):
+        block, host = first[x], inner[x]
         if host is None:
+            if block is None:
+                return None  # x is not covered
             if len(block) > 1:
+                sc += 1
                 stack.append(block)
+            else:
+                sg += 1
             continue
         if stack[-1] is not host:
             return None
@@ -126,8 +153,9 @@ def _sweep(p: LinkedPartition) -> tuple[list[int], dict] | None:
             if len(block) == 1:
                 return None  # a shared singleton
             cover[x] = 2
+            dc += 1
             stack.append(block)
-    return cover, inner
+    return cover, inner, (dc, sc, sg)
 
 
 def validate_ncl(p: LinkedPartition) -> bool:
@@ -218,19 +246,65 @@ def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:
     return LinkedPartition(n, tuple(done))
 
 
+@lru_cache(maxsize=None)  # under 2 * NCL_SIZE_LIMIT**2 entries
+def _openings(start: int, hi: int, least: int) -> tuple:
+    """Blocks opening at ``start`` inside start..hi, with >= ``least`` members.
+
+    In lexicographic order, each with the gaps it leaves, rightmost first:
+    (b, c, linked) is to cover b+1..c, optionally starting with a linked
+    block at b when ``linked`` (b is a non-minimum member).  A gap with no
+    element inside has nothing to cover and no room for a linked block, so
+    it is left out.
+    """
+    rest = range(start + 1, hi + 1)
+    blocks = sorted((start,) + more for k in range(least - 1, len(rest) + 1)
+                    for more in combinations(rest, k))
+    out = []
+    for block in blocks:
+        gaps = [(block[-1], hi, len(block) > 1)] if block[-1] < hi else []
+        for i in range(len(block) - 1, 0, -1):
+            if block[i] - block[i - 1] > 1:
+                gaps.append((block[i - 1], block[i] - 1, i > 1))
+        out.append((block, tuple(gaps)))
+    return tuple(out)
+
+
+def _walk(n: int, out: list, blocks: list, todo: list) -> None:
+    """Append to ``out`` every way to fill the gaps on ``todo``, in order."""
+    if not todo:
+        out.append(_canonical(n, tuple(blocks)))
+        return
+    gap = todo.pop()  # the leftmost
+    b, hi, linked = gap
+    depth = len(todo)
+    # a linked block opens at b, so it sorts before any opening at b + 1
+    for start, least in ((b, 2), (b + 1, 1)) if linked else ((b + 1, 1),):
+        for block, gaps in _openings(start, hi, least):
+            blocks.append(block)
+            todo.extend(gaps)
+            _walk(n, out, blocks, todo)
+            del todo[depth:]
+            blocks.pop()
+    todo.append(gap)
+
+
 def enumerate_ncl(n: int) -> list[LinkedPartition]:
-    """All linked partitions of {1..n}, canonically ordered, duplicate-free."""
+    """All linked partitions of {1..n}, canonically ordered, duplicate-free.
+
+    A block-recursive walk: the block that opens at the leftmost unfilled
+    element is chosen in lexicographic order, then the gaps it leaves are
+    filled left to right.  Blocks are appended as they open, in order of
+    their minima, so each partition is canonical and the list comes out
+    sorted by blocks.  The card model (:func:`motzkin_paths`) is the check.
+    """
     if n < 1:
         raise FreeBetaError(f"NCL(n) needs n >= 1, got n = {n}")
     if n > NCL_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"exhaustive enumeration capped at n = {NCL_SIZE_LIMIT}"
         )
-    out = []
-    for path in motzkin_paths(n):
-        for cards in path_arrangements(path):
-            out.append(arrangement_to_partition(cards, n))
-    out.sort(key=lambda p: p.blocks)
+    out: list[LinkedPartition] = []
+    _walk(n, out, [], [(0, n, False)])
     return out
 
 
@@ -255,11 +329,7 @@ def statistics(p: LinkedPartition) -> NclStatistics:
     swept = _sweep(p)
     if swept is None:
         raise FreeBetaError("not a non-crossing linked partition")
-    cover = swept[0]
-    dc = cover.count(2)
-    sg = sum(1 for b in p.blocks if len(b) == 1)
-    sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
-    return NclStatistics(dc=dc, sc=sc, sg=sg)
+    return NclStatistics(*swept[2])
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +348,7 @@ def ncl_table(n: int) -> tuple[tuple[tuple, int], ...]:
     counts: Counter = Counter()
     for p in enumerate_ncl(n):
         st = statistics(p)
-        sizes = tuple(sorted(len(b) for b in p.blocks))
+        sizes = tuple(sorted(map(len, p.blocks)))
         counts[st.dc, st.sc, st.sg, sizes] += 1
     return tuple(counts.items())
 
@@ -296,7 +366,7 @@ def doubly_covered_types(
     swept = _sweep(p)
     if swept is None:
         raise FreeBetaError("not a non-crossing linked partition")
-    cover, host = swept
+    cover, host, _ = swept
     t1, t2 = [], []
     for x, c in enumerate(cover):
         if c == 2:

@@ -227,6 +227,7 @@ class TestCombinatorics:
     def test_enumerate_count(self, capsys):
         payload = run_json(capsys, "enumerate-ncl", "--n", "4")
         assert payload["results"]["count"] == 22
+        assert payload["provenance"] == ["block-recursion"]
 
     def test_ncl_stats(self, capsys):
         payload = run_json(

@@ -4,10 +4,12 @@ The enumeration is checked against an independently written brute-force
 generator, so the two implementations share no code paths.
 """
 
+import gc
 import hashlib
 import itertools
 import random
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from freebeta.ncl import (
     NCL_SIZE_LIMIT,
     LinkedPartition,
     NclStatistics,
+    _sweep,
     arrangement_to_partition,
     doubly_covered_types,
     enumerate_ncl,
@@ -53,6 +56,7 @@ ENUMERATION_DIGESTS = {
     5: "1a7bf4482f272581c0ce30a02df94cb97aedf173f30ae478702e5ecf9f4468ee",
     6: "c9e42b9285de9866730fd7d65fdae223d876b6728c57fddf6e83642b9106de2a",
     7: "65c5696ff5e73ae53f1bdc2e9894f8b98060622d4575477f41426d52327d192d",
+    8: "b7198280c3020b55c76a2ea2cb3c6c35cebdeda75ef246cec50c8f26811673f6",
 }
 
 # sha256 of repr(ncl_table(n)), pinned from the pairwise validator so that
@@ -134,6 +138,19 @@ def pairwise_statistics(p: LinkedPartition) -> NclStatistics:
     assert pairwise_validate_ncl(p)
     cover = _cover_counts(p)
     dc = sum(1 for c in cover.values() if c == 2)
+    sg = sum(1 for b in p.blocks if len(b) == 1)
+    sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
+    return NclStatistics(dc=dc, sc=sc, sg=sg)
+
+
+def sweep_statistics(p: LinkedPartition) -> NclStatistics:
+    """statistics() as it read the triple off the sweep's cover in three
+    passes, before the sweep counted it; kept verbatim as its oracle."""
+    swept = _sweep(p)
+    if swept is None:
+        raise FreeBetaError("not a non-crossing linked partition")
+    cover = swept[0]
+    dc = cover.count(2)
     sg = sum(1 for b in p.blocks if len(b) == 1)
     sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)
     return NclStatistics(dc=dc, sc=sc, sg=sg)
@@ -283,6 +300,17 @@ class TestEnumeration:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == ENUMERATION_DIGESTS[n]
 
+    def test_partitions_are_freed_with_the_list(self):
+        # reference counting alone frees them: no cycle keeps them alive
+        gc.disable()
+        try:
+            parts = enumerate_ncl(5)
+            first = weakref.ref(parts[0])
+            del parts
+            assert first() is None
+        finally:
+            gc.enable()
+
     def test_all_enumerated_partitions_validate(self):
         # by the sweep and by the pairwise specification alike
         for n in range(1, 9):
@@ -305,6 +333,11 @@ class TestValidation:
 
     def test_uncovered_element_rejected(self):
         p = LinkedPartition(3, ((1, 2),))
+        assert not validate_ncl(p)
+
+    def test_uncovered_element_rejected_in_the_walk(self):
+        # as many listed elements as n, so only the walk finds 4 uncovered
+        p = LinkedPartition(4, ((1, 2), (2, 3)))
         assert not validate_ncl(p)
 
     def test_crosses_matches_the_four_position_definition(self):
@@ -339,6 +372,10 @@ class TestValidation:
         # the cover check is linear in the elements listed, not in n
         p = LinkedPartition(10**9, ((1, 10**9),))
         assert not validate_ncl(p)
+
+    def test_public_constructor_canonicalizes(self):
+        # the enumerator alone skips this, emitting canonical blocks
+        assert LinkedPartition(3, ((3, 2), (1, 2))).blocks == ((1, 2), (2, 3))
 
     def test_malformed_inputs(self):
         with pytest.raises(FreeBetaError, match="outside the ground set"):
@@ -396,12 +433,15 @@ class TestPaths:
             path_arrangements(path)
 
     def test_expansion_covers_enumeration(self):
-        n = 5
-        via_paths = set()
-        for path in motzkin_paths(n):
-            for cards in path_arrangements(path):
-                via_paths.add(arrangement_to_partition(cards, n).blocks)
-        assert via_paths == {p.blocks for p in enumerate_ncl(n)}
+        # the card model checks the block recursion: the same partitions,
+        # in the same order once sorted by blocks
+        for n in range(1, 9):
+            via_paths = sorted(
+                (arrangement_to_partition(cards, n)
+                 for path in motzkin_paths(n)
+                 for cards in path_arrangements(path)),
+                key=lambda p: p.blocks)
+            assert via_paths == enumerate_ncl(n)
 
 
 class TestStatistics:
@@ -425,6 +465,22 @@ class TestStatistics:
         for p in enumerate_ncl(n):
             assert statistics(p) == pairwise_statistics(p)
             assert doubly_covered_types(p) == pairwise_doubly_covered_types(p)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_counted_in_the_sweep(self, n):
+        for p in enumerate_ncl(n):
+            assert statistics(p) == sweep_statistics(p)
+
+    @pytest.mark.parametrize("blocks", [
+        ((1, 3), (2, 4)),  # a crossing pair
+        ((1, 2), (1, 3), (2,)),  # a second opener at 1
+        ((1, 2), (2,), (3,)),  # a singleton shares 2
+    ])
+    def test_invalid_partitions_raise_in_both(self, blocks):
+        p = LinkedPartition(max(map(max, blocks)), blocks)
+        for stats in (statistics, sweep_statistics):
+            with pytest.raises(FreeBetaError, match="not a non-crossing"):
+                stats(p)
 
     def test_doubly_covered_types_are_linear_in_n(self):
         # the chain 1,2|2,3|...: every inner element is a host's maximum
