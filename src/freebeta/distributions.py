@@ -272,17 +272,17 @@ class FreeBetaPrime(Family):
         a, b = float(self.a), float(self.b)
         ra = math.sqrt(float(self.a * self.b))
         rb = math.sqrt(float(self.a + self.b - 1))
-        den = float(self.b - 1)
+        den = float(self.b - 1)  # exact b - 1: b may sit a rounding from 1
         lo = (float(self.a - 1) / (ra + rb)) ** 2  # ((ra - rb) / den)^2
-        return _Pieces(1 - a, b + 1, (b - 1) ** 2, lo, ((ra + rb) / den) ** 2,
+        return _Pieces(1 - a, b + 1, den ** 2, lo, ((ra + rb) / den) ** 2,
                        lambda z: 2 * z * (1 + z))
 
     def _measure(self) -> MeasureSpec:
-        a, b = float(self.a), float(self.b)
+        a, den = float(self.a), float(self.b - 1)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
-            lambda x: (b - 1) * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
+            lambda x: den * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
             / (2 * math.pi * x * (1 + x)),
             [(0.0, 1 - a)],
         )
@@ -354,15 +354,16 @@ class FreeT(Family):
             raise FreeBetaError("free T needs m > 1")
 
     def _pieces(self) -> _Pieces:
-        m = float(self.m)
-        edge = 2 * m / (m - 1)
-        return _Pieces(0.0, m + 1, (m - 1) ** 2, -edge, edge,
+        # m - 1 is exact: in floats it is 0 or a few digits when m is near 1
+        m, lead = float(self.m), float((self.m - 1) ** 2)
+        edge = float(2 * self.m / (self.m - 1))
+        return _Pieces(0.0, m + 1, lead, -edge, edge,
                        lambda z: 2 * (m + z * z))
 
     def _measure(self) -> MeasureSpec:
         m = float(self.m)
         lo, hi = support_of(self)
-        ratio = (m - 1) / m
+        ratio = float((self.m - 1) / self.m)
         return _measure_on(
             lo, hi,
             lambda x: math.sqrt(max(4 - (ratio * x) ** 2, 0.0))

@@ -7,9 +7,10 @@ minimum of exactly one of the two blocks (that block then has size >= 2).
 
 Enumeration is a block-recursive walk over the block that holds 1 and the
 gaps it leaves (Dykema, Adv. Math. 208, 2007; Chen, Wu & Yan, European J.
-Combin. 29, 2008).  The card model checks it: every partition corresponds
-to a Motzkin path of length n decorated with one admissible card per step,
-and expanding all paths yields each partition exactly once.  The statistic
+Combin. 29, 2008).  The card model checks it from ``tests/test_ncl.py``:
+every partition corresponds to a Motzkin path of length n decorated with
+one admissible card per step, and expanding all paths yields each
+partition exactly once.  The statistic
 triple (dc, sc, sg) — doubly covered elements, singly covered minima of
 non-singleton blocks, singletons — drives the generating polynomial
 ``gamma_poly`` (the brute sum); ``gamma_series`` expands it by two more
@@ -22,8 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import combinations
 
 from .distributions import FreeBetaPrime, t_coeffs_of
 from .errors import FreeBetaError, SizeLimitExceeded
@@ -37,9 +37,6 @@ __all__ = [
     "level_weights",
     "validate_ncl",
     "enumerate_ncl",
-    "motzkin_paths",
-    "path_arrangements",
-    "arrangement_to_partition",
     "statistics",
     "ncl_table",
     "doubly_covered_types",
@@ -86,9 +83,6 @@ class LinkedPartition:
             canon.append(b)
         canon.sort()
         object.__setattr__(self, "blocks", tuple(canon))
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
 
 def _canonical(n: int, blocks: tuple[tuple[int, ...], ...]) -> LinkedPartition:
@@ -163,89 +157,6 @@ def validate_ncl(p: LinkedPartition) -> bool:
     return _sweep(p) is not None
 
 
-# --------------------------------------------------------------------------
-# Motzkin paths and the card model
-# --------------------------------------------------------------------------
-
-# Cards, one per step: ``O`` opens a block (up step), ``U`` opens a block
-# linked to the enclosing open one (up step at positive height only), ``C``
-# closes a block (down step), ``I`` continues the enclosing block (flat step
-# at positive height), ``S`` is a singleton (flat step), ``T`` ends the
-# enclosing block while opening a linked successor (flat step at positive
-# height).  Keyed by (step, height > 0); a step missing here leaves the path.
-_RISE = {"u": 1, "t": 0, "d": -1}
-_CARDS = {
-    ("u", False): ("O",),
-    ("u", True): ("O", "U"),
-    ("t", False): ("S",),
-    ("t", True): ("I", "S", "T"),
-    ("d", True): ("C",),
-}
-
-
-def motzkin_paths(n: int) -> Iterator[tuple[str, ...]]:
-    """All lattice paths of length n over {u, t, d} staying >= 0, ending at 0."""
-
-    def rec(prefix: list[str], h: int, left: int) -> Iterator[tuple[str, ...]]:
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for step, dh in _RISE.items():
-            nh = h + dh
-            if nh < 0 or nh > left - 1:
-                continue
-            prefix.append(step)
-            yield from rec(prefix, nh, left - 1)
-            prefix.pop()
-
-    yield from rec([], 0, n)
-
-
-def path_arrangements(path: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Admissible card sequences of a Motzkin path; ValueError on others."""
-    options = []
-    h = 0
-    for step in path:
-        options.append(_CARDS.get((step, h > 0)))  # None: leaves the path
-        h += _RISE.get(step, 0)
-    if h or None in options:
-        raise ValueError(f"not a Motzkin path: {tuple(path)!r}")
-    return product(*options)
-
-
-def arrangement_to_partition(cards: Sequence[str], n: int) -> LinkedPartition:
-    """Convert a card sequence along positions 1..n into a partition.
-
-    A stack tracks the currently open blocks, innermost on top; linked
-    cards (``U``, ``T``) write the position into the enclosing block and
-    open a new block starting at the same position.
-    """
-    stack: list[list[int]] = []
-    done: list[tuple[int, ...]] = []
-    for j, card in enumerate(cards, start=1):
-        if card == "O":
-            stack.append([j])
-        elif card == "U":
-            stack[-1].append(j)
-            stack.append([j])
-        elif card == "I":
-            stack[-1].append(j)
-        elif card == "S":
-            done.append((j,))
-        elif card == "T":
-            stack[-1].append(j)
-            done.append(tuple(stack.pop()))
-            stack.append([j])
-        elif card == "C":
-            stack[-1].append(j)
-            done.append(tuple(stack.pop()))
-        else:
-            raise ValueError(f"unknown card {card!r}")
-    if stack:
-        raise ValueError("unbalanced card sequence")
-    return LinkedPartition(n, tuple(done))
-
-
 @lru_cache(maxsize=None)  # under 2 * NCL_SIZE_LIMIT**2 entries
 def _openings(start: int, hi: int, least: int) -> tuple:
     """Blocks opening at ``start`` inside start..hi, with >= ``least`` members.
@@ -295,7 +206,7 @@ def enumerate_ncl(n: int) -> list[LinkedPartition]:
     element is chosen in lexicographic order, then the gaps it leaves are
     filled left to right.  Blocks are appended as they open, in order of
     their minima, so each partition is canonical and the list comes out
-    sorted by blocks.  The card model (:func:`motzkin_paths`) is the check.
+    sorted by blocks.  The card model in ``tests/test_ncl.py`` is the check.
     """
     if n < 1:
         raise FreeBetaError(f"NCL(n) needs n >= 1, got n = {n}")
@@ -342,7 +253,7 @@ def ncl_table(n: int) -> tuple[tuple[tuple, int], ...]:
 
     One pass over :func:`enumerate_ncl`; each partition goes through the
     validating :func:`statistics`, so the triples come from the blocks and
-    not from the cards.  ``sizes`` are the sorted block sizes.  Only the
+    not from the walk.  ``sizes`` are the sorted block sizes.  Only the
     counts are kept, never the partitions.
     """
     counts: Counter = Counter()
@@ -361,7 +272,7 @@ def doubly_covered_types(
     A doubly covered element opens one block and belongs to another (the
     host).  It is *type one* when it is the maximum of the host and *type
     two* otherwise; type one corresponds to flat-step linked cards, type
-    two to up-step linked cards in the card model.
+    two to up-step linked cards in the card model (``tests/test_ncl.py``).
     """
     swept = _sweep(p)
     if swept is None:
@@ -387,7 +298,8 @@ def level_weights(alpha, beta, gamma, levels: int
     and 1 + alpha + gamma above (continue, singleton, or linked split); down
     steps carry 1, so ``up[i]`` is also the weight of a matched up/down pair
     between levels i and i+1.  Path sums with these weights generate the
-    linked-partition statistics.
+    linked-partition statistics; the cards are those of the card model in
+    ``tests/test_ncl.py``.
     """
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     flat = tuple(gamma if i == 0 else 1 + alpha + gamma for i in range(levels))

@@ -20,7 +20,6 @@ RationalLike = Union[int, str, Fraction]
 
 __all__ = [
     "PowerSeries",
-    "ps_compose",
     "ps_reversion",
     "ps_sqrt",
     "cf_expand",
@@ -173,19 +172,6 @@ class _CommonDenominator:
 def _poly(n: int, *coeffs) -> PowerSeries:
     """The polynomial with the given low coefficients, padded to order n."""
     return PowerSeries(list(coeffs) + [0] * (n + 1 - len(coeffs)))
-
-
-def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
-    """Compose ``outer(inner(z))`` exactly to the minimum order."""
-    if inner.coefficients[0] != 0:
-        raise FreeBetaError("composition needs an inner series vanishing at 0")
-    n = min(outer.order, inner.order)
-    inner = inner.truncate(n)
-    acc = PowerSeries.constant(outer[min(n, outer.order)], n)
-    # Horner evaluation from the highest retained coefficient down.
-    for k in range(n - 1, -1, -1):
-        acc = acc * inner + PowerSeries.constant(outer[k], n)
-    return acc
 
 
 def ps_reversion(f: PowerSeries) -> PowerSeries:

@@ -1,18 +1,21 @@
-"""Every exported name resolves, and every imported name is used.
+"""Every exported name resolves and has a caller; every import is used.
 
 Each module's ``__all__`` and the package's re-exports are the public API.
 Tools that walk ``__all__`` with ``getattr`` (the benchmark tracer does)
 fail on a stale entry, so a deletion must take its export with it, and
-likewise the imports only it used.
+likewise the imports only it used.  An export that only the tests call is
+a test oracle, and it lives in the test that uses it.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,32 @@ def test_every_import_is_used(name):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = _imported_names(tree) - used - set(getattr(module, "__all__", ()))
     assert sorted(unused) == []
+
+
+# the program: the package, the benchmark harness and the demos
+CALLER_DIRS = ("src/freebeta", "perfbench", "demos")
+
+
+@functools.cache
+def _loaded_names() -> frozenset[str]:
+    """Every name or attribute the program reads, in ``Load`` context."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for path in (p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                names.add(node.attr)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_export_has_a_caller_outside_the_tests(name):
+    module = importlib.import_module(f"freebeta.{name}")
+    uncalled = set(getattr(module, "__all__", ())) - _loaded_names()
+    assert sorted(uncalled) == []
 
 
 def test_package_reexports_are_exported_by_their_module():

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -221,6 +222,34 @@ class TestDensityAndSupport:
         grid = payload["results"]["grid"]
         assert [g["x"] for g in grid] == [1.0, 1.5, 2.0]
         assert all(g["density"] > 0 for g in grid)
+
+    @pytest.mark.parametrize("m, edge", [("1.000000000001", 2000000000002.0),
+                                         ("1.0000000000000001", 2e16)])
+    def test_free_t_next_to_one(self, capsys, m, edge):
+        # 2m/(m - 1) with m - 1 exact; in floats m - 1 kept 4 digits at the
+        # first m and was 0 at the second, where every command divided by it
+        payload = run_json(capsys, "support", "--family", "ft", "--m", m)
+        assert (payload["results"]["lo"], payload["results"]["hi"]) == (
+            -edge, edge)
+        payload = run_json(capsys, "density", "--family", "ft", "--m", m)
+        assert payload["results"]["support"] == [-edge, edge]
+        payload = run_json(capsys, "score-check", "--family", "ft", "--m", m,
+                           "--points", "5")
+        # the scores are ~1e-16 to 1e-12 here, so the bound scales with them
+        scale = max(abs(row["v_prime"]) for row in payload["results"]["grid"])
+        assert payload["results"]["max_abs_deviation"] < 1e-9 * scale
+
+    def test_free_beta_prime_next_to_one(self, capsys):
+        # the density carries the factor b - 1; in floats it was off by 9e-5
+        b = Fraction("1.000000000001")
+        payload = run_json(capsys, "density", "--family", "fbp", "--a", "2",
+                           "--b", str(b), "--grid", "1:2:2")
+        lo, hi = payload["results"]["support"]
+        for row in payload["results"]["grid"]:
+            x = row["x"]
+            want = (float(b - 1) * math.sqrt((x - lo) * (hi - x))
+                    / (2 * math.pi * x * (1 + x)))
+            assert row["density"] == pytest.approx(want, rel=1e-12)
 
 
 class TestCombinatorics:
@@ -859,7 +888,8 @@ def _mostly(usual, edge):
 
 _RATIONALS = _mostly(
     ["2", "3", "1/2", "3/2", "7/3", "5", "2.5"],
-    ["1", "0", "-1", "-3/4", "1e-9", "1e300", "1e400", "zebra", "1/0", ""])
+    ["1", "0", "-1", "-3/4", "1e-9", "1e300", "1e400", "zebra", "1/0", "",
+     "1.0000000000000001"])
 _FLOATS = st.integers(0, 4).flatmap(
     lambda k: st.floats(-5, 5).map(repr) if k else st.sampled_from(
         ["-1", "-2", "nan", "inf", "-inf", "1e308", "zebra"]))

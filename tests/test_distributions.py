@@ -14,6 +14,7 @@ from freebeta.analysis import (
     atom_masses,
     hilbert_score,
     potential_derivative,
+    quadrature_moment,
     stieltjes_density,
 )
 from freebeta.cli import _FAMILIES
@@ -277,6 +278,32 @@ class TestSupportAndMeasure:
         lo, hi = spec.support
         assert spec.density(lo - 0.1) == 0.0
         assert spec.density(hi + 0.1) == 0.0
+
+    @pytest.mark.parametrize("a", [F(1, 2), F(1), F(2)])
+    def test_free_beta_prime_next_to_one_has_unit_mass(self, a):
+        # b - 1 taken in floats put the mass at 1 + 4e-5 to 1 + 9e-5; the
+        # Cauchy pieces and the density each carry it
+        fam = FreeBetaPrime(a, F("1.000000000001"))
+        spec = measure_of(fam)
+        assert quadrature_moment(spec, 0) == pytest.approx(1, abs=1e-9)
+        for x in (0.5, 1.0, 2.0, 10.0):
+            assert stieltjes_density(fam, x) == pytest.approx(
+                spec.density(x), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [F("1.000000000001"),
+                                   F("1.0000000000000001")])
+    def test_free_t_next_to_one_density(self, m):
+        # at x = m/(m - 1), half the edge, ratio * x = 1, so the density is
+        # sqrt(3) / (2 pi (1 + m/(m - 1)^2)); m - 1 in floats was 9e-5 off
+        # at the first m and 0 at the second
+        fam = FreeT(m)
+        x = support_of(fam)[1] / 2
+        assert x == float(m / (m - 1))
+        want = math.sqrt(3) / (2 * math.pi * float(1 + m / (m - 1) ** 2))
+        assert measure_of(fam).density(x) == pytest.approx(
+            want, rel=1e-12, abs=0)
+        assert stieltjes_density(fam, x) == pytest.approx(
+            want, rel=1e-9, abs=0)
 
     def test_density_matches_stieltjes_inversion(self):
         fam = FreeBetaPrime(2, 3)

@@ -1,7 +1,8 @@
 """Tests for non-crossing linked partitions and the Gamma polynomials.
 
 The enumeration is checked against an independently written brute-force
-generator, so the two implementations share no code paths.
+generator and against the Motzkin-path card model, both kept here, so the
+checks share no code paths with the package.
 """
 
 import gc
@@ -24,7 +25,6 @@ from freebeta.ncl import (
     LinkedPartition,
     NclStatistics,
     _sweep,
-    arrangement_to_partition,
     doubly_covered_types,
     enumerate_ncl,
     fbp_moment,
@@ -33,9 +33,7 @@ from freebeta.ncl import (
     gamma_series,
     level_weights,
     moment_via_ncl,
-    motzkin_paths,
     ncl_table,
-    path_arrangements,
     statistics,
     validate_ncl,
 )
@@ -266,6 +264,90 @@ def oracle_enumerate(n):
 
     rec(1, [])
     return set(results)
+
+
+# --- the card model -------------------------------------------------------
+# Chen, Wu & Yan (European J. Combin. 29, 2008): a linked partition of
+# {1..n} is a Motzkin path of length n with one admissible card per step.
+# No route of the package runs it; it is the check on enumerate_ncl.
+
+# Cards, one per step: ``O`` opens a block (up step), ``U`` opens a block
+# linked to the enclosing open one (up step at positive height only), ``C``
+# closes a block (down step), ``I`` continues the enclosing block (flat step
+# at positive height), ``S`` is a singleton (flat step), ``T`` ends the
+# enclosing block while opening a linked successor (flat step at positive
+# height).  Keyed by (step, height > 0); a step missing here leaves the path.
+_RISE = {"u": 1, "t": 0, "d": -1}
+_CARDS = {
+    ("u", False): ("O",),
+    ("u", True): ("O", "U"),
+    ("t", False): ("S",),
+    ("t", True): ("I", "S", "T"),
+    ("d", True): ("C",),
+}
+
+
+def motzkin_paths(n):
+    """All lattice paths of length n over {u, t, d} staying >= 0, ending at 0."""
+
+    def rec(prefix, h, left):
+        if left == 0:
+            yield tuple(prefix)
+            return
+        for step, dh in _RISE.items():
+            nh = h + dh
+            if nh < 0 or nh > left - 1:
+                continue
+            prefix.append(step)
+            yield from rec(prefix, nh, left - 1)
+            prefix.pop()
+
+    yield from rec([], 0, n)
+
+
+def path_arrangements(path):
+    """Admissible card sequences of a Motzkin path; ValueError on others."""
+    options = []
+    h = 0
+    for step in path:
+        options.append(_CARDS.get((step, h > 0)))  # None: leaves the path
+        h += _RISE.get(step, 0)
+    if h or None in options:
+        raise ValueError(f"not a Motzkin path: {tuple(path)!r}")
+    return itertools.product(*options)
+
+
+def arrangement_to_partition(cards, n):
+    """Convert a card sequence along positions 1..n into a partition.
+
+    A stack tracks the currently open blocks, innermost on top; linked
+    cards (``U``, ``T``) write the position into the enclosing block and
+    open a new block starting at the same position.
+    """
+    stack = []
+    done = []
+    for j, card in enumerate(cards, start=1):
+        if card == "O":
+            stack.append([j])
+        elif card == "U":
+            stack[-1].append(j)
+            stack.append([j])
+        elif card == "I":
+            stack[-1].append(j)
+        elif card == "S":
+            done.append((j,))
+        elif card == "T":
+            stack[-1].append(j)
+            done.append(tuple(stack.pop()))
+            stack.append([j])
+        elif card == "C":
+            stack[-1].append(j)
+            done.append(tuple(stack.pop()))
+        else:
+            raise ValueError(f"unknown card {card!r}")
+    if stack:
+        raise ValueError("unbalanced card sequence")
+    return LinkedPartition(n, tuple(done))
 
 
 class TestEnumeration:
@@ -503,7 +585,7 @@ class TestStatistics:
         for n in range(1, 8):
             for p in enumerate_ncl(n):
                 st = statistics(p)
-                assert st.dc + st.sc + st.sg == len(p)
+                assert st.dc + st.sc + st.sg == len(p.blocks)
                 assert sum(len(b) for b in p.blocks) == n + st.dc
 
 

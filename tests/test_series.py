@@ -19,7 +19,6 @@ from freebeta.ncl import gamma_quadratic_residual, gamma_series
 from freebeta.series import (
     PowerSeries,
     cf_expand,
-    ps_compose,
     ps_reversion,
     ps_sqrt,
 )
@@ -34,6 +33,21 @@ def poly(*coeffs):
 def z_series(order):
     """The series z at the given order (>= 1)."""
     return poly(0, 1).pad(order)
+
+
+# Horner composition: no route of the package composes series; it is the
+# independent check that ps_reversion's Lagrange inversion undoes f.
+def ps_compose(outer: PowerSeries, inner: PowerSeries) -> PowerSeries:
+    """Compose ``outer(inner(z))`` exactly to the minimum order."""
+    if inner.coefficients[0] != 0:
+        raise FreeBetaError("composition needs an inner series vanishing at 0")
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    acc = PowerSeries.constant(outer[min(n, outer.order)], n)
+    # Horner evaluation from the highest retained coefficient down.
+    for k in range(n - 1, -1, -1):
+        acc = acc * inner + PowerSeries.constant(outer[k], n)
+    return acc
 
 
 small_fracs = st.fractions(
