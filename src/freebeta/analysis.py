@@ -1,9 +1,10 @@
 """Numerical measure-level verification.
 
 Boundary limits of the Cauchy transform are taken along a ladder of
-imaginary offsets with polynomial (Richardson/Neville) extrapolation to
-zero, recovering the Stieltjes density, the Hilbert-transform score
-function, and atom masses to well below the closed-form tolerances.
+imaginary offsets with polynomial extrapolation to zero by fixed Lagrange
+weights, one set per ladder, recovering the Stieltjes density, the
+Hilbert-transform score function, and atom masses to well below the
+closed-form tolerances.
 Quadrature handles the inverse-square-root edge behavior by the
 substitution x = lo + (hi - lo) sin^2(theta), then integrates by the
 adaptive Gauss-Kronrod 7/15 rule of QUADPACK (Piessens et al., 1983).
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -72,15 +74,30 @@ __all__ = [
 ]
 
 
-def _extrapolate(xs: Sequence[float], ys: Sequence[complex]) -> complex:
-    """Neville's polynomial extrapolation of (xs, ys) to x = 0."""
-    tab = list(ys)
-    n = len(tab)
-    for level in range(1, n):
-        for i in range(n - level):
-            x0, x1 = xs[i], xs[i + level]
-            tab[i] = (x1 * tab[i] - x0 * tab[i + 1]) / (x1 - x0)
-    return tab[0]
+def _weights(xs: Sequence[float]) -> tuple[float, ...]:
+    """Lagrange weights w_i = prod_{j != i} x_j / (x_j - x_i) of the nodes.
+
+    sum(w_i * y_i) is the value at 0 of the polynomial through the points
+    (x_i, y_i).  The weights depend only on the ratios of the nodes, so they
+    serve a ladder scaled by any factor.  Each is taken exactly from the
+    float nodes and rounded once.
+    """
+    nodes = [Fraction(x) for x in xs]
+    return tuple(
+        float(math.prod(xj / (xj - xi) for xj in nodes if xj != xi))
+        for xi in nodes)
+
+
+def _extrapolate(weights: Sequence[float], ys: Sequence[complex]) -> complex:
+    """The polynomial extrapolation to 0 of ys, given its nodes' weights."""
+    return sum(map(operator.mul, weights, ys))
+
+
+# Extrapolation weights of the ladders; an atom site on a support edge is
+# extrapolated in sqrt(y).
+_LADDER_W = _weights(_LADDER)
+_ATOM_W = _weights(_ATOM_LADDER)
+_EDGE_ATOM_W = _weights([math.sqrt(y) for y in _ATOM_LADDER])
 
 
 def _boundary_g(f: Family, x: float) -> complex:
@@ -94,8 +111,8 @@ def _boundary_g(f: Family, x: float) -> complex:
     if not lo < x < hi:
         raise FreeBetaError(f"{x} not strictly inside [{lo}, {hi}]")
     scale = min(1.0, x - lo, hi - x)
-    eps = [e * scale for e in _LADDER]
-    return _extrapolate(eps, [cauchy_eval(f, complex(x, e)) for e in eps])
+    return _extrapolate(
+        _LADDER_W, [cauchy_eval(f, complex(x, e * scale)) for e in _LADDER])
 
 
 def stieltjes_density(f: Family, x: float) -> float:
@@ -136,9 +153,8 @@ def atom_masses(f: Family) -> list[tuple[float, float]]:
         d = min(abs(x0 - lo), abs(x0 - hi))
         on_edge = d <= _REAL_TOL * (1 + abs(x0))
         ys = [y * (1.0 if on_edge else min(1.0, d)) for y in _ATOM_LADDER]
-        xs = [math.sqrt(y) for y in ys] if on_edge else ys
         vals = [y * abs(cauchy_eval(f, complex(x0, y))) for y in ys]
-        mass = _extrapolate(xs, vals)
+        mass = _extrapolate(_EDGE_ATOM_W if on_edge else _ATOM_W, vals)
         if mass > _ATOM_THRESHOLD:
             out.append((x0, mass))
     return out

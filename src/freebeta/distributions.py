@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -86,21 +86,24 @@ class _Pieces:
     e_minus: float
     e_plus: float
     q: Callable[[complex], complex]
+    # sqrt(lead), taken once from lead, so a replaced lead moves it too
+    root_lead: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "root_lead", math.sqrt(self.lead))
 
 
-def _cut_sqrt(z: complex, lead: float, e_minus: float,
-              e_plus: float) -> complex:
+def _cut_sqrt(p: _Pieces, z: complex) -> complex:
     """sqrt(lead*(z - e_minus)(z - e_plus)), analytic off [e_minus, e_plus].
 
     Positive on (e_plus, inf), negative on (-inf, e_minus), and asymptotic
     to sqrt(lead)*z — the branch every transform here needs.
     """
-    return math.sqrt(lead) * cmath.sqrt(z - e_plus) * cmath.sqrt(z - e_minus)
+    return p.root_lead * cmath.sqrt(z - p.e_plus) * cmath.sqrt(z - p.e_minus)
 
 
 def _eval_pieces(p: _Pieces, z: complex) -> complex:
-    num = p.p1 * z + p.p0 - _cut_sqrt(z, p.lead, p.e_minus, p.e_plus)
-    return num / p.q(z)
+    return (p.p1 * z + p.p0 - _cut_sqrt(p, z)) / p.q(z)
 
 
 def _measure_on(lo: float, hi: float, body: Callable[[float], float],
@@ -485,7 +488,7 @@ class FreeMeixnerStd(Family):
             # near-double root would divide into a spurious atom.  At a
             # double root (theta^2 = 4 tau) P = sqrt(D), and G has no atom.
             pv = p.p1 * pole + p.p0
-            if pv * _cut_sqrt(complex(pole, 0.0), p.lead, lo, hi).real >= 0:
+            if pv * _cut_sqrt(p, complex(pole, 0.0)).real >= 0:
                 continue
             mass = pv / (2 * tau * pole + th)  # 2P / Q'
             if mass > 1e-12:

@@ -1,6 +1,7 @@
 """Tests for Stieltjes inversion, score identities, atoms, and quadrature."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,14 @@ import pytest
 import numpy as np
 
 from freebeta.analysis import (
+    _ATOM_LADDER,
+    _ATOM_W,
+    _EDGE_ATOM_W,
     _GK_NODES,
     _GK_WEIGHTS,
+    _LADDER,
+    _LADDER_W,
+    _extrapolate,
     atom_masses,
     hilbert_score,
     potential_derivative,
@@ -35,6 +42,56 @@ from freebeta.errors import FreeBetaError
 from freebeta.verification import _SCORE_GATE
 
 F = Fraction
+
+
+def _neville(xs, ys):
+    """Neville's polynomial extrapolation of (xs, ys) to x = 0, by the
+    O(k^2) tableau: the oracle of the fixed Lagrange weights."""
+    tab = list(ys)
+    n = len(tab)
+    for level in range(1, n):
+        for i in range(n - level):
+            x0, x1 = xs[i], xs[i + level]
+            tab[i] = (x1 * tab[i] - x0 * tab[i + 1]) / (x1 - x0)
+    return tab[0]
+
+
+class TestExtrapolationWeights:
+    # each ladder's nodes with their weights; on a support edge the atom
+    # limit is extrapolated in sqrt(y)
+    ladders = pytest.mark.parametrize("nodes, weights", [
+        (_LADDER, _LADDER_W),
+        (_ATOM_LADDER, _ATOM_W),
+        (tuple(math.sqrt(y) for y in _ATOM_LADDER), _EDGE_ATOM_W),
+    ], ids=["ladder", "atom", "edge-atom"])
+    # the weights depend only on the ratios of the nodes, so they serve the
+    # ladder scaled by min(1, d) for any distance d to an edge
+    scales = pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-7])
+
+    @ladders
+    @scales
+    def test_equal_neville_on_random_data(self, nodes, weights, scale):
+        xs = [x * scale for x in nodes]
+        rng = random.Random(27)
+        for _ in range(20):
+            ys = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for _ in xs]
+            want = _neville(xs, ys)
+            assert abs(_extrapolate(weights, ys) - want) <= 1e-14 * abs(want)
+
+    @ladders
+    @scales
+    def test_reproduce_a_quartic_at_zero(self, nodes, weights, scale):
+        # every term of the quartic is of order one on the ladder, so each
+        # degree must cancel for the value at 0 to come out
+        xs = [x * scale for x in nodes]
+        coeffs = [1.5 - 0.5j, -2.0, 3.0 + 1.0j, 0.5j, -1.25]
+
+        def quartic(x):
+            return sum(c * (x / xs[0]) ** k for k, c in enumerate(coeffs))
+
+        got = _extrapolate(weights, [quartic(x) for x in xs])
+        assert got == pytest.approx(coeffs[0], rel=1e-14)
 
 
 class TestStieltjesDensity:

@@ -87,6 +87,25 @@ def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
     assert "|closed - Stieltjes|" in detail
 
 
+# A relative 1e-9 change to the weight of either of the two lowest rungs
+# moves the boundary limit by ~1e-10 and ~1e-9 of G.  The top three rungs
+# (1e-2, 1e-3 and 1e-4) weigh 1.1e-10, -1.2e-6 and 1.3e-3, so the same
+# change there moves it by at most 1.3e-12 of G and passes both gates: it
+# does not show, and is not tested.
+@pytest.mark.parametrize("rung", [3, 4], ids=["eps=1e-5", "eps=1e-6"])
+@pytest.mark.parametrize("factor", [1 + 1e-9, 1 - 1e-9])
+def test_gates_catch_a_relative_1e9_change_in_a_low_rung_weight(
+        monkeypatch, rung, factor):
+    weights = list(analysis._LADDER_W)
+    weights[rung] *= factor
+    monkeypatch.setattr(analysis, "_LADDER_W", tuple(weights))
+    for name, diff in (("score-identities", "|2H - V'|"),
+                       ("measure-sanity", "|closed - Stieltjes|")):
+        ok, detail = dict(CRITERIA)[name]()
+        assert not ok, name
+        assert diff in detail
+
+
 def test_score_gate_catches_a_relative_1e9_change_in_v_prime(monkeypatch):
     # moves |2H - V'| at the first point checked by 3.7e-10
     potential_derivative = analysis.potential_derivative
