@@ -16,17 +16,17 @@ forms with :func:`freebeta.series.ps_sqrt`; the discriminants' constant
 terms are rational squares, so no algebraic numbers appear.
 
 Each family is one frozen dataclass of exact rational parameters carrying
-its own pieces (Cauchy parameters, support, measure, moments, potential V',
-atom sites); the functions here and in :mod:`freebeta.analysis` make one call
-on it.  The free F, inverse free Poisson and free T delegate to a base law
-by a dilation, a reciprocal and a symmetric square.  Densities, V', atom
-sites and moment series are written out per family, never derived from the
-Cauchy parameters, so checks against the Cauchy transform compare
-independent routes.
+its own pieces (Cauchy parameters, measure, moments, potential V', atom
+sites); the functions here and in :mod:`freebeta.analysis` make one call on
+it.  Every law writes its float forms (G, support, density, atoms, V') from
+its own parameters; only the exact moment series of the free F and free T
+delegate, by a dilation and a symmetric square.  Densities, V', atom sites
+and moment series are never derived from the Cauchy parameters, so checks
+against the Cauchy transform compare independent routes.
 
 The fields of a law are frozen, so it derives its closed-form Cauchy
-parameters and its delegated base law once per instance, on first use, and
-every later evaluation reads them.
+parameters once per instance, on first use, and every later evaluation reads
+them.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def _cut_sqrt(p: _Pieces, z: complex) -> complex:
     return p.root_lead * cmath.sqrt(z - p.e_plus) * cmath.sqrt(z - p.e_minus)
 
 
-def _eval_pieces(p: _Pieces, z: complex) -> complex:
-    return (p.p1 * z + p.p0 - _cut_sqrt(p, z)) / p.q(z)
-
-
 def _measure_on(lo: float, hi: float, body: Callable[[float], float],
                 atoms=()) -> MeasureSpec:
     """Density ``body`` on (lo, hi), plus the atoms of positive mass."""
@@ -137,14 +133,13 @@ class Family:
     by ``_check``.  The underscore members are the family's operations
     (``_atom_sites`` holds the candidate atom locations).  The defaults of
     ``_moments`` and ``_v_prime`` raise FreeBetaError for a family without
-    one; ``_cauchy`` and ``_support`` use ``_pieces``, which each family
-    defines unless it overrides both.
+    one.
 
-    ``_pieces`` builds the closed-form parameters from the frozen fields;
-    ``_params`` holds its result, built once per instance.  A delegating
-    family likewise builds its base law (``_base``) once.  Both live in the
-    instance dict, outside the fields, so ``repr``, ``==`` and ``hash`` see
-    only the parameters, and pickling drops them.
+    Every family defines ``_pieces``, which builds the closed-form Cauchy
+    parameters, support edges included, from the frozen fields; ``_params``
+    holds its result, built once per instance.  It lives in the instance
+    dict, outside the fields, so ``repr``, ``==`` and ``hash`` see only the
+    parameters, and pickling drops it.
     """
 
     def __post_init__(self):
@@ -161,14 +156,6 @@ class Family:
     @cached_property
     def _params(self) -> _Pieces:
         return self._pieces()
-
-    def _cauchy(self, z: complex) -> complex:
-        """G on the open upper half-plane, from the closed-form pieces."""
-        return _eval_pieces(self._params, z)
-
-    def _support(self) -> tuple[float, float]:
-        p = self._params
-        return p.e_minus, p.e_plus
 
 
 @dataclass(frozen=True)
@@ -208,10 +195,7 @@ class FreePoisson(Family):
 
 @dataclass(frozen=True)
 class InverseFreePoisson(Family):
-    """Law of the inverse of a free Poisson variable; needs b > 1.
-
-    Delegates to FreePoisson(b) through the reciprocal x -> 1/x.
-    """
+    """Law of the inverse of a free Poisson variable; needs b > 1."""
 
     b: Fraction
     _atom_sites = ()
@@ -220,23 +204,22 @@ class InverseFreePoisson(Family):
         if self.b <= 1:
             raise FreeBetaError("inverse free Poisson needs b > 1")
 
-    @cached_property
-    def _base(self) -> FreePoisson:
-        return FreePoisson(self.b)
-
-    def _cauchy(self, z: complex) -> complex:
-        # the reciprocal flips the half-plane; cauchy_eval conjugates back
-        return 1 / z - (1 / (z * z)) * cauchy_eval(self._base, 1 / z)
-
-    def _support(self) -> tuple[float, float]:
-        lo, hi = support_of(self._base)
-        return 1 / hi, 1 / lo
+    def _pieces(self) -> _Pieces:
+        # G = ((b+1)z - 1 - (b-1) sqrt((z-e-)(z-e+))) / (2z^2) over the
+        # exact b - 1, so it overflows only where the free Poisson's does
+        b, rt, den = self.b, math.sqrt(float(self.b)), float(self.b - 1)
+        return _Pieces(float(-1 / (b - 1)), float((b + 1) / (b - 1)), 1.0,
+                       1 / (1 + rt) ** 2, ((1 + rt) / den) ** 2,
+                       lambda z: 2 * z * z / den)
 
     def _measure(self) -> MeasureSpec:
-        inner = measure_of(self._base)
+        den = float(self.b - 1)
         lo, hi = support_of(self)
-        return _measure_on(lo, hi,
-                           lambda x: inner.density(1 / x) / (x * x))
+        return _measure_on(
+            lo, hi,
+            lambda x: den * math.sqrt((x - lo) * (hi - x))
+            / (2 * math.pi * x * x),
+        )
 
     def _moments(self, order: int) -> MomentSequence:
         # m_k = -[z^(k-1)] of the Taylor series at 0 of the free Poisson G
@@ -307,7 +290,7 @@ class FreeBetaPrime(Family):
 
 @dataclass(frozen=True)
 class FreeF(Family):
-    """Free F law: the free beta prime dilated by b/a."""
+    """Free F law: the free beta prime dilated by r = b/a."""
 
     a: Fraction
     b: Fraction
@@ -317,28 +300,30 @@ class FreeF(Family):
         if self.a <= 0 or self.b <= 1:
             raise FreeBetaError("free F needs a > 0, b > 1")
 
-    @cached_property
-    def _base(self) -> FreeBetaPrime:
-        return FreeBetaPrime(self.a, self.b)
-
-    def _cauchy(self, z: complex) -> complex:
-        c = float(self.a) / float(self.b)
-        return c * cauchy_eval(self._base, c * z)
-
-    def _support(self) -> tuple[float, float]:
-        lo, hi = support_of(self._base)
-        c = float(self.b) / float(self.a)
-        return c * lo, c * hi
+    def _pieces(self) -> _Pieces:
+        # G = ((b+1)z + (1-a)r - (b-1) sqrt((z-e-)(z-e+))) / (2z(z+r)) with
+        # e+- = r((sqrt(ab) +- sqrt(a+b-1))/(b-1))^2 = ((b +- s)/(b-1))^2:
+        # s = sqrt(r) sqrt(a+b-1) keeps r inside the square, off overflow
+        a, b, fb, r = self.a, self.b, float(self.b), float(self.b / self.a)
+        s = math.sqrt(r) * math.sqrt(float(a + b - 1))
+        den = float(b - 1)  # exact b - 1: b may sit a rounding from 1
+        lo = (float((a - 1) / a) * fb / (fb + s)) ** 2  # ((b - s) / den)^2
+        return _Pieces(float((1 - a) * b / a), fb + 1, den ** 2, lo,
+                       ((fb + s) / den) ** 2, lambda z: 2 * z * (z + r))
 
     def _measure(self) -> MeasureSpec:
-        inner = measure_of(self._base)
-        c = float(self.a) / float(self.b)  # x -> c*x maps back to the base
+        a, den, r = float(self.a), float(self.b - 1), float(self.b / self.a)
         lo, hi = support_of(self)
-        return _measure_on(lo, hi, lambda x: c * inner.density(c * x),
-                           inner.atoms)
+        # factored: sqrt((x - lo)(hi - x)) overflows where these do not
+        return _measure_on(
+            lo, hi,
+            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x)
+            / (2 * math.pi * x * (x + r)),
+            [(0.0, 1 - a)],
+        )
 
     def _moments(self, order: int) -> MomentSequence:
-        base = moment_series(self._base, order)
+        base = moment_series(FreeBetaPrime(self.a, self.b), order)
         c = self.b / self.a
         return MomentSequence(
             tuple(c ** k * base[k] for k in range(order + 1))
@@ -515,12 +500,14 @@ def cauchy_eval(f: Family, z: complex) -> complex:
         raise FreeBetaError(f"G is evaluated off the real axis, got z = {z}")
     if z.imag < 0:
         return cauchy_eval(f, z.conjugate()).conjugate()
-    return f._cauchy(z)
+    p = f._params
+    return (p.p1 * z + p.p0 - _cut_sqrt(p, z)) / p.q(z)
 
 
 def support_of(f: Family) -> tuple[float, float]:
     """Endpoints of the continuous support."""
-    return f._support()
+    p = f._params
+    return p.e_minus, p.e_plus
 
 
 def measure_of(f: Family) -> MeasureSpec:

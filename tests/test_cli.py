@@ -25,6 +25,21 @@ from freebeta.cli import (
 from freebeta.errors import FreeBetaError, SizeLimitExceeded
 
 
+# Free F and inverse free Poisson flags at the ends of the float range, and
+# whether density and support refuse them: at b = 1e300 the free F's leading
+# coefficient (b - 1)^2 leaves the float range, and at a = 1e-300,
+# b = 1 + 1e-12 so does its upper edge, 1e312.
+_EXTREME_B = ["1.000000000001", "3", "1e6", "1e300"]
+_EXTREME_LAWS = [
+    pytest.param(["ff", "--a", a, "--b", b],
+                 b == "1e300" or (a, b) == ("1e-300", "1.000000000001"),
+                 id=f"ff-{a}-{b}")
+    for a in ["1e-300", "1e-6", "1", "1e6", "1e155", "1e300"]
+    for b in _EXTREME_B
+] + [pytest.param(["ifp", "--b", b], False, id=f"ifp-{b}")
+     for b in _EXTREME_B]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -690,7 +705,7 @@ class TestInputGuards:
         )
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("family", ["fbp", "ff"])
+    @pytest.mark.parametrize("family", ["fbp"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_results_are_refused(self, capsys, family, fmt):
         # at a = 1e300 the float support and densities are NaN
@@ -698,6 +713,44 @@ class TestInputGuards:
                                  "--a", "1e300", "--b", "3", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "error: the result holds a non-finite number, nan\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_free_f_at_huge_a_is_the_scaled_inverse_free_poisson(
+            self, capsys, fmt):
+        # FreeF(a, b) tends to b * InverseFreePoisson(b) as a grows; its own
+        # pieces reach that limit, where the free beta prime's overflow
+        argv = ["density", "--family", "ff", "--a", "1e300", "--b", "3"]
+        ifp = distributions.InverseFreePoisson(3)
+        lo, hi = distributions.support_of(ifp)
+        if fmt == "json":
+            results = run_json(capsys, *argv)["results"]
+            assert results["support"] == pytest.approx([3 * lo, 3 * hi],
+                                                       rel=1e-15, abs=0)
+            assert results["atoms"] == []
+            grid = [(row["x"], row["density"]) for row in results["grid"]]
+        else:
+            code, out, err = run_cli(capsys, *argv, "--format", "csv")
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert lines[0] == "x,density"
+            grid = [tuple(map(float, line.split(","))) for line in lines[1:]]
+        assert [grid[0][0], grid[-1][0]] == pytest.approx([3 * lo, 3 * hi],
+                                                          rel=1e-15, abs=0)
+        inner = distributions.measure_of(ifp).density
+        for x, density in grid[1:-1]:
+            # the end rows sit on the edges; the next ones are 1/200 of
+            # the width inside, where one ulp of an edge weighs 2.4e-14
+            assert density == pytest.approx(inner(x / 3) / 3,
+                                            rel=2e-13, abs=0)
+
+    @pytest.mark.parametrize("command", ["density", "support"])
+    @pytest.mark.parametrize("flags, refused", _EXTREME_LAWS)
+    def test_extreme_parameters(self, capsys, command, flags, refused):
+        argv = [command, "--family", *flags]
+        if refused:
+            self.assert_one_error_line(capsys, *argv)
+        else:
+            run_json(capsys, *argv)
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_ncl_stats_rejects_nonpositive_n(self, capsys, n):

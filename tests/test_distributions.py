@@ -58,6 +58,51 @@ ALL_FAMILIES = [
 ]
 
 
+# Free F laws with a far from 1 both ways and b next to 1, and the inverse
+# free Poisson laws: each is checked against its base law by the dilation or
+# the reciprocal it is defined by.
+_FREE_F_LAWS = [FreeF(2, 3), FreeF(F(1, 2), 2), FreeF(1, 10),
+                FreeF(F(1, 10 ** 6), 3), FreeF(10 ** 6, 3),
+                FreeF(2, 1 + F(1, 10 ** 12))]
+_IFP_LAWS = [InverseFreePoisson(3), InverseFreePoisson(F(11, 10)),
+             InverseFreePoisson(50), InverseFreePoisson(1 + F(1, 10 ** 12))]
+
+
+def _across_and_off(fam, seed: int, count: int = 200) -> list[complex]:
+    """z over and beside the support, from 1e-6 to 10 widths above it."""
+    lo, hi = support_of(fam)
+    rng = random.Random(seed)
+    return [complex(lo + (hi - lo) * rng.uniform(-1, 2),
+                    (hi - lo) * 10 ** rng.uniform(-6, 1))
+            for _ in range(count)]
+
+
+def _g_tolerance(fam, z: complex, roots) -> float:
+    """Relative bound on |G - oracle| at z.
+
+    At a real root of Q (0 for both laws, -b/a for the free F) the numerator
+    of G vanishes with Q, so next to it the closed form and the oracle both
+    subtract nearly equal terms and lose (hi / d)^2 of their digits at
+    distance d: the inverse free Poisson's G read 3e-11 apart at
+    |z| = 1.2e-3.  Scaled by that factor, 20,000 points per law read at
+    most 2.6e-14.
+    """
+    hi = support_of(fam)[1]
+    d = min(abs(z - root) for root in roots)
+    return 1e-13 * max(1.0, (hi / d) ** 2)
+
+
+def _density_tolerance(fam, x: float) -> float:
+    """Relative bound on a density against its oracle, inside the support.
+
+    An edge one ulp apart moves sqrt(x - edge) by eps * hi / (x - edge)
+    relative at most.  That is the 5e-13 seen at a = 1e-6, where the support
+    is a band 5e-3 of hi wide; allow about 4 ulps.
+    """
+    lo, hi = support_of(fam)
+    return 1e-15 * hi / min(x - lo, hi - x)
+
+
 class TestParameterValidation:
     def test_invalid_parameters(self):
         with pytest.raises(FreeBetaError, match="free Poisson needs lam > 0"):
@@ -132,14 +177,23 @@ class TestCauchyTransform:
 
     def test_dilation_law(self):
         """G of the free F is the rescaled G of the free beta prime."""
-        a, b = F(2), F(3)
-        c = a / b
-        rng = random.Random(31)
-        for _ in range(20):
-            z = complex(rng.uniform(-5, 5), rng.uniform(0.1, 3))
-            lhs = cauchy_eval(FreeF(a, b), z)
-            rhs = c * cauchy_eval(FreeBetaPrime(a, b), c * z)
-            assert abs(lhs - rhs) < 1e-13
+        for fam in _FREE_F_LAWS:
+            c = float(fam.a) / float(fam.b)
+            base = FreeBetaPrime(fam.a, fam.b)
+            for z in _across_and_off(fam, 31):
+                want = c * cauchy_eval(base, c * z)
+                tol = _g_tolerance(fam, z, (0.0, -1 / c))
+                assert abs(cauchy_eval(fam, z) - want) <= tol * abs(want), (
+                    fam, z)
+
+    @pytest.mark.parametrize("fam", _IFP_LAWS, ids=repr)
+    def test_reciprocal_law(self, fam):
+        """G of the inverse free Poisson from the free Poisson's at 1/z."""
+        base = FreePoisson(fam.b)
+        for z in _across_and_off(fam, 37):
+            want = 1 / z - cauchy_eval(base, 1 / z) / (z * z)
+            tol = _g_tolerance(fam, z, (0.0,))
+            assert abs(cauchy_eval(fam, z) - want) <= tol * abs(want), z
 
     def test_on_support_raises(self):
         # on the support, and at an atom or pole site
@@ -214,10 +268,42 @@ class TestSupportAndMeasure:
         assert abs(lo - want_lo) < 1e-12 and abs(hi - want_hi) < 1e-12
 
     def test_free_f_support_is_dilated(self):
-        lo, hi = support_of(FreeBetaPrime(2, 3))
-        flo, fhi = support_of(FreeF(2, 3))
-        c = 3 / 2
-        assert abs(flo - c * lo) < 1e-12 and abs(fhi - c * hi) < 1e-12
+        # the edges agree to 2 ulps at worst
+        for fam in _FREE_F_LAWS:
+            c = float(fam.b) / float(fam.a)
+            got = support_of(fam)
+            want = [c * edge
+                    for edge in support_of(FreeBetaPrime(fam.a, fam.b))]
+            assert all(abs(g - w) <= 1e-15 * w
+                       for g, w in zip(got, want)), fam
+
+    @pytest.mark.parametrize("fam", _FREE_F_LAWS, ids=repr)
+    def test_free_f_measure_is_dilated(self, fam):
+        c = float(fam.a) / float(fam.b)
+        base = measure_of(FreeBetaPrime(fam.a, fam.b))
+        spec = measure_of(fam)
+        assert spec.atoms == base.atoms
+        lo, hi = spec.support
+        for k in range(1, 21):
+            x = lo + (hi - lo) * k / 21
+            want = c * base.density(c * x)
+            assert spec.density(x) == pytest.approx(
+                want, rel=_density_tolerance(fam, x), abs=0)
+
+    @pytest.mark.parametrize("fam", _IFP_LAWS, ids=repr)
+    def test_inverse_free_poisson_measure_is_the_reciprocal(self, fam):
+        base = measure_of(FreePoisson(fam.b))
+        spec = measure_of(fam)
+        assert spec.atoms == ()
+        lo, hi = spec.support
+        want_lo, want_hi = 1 / base.support[1], 1 / base.support[0]
+        assert abs(lo - want_lo) <= 1e-15 * want_lo
+        assert abs(hi - want_hi) <= 1e-15 * want_hi
+        for k in range(1, 21):
+            x = lo + (hi - lo) * k / 21
+            want = base.density(1 / x) / (x * x)
+            assert spec.density(x) == pytest.approx(
+                want, rel=_density_tolerance(fam, x), abs=0)
 
     def test_free_t_support(self):
         lo, hi = support_of(FreeT(2))
@@ -529,6 +615,13 @@ class TestFamilyTable:
             with pytest.raises(FreeBetaError, match=f"{cls.__name__} has no "):
                 _CALLS[op](fam)
 
+    def test_every_family_writes_its_own_pieces(self):
+        # one path evaluates G and the support, from each law's own pieces
+        for cls in _FAMILIES.values():
+            assert "_pieces" in vars(cls), cls.__name__
+        assert not hasattr(Family, "_cauchy")
+        assert not hasattr(Family, "_support")
+
     def test_field_coercion(self):
         meixner = FreeMeixnerStd(1.5, 1)
         assert (meixner.theta, meixner.tau) == (F(3, 2), 1)
@@ -554,7 +647,7 @@ class TestDerivedOncePerInstance:
             stieltjes_density(fam, x)
             hilbert_score(fam, x)
 
-    @pytest.mark.parametrize("fam", LAWS[:5], ids=repr)
+    @pytest.mark.parametrize("fam", LAWS, ids=repr)
     def test_pieces_run_once(self, fam, monkeypatch):
         calls = []
         pieces = type(fam)._pieces

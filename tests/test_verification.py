@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 
 from freebeta import analysis, cli, distributions, fock, ncl, verification
-from freebeta.distributions import FreeBeta, FreeBetaPrime
+from freebeta.distributions import (
+    FreeBeta, FreeBetaPrime, FreeF, InverseFreePoisson,
+)
 from freebeta.errors import SizeLimitExceeded
 from freebeta.verification import (
     CRITERIA,
@@ -84,6 +86,29 @@ def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
     ok, detail = criterion_measure_sanity()
     assert not ok
     assert detail.startswith("FreeBeta(a=Fraction(2, 1), b=Fraction(2, 1)) at x=")
+    assert "|closed - Stieltjes|" in detail
+
+
+# A relative 1e-9 change to the leading coefficient moves the Stieltjes
+# density of these laws past the 1e-10 gate.  A change to p0 or p1 moves
+# only Re G on the axis, which measure-sanity does not read; the oracle
+# tests of the dilation and the reciprocal, and symmetric-square through
+# FreeF(1, m), cover those.
+@pytest.mark.parametrize("cls, law", [
+    (FreeF, "FreeF(a=Fraction(2, 1), b=Fraction(3, 1))"),
+    (InverseFreePoisson, "InverseFreePoisson(b=Fraction(3, 1))"),
+], ids=["ff", "ifp"])
+def test_measure_sanity_reads_each_laws_own_pieces(monkeypatch, cls, law):
+    pieces = cls._pieces
+
+    def perturbed(self):
+        p = pieces(self)
+        return dataclasses.replace(p, lead=p.lead * (1 + 1e-9))
+
+    monkeypatch.setattr(cls, "_pieces", perturbed)
+    ok, detail = criterion_measure_sanity()
+    assert not ok
+    assert detail.startswith(f"{law} at x=")
     assert "|closed - Stieltjes|" in detail
 
 
