@@ -1,11 +1,12 @@
 """Closed-form distribution families: Cauchy transforms, densities, atoms.
 
 Each family's Cauchy transform has the algebraic shape
-``G(z) = (P(z) - sqrt(D(z))) / Q(z)`` with a quadratic discriminant D whose
-two real roots are the support endpoints.  The square root is evaluated as
-``sqrt(lead) * sqrt(z - e_plus) * sqrt(z - e_minus)`` with principal square
-roots per factor: that function is analytic exactly off the support cut,
-behaves like ``sqrt(lead) * z`` at infinity, and therefore selects the
+``G(z) = (P(z) - c sqrt((z - e_minus)(z - e_plus))) / Q(z)``: the support
+endpoints are the roots under the square root, and c is the law's own exact
+coefficient (1, b - 1, m - 1 or a + b), kept as it is and never squared.  The
+root is evaluated as ``c * sqrt(z - e_plus) * sqrt(z - e_minus)`` with
+principal square roots per factor: that function is analytic exactly off the
+support cut, behaves like ``c * z`` at infinity, and therefore selects the
 branch with ``G(z) ~ 1/z`` and ``Im G < 0`` on the upper half-plane
 deterministically.  Each family evaluates its closed form on the open upper
 half-plane only; :func:`cauchy_eval` refuses a real z and conjugates the
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -73,7 +74,7 @@ class MeasureSpec:
 
 
 # --------------------------------------------------------------------------
-# Closed-form pieces: G = (P - sqrt(D)) / Q with D = lead*(z-e-)(z-e+)
+# Closed-form pieces: G = (P - c sqrt((z-e-)(z-e+))) / Q
 # --------------------------------------------------------------------------
 
 # An edge that subtracts nearly equal roots, r1 - r2, is computed as the
@@ -82,36 +83,39 @@ class MeasureSpec:
 class _Pieces:
     p0: float
     p1: float
-    lead: float
+    c: float
     e_minus: float
     e_plus: float
     q: Callable[[complex], complex]
-    # sqrt(lead), taken once from lead, so a replaced lead moves it too
-    root_lead: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "root_lead", math.sqrt(self.lead))
 
 
 def _cut_sqrt(p: _Pieces, z: complex) -> complex:
-    """sqrt(lead*(z - e_minus)(z - e_plus)), analytic off [e_minus, e_plus].
+    """c sqrt((z - e_minus)(z - e_plus)), analytic off [e_minus, e_plus].
 
-    Positive on (e_plus, inf), negative on (-inf, e_minus), and asymptotic
-    to sqrt(lead)*z — the branch every transform here needs.
+    Positive on (e_plus, inf), negative on (-inf, e_minus), and
+    asymptotic to c*z — the branch every transform here needs.
     """
-    return p.root_lead * cmath.sqrt(z - p.e_plus) * cmath.sqrt(z - p.e_minus)
+    return p.c * cmath.sqrt(z - p.e_plus) * cmath.sqrt(z - p.e_minus)
 
 
 def _measure_on(lo: float, hi: float, body: Callable[[float], float],
                 atoms=()) -> MeasureSpec:
-    """Density ``body`` on (lo, hi), plus the atoms of positive mass."""
+    """Density ``body`` on (lo, hi), plus the atoms of positive mass.
+
+    Edges that meet or cross in floats leave no room for the density, so
+    the atoms must then carry all the mass, up to 1e-12 for their rounding.
+    """
+    atoms = tuple(atom for atom in atoms if atom[1] > 0)
+    if not lo < hi and sum(mass for _, mass in atoms) < 1 - 1e-12:
+        raise FreeBetaError(f"the support [{lo}, {hi}] is narrower than "
+                            "float rounding")
+
     def density(x: float) -> float:
         if not lo < x < hi:
             return 0.0
         return body(x)
 
-    return MeasureSpec(density, (lo, hi),
-                       tuple(atom for atom in atoms if atom[1] > 0))
+    return MeasureSpec(density, (lo, hi), atoms)
 
 
 # --------------------------------------------------------------------------
@@ -179,8 +183,8 @@ class FreePoisson(Family):
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
-            lambda x: math.sqrt(max(-(x - lo) * (x - hi), 0.0))
-            / (2 * math.pi * x),
+            lambda x: math.sqrt(x - lo) * math.sqrt(hi - x) / x
+            / (2 * math.pi),
             [(0.0, 1 - float(self.lam))],
         )
 
@@ -205,20 +209,18 @@ class InverseFreePoisson(Family):
             raise FreeBetaError("inverse free Poisson needs b > 1")
 
     def _pieces(self) -> _Pieces:
-        # G = ((b+1)z - 1 - (b-1) sqrt((z-e-)(z-e+))) / (2z^2) over the
-        # exact b - 1, so it overflows only where the free Poisson's does
-        b, rt, den = self.b, math.sqrt(float(self.b)), float(self.b - 1)
-        return _Pieces(float(-1 / (b - 1)), float((b + 1) / (b - 1)), 1.0,
-                       1 / (1 + rt) ** 2, ((1 + rt) / den) ** 2,
-                       lambda z: 2 * z * z / den)
+        # G = ((b+1)z - 1 - (b-1) sqrt((z-e-)(z-e+))) / (2z^2)
+        rt, den = math.sqrt(float(self.b)), float(self.b - 1)
+        return _Pieces(-1.0, float(self.b + 1), den, 1 / (1 + rt) ** 2,
+                       ((1 + rt) / den) ** 2, lambda z: 2 * z * z)
 
     def _measure(self) -> MeasureSpec:
         den = float(self.b - 1)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
-            lambda x: den * math.sqrt((x - lo) * (hi - x))
-            / (2 * math.pi * x * x),
+            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / x / x
+            / (2 * math.pi),
         )
 
     def _moments(self, order: int) -> MomentSequence:
@@ -260,7 +262,7 @@ class FreeBetaPrime(Family):
         rb = math.sqrt(float(self.a + self.b - 1))
         den = float(self.b - 1)  # exact b - 1: b may sit a rounding from 1
         lo = (float(self.a - 1) / (ra + rb)) ** 2  # ((ra - rb) / den)^2
-        return _Pieces(1 - a, b + 1, den ** 2, lo, ((ra + rb) / den) ** 2,
+        return _Pieces(1 - a, b + 1, den, lo, ((ra + rb) / den) ** 2,
                        lambda z: 2 * z * (1 + z))
 
     def _measure(self) -> MeasureSpec:
@@ -268,8 +270,8 @@ class FreeBetaPrime(Family):
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
-            lambda x: den * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
-            / (2 * math.pi * x * (1 + x)),
+            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (1 + x) / x
+            / (2 * math.pi),
             [(0.0, 1 - a)],
         )
 
@@ -308,17 +310,16 @@ class FreeF(Family):
         s = math.sqrt(r) * math.sqrt(float(a + b - 1))
         den = float(b - 1)  # exact b - 1: b may sit a rounding from 1
         lo = (float((a - 1) / a) * fb / (fb + s)) ** 2  # ((b - s) / den)^2
-        return _Pieces(float((1 - a) * b / a), fb + 1, den ** 2, lo,
+        return _Pieces(float((1 - a) * b / a), fb + 1, den, lo,
                        ((fb + s) / den) ** 2, lambda z: 2 * z * (z + r))
 
     def _measure(self) -> MeasureSpec:
         a, den, r = float(self.a), float(self.b - 1), float(self.b / self.a)
         lo, hi = support_of(self)
-        # factored: sqrt((x - lo)(hi - x)) overflows where these do not
         return _measure_on(
             lo, hi,
-            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x)
-            / (2 * math.pi * x * (x + r)),
+            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (x + r) / x
+            / (2 * math.pi),
             [(0.0, 1 - a)],
         )
 
@@ -343,9 +344,8 @@ class FreeT(Family):
 
     def _pieces(self) -> _Pieces:
         # m - 1 is exact: in floats it is 0 or a few digits when m is near 1
-        m, lead = float(self.m), float((self.m - 1) ** 2)
-        edge = float(2 * self.m / (self.m - 1))
-        return _Pieces(0.0, m + 1, lead, -edge, edge,
+        m, edge = float(self.m), float(2 * self.m / (self.m - 1))
+        return _Pieces(0.0, m + 1, float(self.m - 1), -edge, edge,
                        lambda z: 2 * (m + z * z))
 
     def _measure(self) -> MeasureSpec:
@@ -389,16 +389,16 @@ class FreeBeta(Family):
         rb = math.sqrt(float(self.b))
         den = float(self.a + self.b)
         lo = (float(self.a - 1) / (ra + rb)) ** 2  # ((ra - rb) / den)^2
-        return _Pieces(1 - a, a + b - 2, (a + b) ** 2, lo,
-                       ((ra + rb) / den) ** 2, lambda z: 2 * z * (1 - z))
+        return _Pieces(1 - a, a + b - 2, den, lo, ((ra + rb) / den) ** 2,
+                       lambda z: 2 * z * (1 - z))
 
     def _measure(self) -> MeasureSpec:
-        a, b = float(self.a), float(self.b)
+        a, b, den = float(self.a), float(self.b), float(self.a + self.b)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
-            lambda x: (a + b) * math.sqrt(max(-(x - lo) * (x - hi), 0.0))
-            / (2 * math.pi * x * (1 - x)),
+            lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (1 - x) / x
+            / (2 * math.pi),
             [(0.0, 1 - a), (1.0, 1 - b)],
         )
 

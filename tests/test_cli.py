@@ -18,26 +18,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freebeta import cli, distributions, ncl, verification
+from freebeta import analysis, cli, distributions, ncl, verification
 from freebeta.cli import (
     _FAMILIES, _MAX_ORDER, _MAX_POINTS, _all_int_digits, main,
 )
 from freebeta.errors import FreeBetaError, SizeLimitExceeded
 
 
-# Free F and inverse free Poisson flags at the ends of the float range, and
-# whether density and support refuse them: at b = 1e300 the free F's leading
-# coefficient (b - 1)^2 leaves the float range, and at a = 1e-300,
-# b = 1 + 1e-12 so does its upper edge, 1e312.
+# Every family at the ends of the float range.  Each law runs through
+# density, support and, where V' exists, score-check; each must end in exit
+# 0 or in one error line, and each law they answer must keep mass 1.
+_EXTREME_A = ["1e-300", "1e-6", "1", "1e6", "1e155", "1e300"]
 _EXTREME_B = ["1.000000000001", "3", "1e6", "1e300"]
-_EXTREME_LAWS = [
-    pytest.param(["ff", "--a", a, "--b", b],
-                 b == "1e300" or (a, b) == ("1e-300", "1.000000000001"),
-                 id=f"ff-{a}-{b}")
-    for a in ["1e-300", "1e-6", "1", "1e6", "1e155", "1e300"]
-    for b in _EXTREME_B
-] + [pytest.param(["ifp", "--b", b], False, id=f"ifp-{b}")
-     for b in _EXTREME_B]
+_EXTREME_FLAGS = (
+    [["ff", "--a", a, "--b", b] for a in _EXTREME_A for b in _EXTREME_B]
+    + [["fbp", "--a", a, "--b", b] for a in _EXTREME_A for b in _EXTREME_B]
+    + [["fb", "--a", a, "--b", b] for a in _EXTREME_A for b in _EXTREME_A]
+    + [["ifp", "--b", b] for b in _EXTREME_B]
+    + [["ft", "--m", m] for m in _EXTREME_B]
+    + [["fp", "--lam", lam] for lam in _EXTREME_A]
+)
+
+
+def _law_id(flags):
+    return "-".join([flags[0], *flags[2::2]])
+
+
+# Laws that every command refuses.  A float edge or parameter leaves the
+# range: the free F's upper edge at a = 1e-300, b = 1 + 1e-12 is 1e312, its
+# b/a at a = 1e-300, b = 1e300 is 1e600, and so are the free beta prime's ab
+# at a = 1e155 or 1e300 with b = 1e300, its upper edge at a = 1e300,
+# b = 1 + 1e-12, and the free beta's a(a + b - 1) at a = 1e155 or 1e300.
+# The free beta needs a + b > 1.  The last four have a support narrower
+# than the rounding of its edges and no atom that holds all the mass.
+_REFUSED = {
+    "ff-1e-300-1.000000000001", "ff-1e-300-1e300",
+    "fbp-1e155-1e300", "fbp-1e300-1e300", "fbp-1e300-1.000000000001",
+    *(f"fb-{a}-{b}" for a in ["1e155", "1e300"] for b in _EXTREME_A),
+    *(f"fb-{a}-{b}" for a in ["1e-300", "1e-6"] for b in ["1e-300", "1e-6"]),
+    "ff-1e155-1e300", "ff-1e300-1e300", "ifp-1e300", "fp-1e300",
+}
+# Laws that only score-check refuses: their support is a few ulps wide, so
+# the first grid point rounds onto an edge.
+_SCORE_REFUSED = {
+    *(f"fbp-1e-300-{b}" for b in _EXTREME_B),
+    *(f"fb-1e-300-{b}" for b in ["1", "1e6", "1e155", "1e300"]),
+    "fb-1e6-1e-300",
+}
+# Answered laws whose quadrature mass is not 1.
+_MASS_LOST = {
+    "fp-1e155": "FOUND: the support, 1.3e78 wide about 1e155, is narrower "
+                "than its edges' rounding, and the quadrature reads mass "
+                "6.4e122",
+    "ft-1.000000000001": "FOUND: the quadrature of a density ~1e-25 across "
+                         "the support +-2e12 raises its error estimate",
+}
+
+
+def _extreme_runs():
+    scored = cli._families_with("_v_prime")
+    for flags in _EXTREME_FLAGS:
+        law = _law_id(flags)
+        for command in ("density", "support", "score-check"):
+            if command == "score-check" and flags[0] not in scored:
+                continue
+            refused = law in _REFUSED or (command == "score-check"
+                                          and law in _SCORE_REFUSED)
+            yield pytest.param(command, flags, refused, id=f"{law}-{command}")
+
+
+_EXTREME_ANSWERED = [
+    pytest.param(flags, id=law, marks=[
+        pytest.mark.xfail(strict=True, reason=_MASS_LOST[law])
+    ] if law in _MASS_LOST else [])
+    for flags in _EXTREME_FLAGS
+    for law in [_law_id(flags)] if law not in _REFUSED
+]
 
 
 def run_cli(capsys, *argv):
@@ -708,24 +764,21 @@ class TestInputGuards:
     @pytest.mark.parametrize("family", ["fbp"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_results_are_refused(self, capsys, family, fmt):
-        # at a = 1e300 the float support and densities are NaN
+        # the grid's width overflows, so its first point is -1e308 + inf * 0
         code, out, err = run_cli(capsys, "density", "--family", family,
-                                 "--a", "1e300", "--b", "3", "--format", fmt)
+                                 "--a", "2", "--b", "3",
+                                 "--grid=-1e308:1e308:3", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "error: the result holds a non-finite number, nan\n"
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_free_f_at_huge_a_is_the_scaled_inverse_free_poisson(
-            self, capsys, fmt):
-        # FreeF(a, b) tends to b * InverseFreePoisson(b) as a grows; its own
-        # pieces reach that limit, where the free beta prime's overflow
-        argv = ["density", "--family", "ff", "--a", "1e300", "--b", "3"]
+    def assert_scaled_inverse_free_poisson(self, capsys, fmt, argv, scale):
+        """The density command on ``argv`` answers scale * IFP(3)."""
         ifp = distributions.InverseFreePoisson(3)
         lo, hi = distributions.support_of(ifp)
         if fmt == "json":
             results = run_json(capsys, *argv)["results"]
-            assert results["support"] == pytest.approx([3 * lo, 3 * hi],
-                                                       rel=1e-15, abs=0)
+            assert results["support"] == pytest.approx(
+                [scale * lo, scale * hi], rel=1e-15, abs=0)
             assert results["atoms"] == []
             grid = [(row["x"], row["density"]) for row in results["grid"]]
         else:
@@ -734,23 +787,47 @@ class TestInputGuards:
             lines = out.splitlines()
             assert lines[0] == "x,density"
             grid = [tuple(map(float, line.split(","))) for line in lines[1:]]
-        assert [grid[0][0], grid[-1][0]] == pytest.approx([3 * lo, 3 * hi],
-                                                          rel=1e-15, abs=0)
+        assert [grid[0][0], grid[-1][0]] == pytest.approx(
+            [scale * lo, scale * hi], rel=1e-15, abs=0)
         inner = distributions.measure_of(ifp).density
         for x, density in grid[1:-1]:
             # the end rows sit on the edges; the next ones are 1/200 of
             # the width inside, where one ulp of an edge weighs 2.4e-14
-            assert density == pytest.approx(inner(x / 3) / 3,
+            assert density == pytest.approx(inner(x / scale) / scale,
                                             rel=2e-13, abs=0)
 
-    @pytest.mark.parametrize("command", ["density", "support"])
-    @pytest.mark.parametrize("flags, refused", _EXTREME_LAWS)
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_free_f_at_huge_a_is_the_scaled_inverse_free_poisson(
+            self, capsys, fmt):
+        # FreeF(a, b) tends to b * InverseFreePoisson(b) as a grows; its own
+        # pieces reach that limit, where the free beta prime's overflow
+        self.assert_scaled_inverse_free_poisson(
+            capsys, fmt,
+            ["density", "--family", "ff", "--a", "1e300", "--b", "3"], 3)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_free_beta_prime_at_huge_a_is_the_scaled_inverse_free_poisson(
+            self, capsys, fmt):
+        # FreeBetaPrime(a, b) / a tends to InverseFreePoisson(b) as a grows;
+        # the factored density reaches that limit, where (x - lo)(hi - x)
+        # and x(1 + x) overflow
+        self.assert_scaled_inverse_free_poisson(
+            capsys, fmt,
+            ["density", "--family", "fbp", "--a", "1e300", "--b", "3"], 1e300)
+
+    @pytest.mark.parametrize("command, flags, refused", _extreme_runs())
     def test_extreme_parameters(self, capsys, command, flags, refused):
         argv = [command, "--family", *flags]
         if refused:
             self.assert_one_error_line(capsys, *argv)
         else:
             run_json(capsys, *argv)
+
+    @pytest.mark.parametrize("flags", _EXTREME_ANSWERED)
+    def test_extreme_laws_keep_unit_mass(self, flags):
+        law = _FAMILIES[flags[0]](*map(cli._rat, flags[2::2]))
+        mass = analysis.quadrature_moment(distributions.measure_of(law), 0)
+        assert mass == pytest.approx(1, rel=0, abs=1e-6)
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_ncl_stats_rejects_nonpositive_n(self, capsys, n):

@@ -365,6 +365,29 @@ class TestSupportAndMeasure:
         assert spec.density(lo - 0.1) == 0.0
         assert spec.density(hi + 0.1) == 0.0
 
+    @pytest.mark.parametrize("fam", [
+        InverseFreePoisson(10 ** 300), InverseFreePoisson(10 ** 40),
+        FreePoisson(10 ** 300),
+    ], ids=["ifp-1e300", "ifp-1e40", "fp-1e300"])
+    def test_support_narrower_than_its_rounding_is_refused(self, fam):
+        # the edges meet or cross, and no atom holds the mass they lose
+        lo, hi = support_of(fam)
+        assert not lo < hi
+        with pytest.raises(FreeBetaError, match="narrower than float"):
+            measure_of(fam)
+
+    @pytest.mark.parametrize("fam", [
+        FreeBeta(3, F("1e-300")), FreeBetaPrime(F("1e-300"), 10 ** 300),
+        FreeMeixnerStd(0, -1), FreeMeixnerStd(F(-69, 7), -1),
+    ], ids=["fb-3-1e-300", "fbp-1e-300-1e300", "meixner-0", "meixner-69/7"])
+    def test_edges_that_meet_keep_atoms_that_hold_the_mass(self, fam):
+        # the two Meixner atoms at theta = -69/7 sum to 2 ulps under 1
+        spec = measure_of(fam)
+        lo, hi = spec.support
+        assert not lo < hi
+        assert sum(mass for _, mass in spec.atoms) == pytest.approx(
+            1, rel=0, abs=1e-15)
+
     @pytest.mark.parametrize("a", [F(1, 2), F(1), F(2)])
     def test_free_beta_prime_next_to_one_has_unit_mass(self, a):
         # b - 1 taken in floats put the mass at 1 + 4e-5 to 1 + 9e-5; the

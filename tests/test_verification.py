@@ -14,7 +14,7 @@ import pytest
 
 from freebeta import analysis, cli, distributions, fock, ncl, verification
 from freebeta.distributions import (
-    FreeBeta, FreeBetaPrime, FreeF, InverseFreePoisson,
+    FreeBeta, FreeBetaPrime, FreeF, FreePoisson, FreeT, InverseFreePoisson,
 )
 from freebeta.errors import SizeLimitExceeded
 from freebeta.verification import (
@@ -73,14 +73,14 @@ def test_statistics_catch_a_wrong_dc(fresh_tables, monkeypatch):
 
 
 def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
-    # a relative 1e-7 error in the Cauchy transform's leading coefficient
-    # moves the Stieltjes density by ~6e-8 but no mass, moment or atom
-    # beyond its tolerance
+    # a relative 1e-7 error in the Cauchy transform's square-root
+    # coefficient c moves the Stieltjes density by ~6e-8 but no mass, moment
+    # or atom beyond its tolerance
     pieces = FreeBeta._pieces
 
     def perturbed(self):
         p = pieces(self)
-        return dataclasses.replace(p, lead=p.lead * (1 + 1e-7))
+        return dataclasses.replace(p, c=p.c * (1 + 1e-7))
 
     monkeypatch.setattr(FreeBeta, "_pieces", perturbed)
     ok, detail = criterion_measure_sanity()
@@ -89,27 +89,31 @@ def test_measure_sanity_compares_the_two_density_routes(monkeypatch):
     assert "|closed - Stieltjes|" in detail
 
 
-# A relative 1e-9 change to the leading coefficient moves the Stieltjes
-# density of these laws past the 1e-10 gate.  A change to p0 or p1 moves
-# only Re G on the axis, which measure-sanity does not read; the oracle
-# tests of the dilation and the reciprocal, and symmetric-square through
-# FreeF(1, m), cover those.
+# A relative 1e-9 change, either way, to a law's square-root coefficient c
+# moves its Stieltjes density past the 1e-10 gate at the first case of that
+# law.  A change to p0 or p1 moves only Re G on the axis, which
+# measure-sanity does not read; the oracle tests of the dilation and the
+# reciprocal, and symmetric-square through FreeF(1, m), cover those.
 @pytest.mark.parametrize("cls, law", [
-    (FreeF, "FreeF(a=Fraction(2, 1), b=Fraction(3, 1))"),
+    (FreePoisson, "FreePoisson(lam=Fraction(1, 2))"),
     (InverseFreePoisson, "InverseFreePoisson(b=Fraction(3, 1))"),
-], ids=["ff", "ifp"])
+    (FreeBetaPrime, "FreeBetaPrime(a=Fraction(2, 1), b=Fraction(3, 1))"),
+    (FreeF, "FreeF(a=Fraction(2, 1), b=Fraction(3, 1))"),
+    (FreeT, "FreeT(m=Fraction(2, 1))"),
+    (FreeBeta, "FreeBeta(a=Fraction(2, 1), b=Fraction(2, 1))"),
+], ids=["fp", "ifp", "fbp", "ff", "ft", "fb"])
 def test_measure_sanity_reads_each_laws_own_pieces(monkeypatch, cls, law):
     pieces = cls._pieces
+    for factor in (1 + 1e-9, 1 - 1e-9):
+        def perturbed(self):
+            p = pieces(self)
+            return dataclasses.replace(p, c=p.c * factor)
 
-    def perturbed(self):
-        p = pieces(self)
-        return dataclasses.replace(p, lead=p.lead * (1 + 1e-9))
-
-    monkeypatch.setattr(cls, "_pieces", perturbed)
-    ok, detail = criterion_measure_sanity()
-    assert not ok
-    assert detail.startswith(f"{law} at x=")
-    assert "|closed - Stieltjes|" in detail
+        monkeypatch.setattr(cls, "_pieces", perturbed)
+        ok, detail = criterion_measure_sanity()
+        assert not ok, factor
+        assert detail.startswith(f"{law} at x="), factor
+        assert "|closed - Stieltjes|" in detail
 
 
 # A relative 1e-9 change to the weight of either of the two lowest rungs
