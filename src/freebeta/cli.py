@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("moments", _cmd_moments, "moments",
             help="moments by one or all routes")
-    _add_family_flags(p, _families_with("_moments"))
+    _add_family_flags(p, tuple(_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--route", default="all", choices=(*MOMENT_ROUTES, "all"))
 

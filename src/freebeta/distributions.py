@@ -12,16 +12,16 @@ deterministically.  Each family evaluates its closed form on the open upper
 half-plane only; :func:`cauchy_eval` refuses a real z and conjugates the
 lower half-plane.
 
-Exact-rational moment sequences come from series-expanding the same closed
-forms with :func:`freebeta.series.ps_sqrt`; the discriminants' constant
-terms are rational squares, so no algebraic numbers appear.
+Exact-rational moments expand the same closed forms, written in exact
+coefficients as M(w) = G(1/w)/w = (P(w) - sqrt(D(w)))/Q(w), by one helper;
+each D(0) is a rational square, so no algebraic numbers appear.
 
 Each family is one frozen dataclass of exact rational parameters carrying
 its own pieces (Cauchy parameters, measure, moments, potential V', atom
 sites); the functions here and in :mod:`freebeta.analysis` make one call on
 it.  Every law writes its float forms (G, support, density, atoms, V') from
-its own parameters; only the exact moment series of the free F and free T
-delegate, by a dilation and a symmetric square.  Densities, V', atom sites
+its own parameters; the exact forms of the free F and free T are the free
+beta prime's under w -> (b/a) w and w -> m w^2.  Densities, V', atom sites
 and moment series are never derived from the Cauchy parameters, so checks
 against the Cauchy transform compare independent routes.
 
@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import FreeBetaError
-from .series import PowerSeries, _poly, ps_sqrt
+from .series import PowerSeries, _quadratic_root
 from .transforms import MomentSequence, _frac
 
 __all__ = [
@@ -118,6 +118,16 @@ def _measure_on(lo: float, hi: float, body: Callable[[float], float],
     return MeasureSpec(density, (lo, hi), atoms)
 
 
+def _substitute(g: tuple, c: Fraction, step: int) -> tuple:
+    """The (P, D, Q) of M(c w^step), from the (P, D, Q) of M(w)."""
+    def sub(poly: tuple) -> tuple:
+        out = [Fraction(0)] * (step * len(poly))
+        out[::step] = [x * c ** i for i, x in enumerate(poly)]
+        return tuple(out)
+
+    return tuple(map(sub, g))
+
+
 # --------------------------------------------------------------------------
 # Families
 # --------------------------------------------------------------------------
@@ -135,9 +145,9 @@ class Family:
 
     The fields are the parameters, coerced to ``Fraction`` and then checked
     by ``_check``.  The underscore members are the family's operations
-    (``_atom_sites`` holds the candidate atom locations).  The defaults of
-    ``_moments`` and ``_v_prime`` raise FreeBetaError for a family without
-    one.
+    (``_atom_sites`` holds the candidate atom locations; ``_closed_g`` the
+    exact (P, D, Q) of the moment series).  The default of ``_v_prime``
+    raises FreeBetaError for a family without one.
 
     Every family defines ``_pieces``, which builds the closed-form Cauchy
     parameters, support edges included, from the frozen fields; ``_params``
@@ -154,7 +164,6 @@ class Family:
     def __getstate__(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    _moments = _lacks("exact moment series")
     _v_prime = _lacks("classical potential")
 
     @cached_property
@@ -188,13 +197,9 @@ class FreePoisson(Family):
             [(0.0, 1 - float(self.lam))],
         )
 
-    def _moments(self, order: int) -> MomentSequence:
+    def _closed_g(self) -> tuple:
         lam = self.lam
-        n = order + 1
-        disc = _poly(n, 1, -2 * (1 + lam), (1 - lam) ** 2)
-        num = _poly(n, 0, 1 - lam) + _poly(n, 1) - ps_sqrt(disc)
-        m = num.shift_down().scale(Fraction(1, 2))
-        return MomentSequence(m.coefficients)
+        return (1, 1 - lam), (1, -2 * (1 + lam), (1 - lam) ** 2), (0, 2)
 
 
 @dataclass(frozen=True)
@@ -223,14 +228,9 @@ class InverseFreePoisson(Family):
             / (2 * math.pi),
         )
 
-    def _moments(self, order: int) -> MomentSequence:
-        # m_k = -[z^(k-1)] of the Taylor series at 0 of the free Poisson G
-        b, n = self.b, order + 1
-        disc = _poly(n, (1 - b) ** 2, -2 * (1 + b), 1)
-        num = _poly(n, 1 - b, 1) + ps_sqrt(disc)
-        g = num.shift_down().scale(Fraction(1, 2))
-        m = _poly(order, 1) - g.truncate(order).shift_up()
-        return MomentSequence(m.coefficients)
+    def _closed_g(self) -> tuple:
+        b = self.b
+        return (b + 1, -1), ((b - 1) ** 2, -2 * (b + 1), 1), (2,)
 
 
 def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
@@ -275,13 +275,10 @@ class FreeBetaPrime(Family):
             [(0.0, 1 - a)],
         )
 
-    def _moments(self, order: int) -> MomentSequence:
+    def _closed_g(self) -> tuple:
         a, b = self.a, self.b
-        disc = (_poly(order, b - 1, -(1 + a)) * _poly(order, b - 1, -(1 + a))
-                - _poly(order, 0, 4 * a) * _poly(order, 1, 1))
-        num = _poly(order, b + 1, 1 - a) - ps_sqrt(disc)
-        m = num / _poly(order, 2, 2)
-        return MomentSequence(m.coefficients)
+        return ((b + 1, 1 - a),
+                ((b - 1) ** 2, -2 * (a * b + a + b - 1), (a - 1) ** 2), (2, 2))
 
     def _v_prime(self, x: float) -> float:
         if x <= 0:
@@ -323,12 +320,9 @@ class FreeF(Family):
             [(0.0, 1 - a)],
         )
 
-    def _moments(self, order: int) -> MomentSequence:
-        base = moment_series(FreeBetaPrime(self.a, self.b), order)
-        c = self.b / self.a
-        return MomentSequence(
-            tuple(c ** k * base[k] for k in range(order + 1))
-        )
+    def _closed_g(self) -> tuple:
+        return _substitute(FreeBetaPrime(self.a, self.b)._closed_g(),
+                           self.b / self.a, 1)
 
 
 @dataclass(frozen=True)
@@ -358,13 +352,10 @@ class FreeT(Family):
             / (2 * math.pi * (1 + x * x / m)),
         )
 
-    def _moments(self, order: int) -> MomentSequence:
-        # the square of a free T variable is m times a free beta prime(1, m)
-        half = moment_series(FreeBetaPrime(Fraction(1), self.m), order // 2)
-        return MomentSequence(tuple(
-            self.m ** (k // 2) * half[k // 2] if k % 2 == 0 else Fraction(0)
-            for k in range(order + 1)
-        ))
+    def _closed_g(self) -> tuple:
+        # the square of a free T variable is m times a free beta prime(1, m):
+        # that law's closed form under w -> m w^2
+        return _substitute(FreeBetaPrime(1, self.m)._closed_g(), self.m, 2)
 
     def _v_prime(self, x: float) -> float:
         m = float(self.m)
@@ -402,13 +393,11 @@ class FreeBeta(Family):
             [(0.0, 1 - a), (1.0, 1 - b)],
         )
 
-    def _moments(self, order: int) -> MomentSequence:
+    def _closed_g(self) -> tuple:
         a, b = self.a, self.b
-        mid = a * b + a * a - a + b
-        disc = _poly(order, (a + b) ** 2, -2 * mid, (a - 1) ** 2)
-        num = _poly(order, a + b - 2, 1 - a) - ps_sqrt(disc)
-        m = num / _poly(order, -2, 2)
-        return MomentSequence(m.coefficients)
+        return ((a + b - 2, 1 - a),
+                ((a + b) ** 2, -2 * (a * b + a * a - a + b), (a - 1) ** 2),
+                (-2, 2))
 
     def _v_prime(self, x: float) -> float:
         if not 0 < x < 1:
@@ -480,6 +469,12 @@ class FreeMeixnerStd(Family):
                 atoms.append((pole, mass))
         return _measure_on(lo, hi, body, atoms)
 
+    def _closed_g(self) -> tuple:
+        # Q has a zero at w = 0 when tau = 0, a double one when theta = 0 too
+        th, tau = self.theta, self.tau
+        return ((1 + 2 * tau, th), (1, -2 * th, th ** 2 - 4 * (1 + tau)),
+                (2 * tau, 2 * th, 2))
+
     @property
     def _atom_sites(self) -> tuple[float, ...]:
         return tuple(loc for loc, _ in measure_of(self).atoms)
@@ -517,7 +512,7 @@ def measure_of(f: Family) -> MeasureSpec:
 
 def moment_series(f: Family, order: int) -> MomentSequence:
     """Exact rational moments m_0..m_order from the closed forms."""
-    return f._moments(order)
+    return MomentSequence(_quadratic_root(*f._closed_g(), order).coefficients)
 
 
 def t_coeffs_of(f: FreeBetaPrime, order: int) -> PowerSeries:

@@ -27,8 +27,8 @@ from itertools import combinations
 
 from .distributions import FreeBetaPrime, t_coeffs_of
 from .errors import FreeBetaError, SizeLimitExceeded
-from .series import PowerSeries, cf_expand, ps_sqrt
-from .series import _poly, _truncation
+from .series import PowerSeries, cf_expand
+from .series import _poly, _quadratic_root, _truncation
 from .transforms import _frac
 
 __all__ = [
@@ -319,41 +319,33 @@ def gamma_series(order: int, alpha, beta, gamma,
     raise ValueError(f"unknown series route {route!r}")
 
 
-def _gamma_quadratic(n: int, alpha: Fraction, beta: Fraction,
-                     gamma: Fraction) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
-    """Series coefficients (A, B, C) of the quadratic A G^2 - B G + C = 0."""
-    a_ser = _poly(n, 1, beta - gamma) * _poly(n, alpha, beta - alpha * gamma)
-    b_ser = _poly(
-        n,
-        2 * alpha + beta,
-        beta * (1 + alpha + gamma) - 2 * (alpha + beta) * gamma,
-    )
-    c_ser = _poly(n, alpha + beta)
-    return a_ser, b_ser, c_ser
+def _gamma_quadratic(alpha: Fraction, beta: Fraction, gamma: Fraction
+                     ) -> tuple[tuple, tuple, tuple]:
+    """Coefficients, lowest first, of A, B, C in A G^2 - B G + C = 0."""
+    u, v = beta - gamma, beta - alpha * gamma  # A = (1 + u z)(alpha + v z)
+    return ((alpha, v + alpha * u, u * v),
+            (2 * alpha + beta,
+             beta * (1 + alpha + gamma) - 2 * (alpha + beta) * gamma),
+            (alpha + beta,))
 
 
 def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
                   gamma: Fraction) -> PowerSeries:
     """Expand the algebraic solution of the defining quadratic.
 
-    The discriminant's constant term is beta^2, and the square root with
-    value beta at z = 0 (ps_sqrt's root, negated when beta < 0) selects the
-    solution with G(0) = 1.
+    The discriminant's constant term is beta^2, so G = (s B - sqrt(D)) /
+    (2 s A), with s the sign of beta and the root of value |beta| at z = 0,
+    is the solution with G(0) = 1.
     """
-    n = order
     if beta == 0:
         # no weighted path ever leaves the ground: Gamma_n = gamma^n
-        return PowerSeries(gamma ** k for k in range(n + 1))
-    # one order more, so that a factor z can be cancelled when A(0) = 0
-    a_ser, b_ser, c_ser = _gamma_quadratic(n + 1, alpha, beta, gamma)
-    disc = b_ser * b_ser - (a_ser * c_ser).scale(4)
-    root = ps_sqrt(disc)
-    num = b_ser - root if beta > 0 else b_ser + root
-    den = a_ser.scale(2)
-    if alpha == 0:
-        # A(0) = alpha = 0 and num(0) = B(0) - beta = 0: cancel one z
-        num, den = num.shift_down(), den.shift_down()
-    return (num / den).truncate(n)
+        return PowerSeries(gamma ** k for k in range(order + 1))
+    (a0, a1, a2), (b0, b1), (c0,) = _gamma_quadratic(alpha, beta, gamma)
+    disc = (b0 * b0 - 4 * a0 * c0, 2 * b0 * b1 - 4 * a1 * c0,
+            b1 * b1 - 4 * a2 * c0)
+    s = 1 if beta > 0 else -1
+    return _quadratic_root((s * b0, s * b1), disc,
+                           (2 * s * a0, 2 * s * a1, 2 * s * a2), order)
 
 
 def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:
@@ -361,7 +353,8 @@ def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     n = g.order
     gp = g.pad(n + 1)
-    a_ser, b_ser, c_ser = _gamma_quadratic(n + 1, alpha, beta, gamma)
+    a_ser, b_ser, c_ser = (_poly(n + 1, *c)
+                           for c in _gamma_quadratic(alpha, beta, gamma))
     res = a_ser * gp * gp - b_ser * gp + c_ser
     return res.truncate(n)
 

@@ -90,10 +90,6 @@ class PowerSeries:
             raise ValueError("shift_down needs order >= 1")
         return PowerSeries(self.coefficients[1:])
 
-    def shift_up(self) -> "PowerSeries":
-        """Multiply by z, keeping the same order (top coefficient drops)."""
-        return PowerSeries((Fraction(0),) + self.coefficients[:-1])
-
     def scale(self, c: RationalLike) -> "PowerSeries":
         c = _frac(c)
         return PowerSeries(tuple(c * a for a in self.coefficients))
@@ -111,9 +107,6 @@ class PowerSeries:
         return PowerSeries(
             tuple(self[k] - other[k] for k in range(n + 1))
         )
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-a for a in self.coefficients))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         # Scale each operand to integer numerators over one common
@@ -170,8 +163,8 @@ class _CommonDenominator:
 
 
 def _poly(n: int, *coeffs) -> PowerSeries:
-    """The polynomial with the given low coefficients, padded to order n."""
-    return PowerSeries(list(coeffs) + [0] * (n + 1 - len(coeffs)))
+    """The polynomial with the given low coefficients, to order n."""
+    return PowerSeries((list(coeffs) + [0] * n)[: n + 1])
 
 
 def ps_reversion(f: PowerSeries) -> PowerSeries:
@@ -227,6 +220,23 @@ def ps_sqrt(f: PowerSeries) -> PowerSeries:
         done.append(g)
         out.append(g)
     return PowerSeries(tuple(out))
+
+
+def _quadratic_root(p: tuple, disc: tuple, q: tuple,
+                    order: int) -> PowerSeries:
+    """(p - sqrt(disc)) / q to order, the root with a positive constant
+    term, for polynomials given as coefficient tuples lowest first.
+
+    The numerator is expanded to order + k and the k leading zeros of q
+    cancelled; a divisor then constant scales instead of dividing.
+    """
+    k = next(i for i, c in enumerate(q) if c)
+    num = _poly(order + k, *p) - ps_sqrt(_poly(order + k, *disc))
+    for _ in range(k):
+        num = num.shift_down()
+    if not any(q[k + 1:]):
+        return num.scale(1 / Fraction(q[k]))
+    return num / _poly(order, *q[k:])
 
 
 def _truncation(order: int) -> int:

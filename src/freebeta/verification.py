@@ -69,8 +69,9 @@ def _size_limit(route: str, fam: FreeBetaPrime, n: int) -> str | None:
 # The series, cf and closed routes take time about n^3 to n^3.5 times bits^2,
 # where bits sums _bits over the family's parameters or alpha, beta and gamma,
 # so each has its own bound on n^1.5 * bits.  At it, for n = 10 to 100:
-# series 2.2-6.1 s on the slowest family, fb with its bits in a = 2^k + 1
-# (fbp and ff 1.4-3.4 s; FBP(2, 2^7000 + 1) took over 120 s at n = 100); cf
+# series 2.4-6.2 s on the slowest family, fb with its bits in a = 2^k + 1
+# (ff 2.3-4.9 s and fbp 1.8-3.2 s with them in b, ifp 1.1-2.2 s, the others
+# under 0.9 s; FBP(2, 2^7000 + 1) took over 120 s at n = 100); cf
 # 2.2-6.2 s and closed 3.0-6.9 s with the bits in one random rational or
 # spread over all three (alpha, beta = 2^1024 + 1, 2^1024 + 3 took 2.7-2.8 s
 # at n = 100).  n^1.75 * bits would even out series and cf, but let closed

@@ -38,7 +38,7 @@ from freebeta.distributions import (
 )
 from freebeta.errors import FreeBetaError
 from freebeta.ncl import fbp_moment
-from freebeta.series import PowerSeries, _poly
+from freebeta.series import PowerSeries, _poly, cf_expand
 from freebeta.transforms import moments_to_s
 
 F = Fraction
@@ -66,6 +66,13 @@ _FREE_F_LAWS = [FreeF(2, 3), FreeF(F(1, 2), 2), FreeF(1, 10),
                 FreeF(2, 1 + F(1, 10 ** 12))]
 _IFP_LAWS = [InverseFreePoisson(3), InverseFreePoisson(F(11, 10)),
              InverseFreePoisson(50), InverseFreePoisson(1 + F(1, 10 ** 12))]
+
+# Standardized free Meixner laws (theta, tau) of every class: the semicircle
+# (0, 0), a free Poisson (1, 0), two atoms (0, -1), free binomials with an
+# atom, and free negative binomials and pure free Meixner laws with or
+# without one; (3, 1) has an atom of 0.829 at -0.382.
+_MEIXNER_LAWS = [(0, 0), (1, 0), (0, -1), (F(-7, 3), F(-1, 2)),
+                 (F(1, 2), F(-1, 2)), (2, 1), (5, 2), (-4, 3), (3, 1)]
 
 
 def _across_and_off(fam, seed: int, count: int = 200) -> list[complex]:
@@ -443,50 +450,96 @@ class TestMomentSeries:
             assert m[2] == b / (b - 1) ** 3
 
     def test_free_f_scaling(self):
-        base = moment_series(FreeBetaPrime(2, 3), 6)
-        mf = moment_series(FreeF(2, 3), 6)
-        c = F(3, 2)
-        assert all(mf[k] == c ** k * base[k] for k in range(7))
+        # the series-level dilation checks the substitution w -> (b/a) w
+        for fam in _FREE_F_LAWS:
+            base = moment_series(FreeBetaPrime(fam.a, fam.b), 24)
+            mf = moment_series(fam, 24)
+            c = fam.b / fam.a
+            assert all(mf[k] == c ** k * base[k] for k in range(25)), fam
 
     def test_free_t_odd_moments_vanish(self):
-        m = moment_series(FreeT(2), 8)
-        assert all(m[k] == 0 for k in (1, 3, 5, 7))
-        # even moments come from the squared variable
-        half = moment_series(FreeBetaPrime(1, 2), 4)
-        assert all(m[2 * k] == F(2) ** k * half[k] for k in range(5))
+        # the series-level square checks the substitution w -> m w^2
+        for m in (2, 3, F(3, 2), F(7, 3), 10, 1 + F(1, 10 ** 12)):
+            mt = moment_series(FreeT(m), 24)
+            assert all(mt[k] == 0 for k in range(1, 25, 2)), m
+            # even moments come from the squared variable
+            half = moment_series(FreeBetaPrime(1, m), 12)
+            assert all(mt[2 * k] == F(m) ** k * half[k] for k in range(13))
 
     def test_free_beta_mean(self):
         for a, b in [(F(2), F(2)), (F(1, 2), F(3, 4))]:
             m = moment_series(FreeBeta(a, b), 1)
             assert m[1] == a / (a + b)
 
-    def test_meixner_not_supported(self):
-        with pytest.raises(FreeBetaError,
-                           match="FreeMeixnerStd has no exact moment series"):
-            moment_series(FreeMeixnerStd(1, F(1, 2)), 4)
+    @pytest.mark.parametrize("theta, tau", _MEIXNER_LAWS, ids=str)
+    def test_meixner_matches_jacobi_path_sum(self, theta, tau):
+        # the standardized law's Jacobi bands: a = (0, theta, theta, ...),
+        # b = (1, 1 + tau, 1 + tau, ...)
+        theta, tau = F(theta), F(tau)
+        want = cf_expand((F(0),) + (theta,) * 6, (F(1),) + (1 + tau,) * 5, 12)
+        assert moment_series(FreeMeixnerStd(theta, tau), 12).moments == (
+            want.coefficients)
 
-    @pytest.mark.parametrize("family, edge_roots, lead, linear, denominator", [
+    @pytest.mark.parametrize("theta, tau", _MEIXNER_LAWS, ids=str)
+    def test_meixner_moments_match_quadrature(self, theta, tau):
+        # the float density and atoms against the exact moments; the worst
+        # honest relative deviation seen is 1.1e-14
+        fam = FreeMeixnerStd(theta, tau)
+        exact, spec = moment_series(fam, 6), measure_of(fam)
+        for k in range(7):
+            assert quadrature_moment(spec, k) == pytest.approx(
+                float(exact[k]), rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_length_is_order_plus_one(self, order):
+        for cls in _FAMILIES.values():
+            fam = cls(**{f.name: _PARAMS[f.name] for f in fields(cls)})
+            assert len(moment_series(fam, order).moments) == order + 1, fam
+
+    @pytest.mark.parametrize("family, edges, lead, linear, denominator", [
+        # G = (z + 1-lam - sqrt((z-e-)(z-e+))) / (2z),
+        # e+- = (1 +- sqrt(lam))^2, at lam = 2
+        (FreePoisson(2), ("(1 - sqrt(2))**2", "(1 + sqrt(2))**2"), 1, (1, -1),
+         lambda z: 2 * z),
+        # G = ((b+1)z - 1 - (b-1) sqrt((z-e-)(z-e+))) / (2z^2),
+        # e+- = ((sqrt(b) +- 1) / (b-1))^2, at b = 3
+        (InverseFreePoisson(3), ("((sqrt(3) - 1)/2)**2",
+                                 "((sqrt(3) + 1)/2)**2"), 2, (4, -1),
+         lambda z: 2 * z * z),
         # G = ((b+1)z + 1-a - (b-1) sqrt((z-e-)(z-e+))) / (2z(1+z)),
         # e+- = ((sqrt(ab) +- sqrt(a+b-1)) / (b-1))^2, at a, b = 2, 3
-        (FreeBetaPrime(2, 3), ("sqrt(6)", "2", "2"), 2, (4, -1),
-         lambda z: 2 * z * (1 + z)),
+        (FreeBetaPrime(2, 3), ("((sqrt(6) - 2)/2)**2", "((sqrt(6) + 2)/2)**2"),
+         2, (4, -1), lambda z: 2 * z * (1 + z)),
+        # G = ((b+1)z + (1-a)r - (b-1) sqrt((z-e-)(z-e+))) / (2z(z+r)),
+        # r = b/a, e+- = r((sqrt(ab) +- sqrt(a+b-1)) / (b-1))^2, at a, b = 2, 3
+        (FreeF(2, 3), ("3/2*((sqrt(6) - 2)/2)**2", "3/2*((sqrt(6) + 2)/2)**2"),
+         2, (4, "-3/2"), lambda z: z * (2 * z + 3)),
+        # G = ((m+1)z - (m-1) sqrt((z-e-)(z-e+))) / (2(m + z^2)),
+        # e+- = +-2m/(m-1), at m = 3
+        (FreeT(3), ("-3", "3"), 2, (4, 0), lambda z: 2 * (3 + z * z)),
         # G = ((a+b-2)z + 1-a - (a+b) sqrt((z-e-)(z-e+))) / (2z(1-z)),
         # e+- = ((sqrt(a(a+b-1)) +- sqrt(b)) / (a+b))^2, at a, b = 2, 2
-        (FreeBeta(2, 2), ("sqrt(6)", "sqrt(2)", "4"), 4, (2, -1),
+        (FreeBeta(2, 2), ("((sqrt(6) - sqrt(2))/4)**2",
+                          "((sqrt(6) + sqrt(2))/4)**2"), 4, (2, -1),
          lambda z: 2 * z * (1 - z)),
-    ], ids=["fbp(2,3)", "fb(2,2)"])
+        # G = ((1+2tau)z + theta - sqrt((z-e-)(z-e+))) / (2(tau z^2 + theta z
+        # + 1)), e+- = theta +- 2 sqrt(1+tau), at theta, tau = 1, 1/2
+        (FreeMeixnerStd(1, F(1, 2)), ("1 - sqrt(6)", "1 + sqrt(6)"), 1,
+         (2, 1), lambda z: z * z + 2 * z + 2),
+    ], ids=["fp(2)", "ifp(3)", "fbp(2,3)", "ff(2,3)", "ft(3)", "fb(2,2)",
+            "meixner(1,1/2)"])
     def test_matches_sympy_expansion_at_infinity(
-            self, family, edge_roots, lead, linear, denominator):
+            self, family, edges, lead, linear, denominator):
         """Series-expand the closed Cauchy transform with sympy: G(z) =
         sum_n m_n z^-(n+1), so m_n is the w^(n+1) coefficient of G(1/w)."""
         sp = pytest.importorskip("sympy")
         order = 16
         w = sp.symbols("w", positive=True)
-        ra, rb, den = map(sp.sympify, edge_roots)
-        e_minus, e_plus = ((ra - rb) / den) ** 2, ((ra + rb) / den) ** 2
-        # for w > 0, sqrt(1/w - e-) sqrt(1/w - e+) = sqrt(edges(w)) / w
-        edges = sp.Poly(sp.expand((1 - e_minus * w) * (1 - e_plus * w)), w)
-        radicand = sum(sp.expand(c) * w ** k for (k,), c in edges.terms())
+        e_minus, e_plus = map(sp.sympify, edges)
+        linear = tuple(map(sp.sympify, linear))
+        # for w > 0, sqrt(1/w - e-) sqrt(1/w - e+) = sqrt(quad(w)) / w
+        quad = sp.Poly(sp.expand((1 - e_minus * w) * (1 - e_plus * w)), w)
+        radicand = sum(sp.expand(c) * w ** k for (k,), c in quad.terms())
         z = 1 / w
         g = (linear[0] * z + linear[1] - lead * sp.sqrt(radicand) / w) / (
             denominator(z))
@@ -604,7 +657,7 @@ class TestMeixner:
 
 # The CLI family keys that answer each operation; every other pair raises.
 _ANSWERS = {
-    "moment_series": {"fp", "ifp", "fbp", "ff", "ft", "fb"},
+    "moment_series": set(_FAMILIES),
     "t_coeffs_of": {"fbp"},
     "potential_derivative": {"fbp", "ft", "fb"},
     "measure_of": set(_FAMILIES),

@@ -18,6 +18,8 @@ from freebeta.fock import fbp_operator, vacuum_moments
 from freebeta.ncl import gamma_quadratic_residual, gamma_series
 from freebeta.series import (
     PowerSeries,
+    _poly,
+    _quadratic_root,
     cf_expand,
     ps_reversion,
     ps_sqrt,
@@ -97,7 +99,8 @@ def nested_cf(diagonal, products, order):
     for i in range(len(diagonal) - 2, -1, -1):
         t = one - z.scale(diagonal[i])
         tail = long_division(
-            one, t - tail.shift_up().shift_up().scale(products[i]))
+            one, t - PowerSeries((0, 0) + tail.coefficients[:-2]).scale(
+                products[i]))
     return tail
 
 
@@ -135,7 +138,7 @@ class TestBasicArithmetic:
     def test_sub_and_neg(self):
         a = poly(1, 2, 3)
         assert (a - a).coefficients == (F(0),) * 3
-        assert (-a).coefficients == (F(-1), F(-2), F(-3))
+        assert a.scale(-1).coefficients == (F(-1), F(-2), F(-3))
 
     def test_mul_is_cauchy_product(self):
         # (1 + z)^2 = 1 + 2z + z^2
@@ -165,7 +168,6 @@ class TestBasicArithmetic:
         a = poly(0, 1, 2, 3)
         assert a.shift_down().coefficients == (F(1), F(2), F(3))
         assert a.scale(2).coefficients == (F(0), F(2), F(4), F(6))
-        assert poly(1, 2).shift_up().coefficients == (F(0), F(1))
 
     @given(
         series_strategy(max_order=8),
@@ -303,7 +305,7 @@ class TestSqrt:
     def test_branch_sign(self):
         # the positive root; callers that want the other one negate it
         assert ps_sqrt(poly(4, 4, 1))[0] == F(2)
-        r = -ps_sqrt(poly(4, 4, 1))
+        r = ps_sqrt(poly(4, 4, 1)).scale(-1)
         assert r == plain_sqrt(poly(4, 4, 1), -1)
         assert (r * r) == poly(4, 4, 1)
 
@@ -322,9 +324,37 @@ class TestSqrt:
            st.sampled_from([1, -1]))
     def test_sqrt_matches_term_by_term_oracle(self, c0, tail, branch):
         f = PowerSeries([c0 * c0] + tail)
-        r = ps_sqrt(f) if branch > 0 else -ps_sqrt(f)
+        r = ps_sqrt(f).scale(branch)
         assert r == plain_sqrt(f, branch)
         assert r * r == f
+
+
+class TestQuadraticRoot:
+    def test_poly_pads_and_truncates_to_its_order(self):
+        assert _poly(3, 1, 2).coefficients == (1, 2, 0, 0)
+        assert _poly(0, 1, 2).coefficients == (1,)
+
+    def test_cancels_a_simple_zero(self):
+        # (1 - sqrt(1 - 4z)) / (2z) generates the Catalan numbers
+        assert _quadratic_root((1,), (1, -4), (0, 2), 6).coefficients == (
+            1, 1, 2, 5, 14, 42, 132)
+
+    def test_cancels_a_double_zero(self):
+        # (1 - sqrt(1 - 4z^2)) / (2z^2): the Catalan numbers on even powers
+        got = _quadratic_root((1,), (1, 0, -4), (0, 0, 2), 6)
+        assert got.coefficients == (1, 0, 1, 0, 2, 0, 5)
+
+    @given(nonzero_fracs, st.lists(wide_fracs, min_size=2, max_size=2),
+           st.lists(wide_fracs, min_size=1, max_size=2), nonzero_fracs,
+           st.lists(wide_fracs, max_size=2), st.integers(0, 8))
+    def test_solves_its_quadratic(self, d0, p, tail, q0, q_tail, order):
+        # p - q r is the square root of disc with a positive constant term
+        disc, q = (d0 * d0, *tail), (q0, *q_tail)
+        r = _quadratic_root(tuple(p), disc, q, order)
+        root = _poly(order, *p) - _poly(order, *q) * r
+        assert r.order == order
+        assert root * root == _poly(order, *disc)
+        assert root[0] == abs(d0)
 
 
 def brute_motzkin_gf(up, flat, order):
