@@ -3,8 +3,10 @@
 Non-crossing linked partitions are counted by the large Schroeder numbers;
 their joint statistic (doubly covered, singly covered non-singleton,
 singleton) has a three-variable generating polynomial Gamma_n computable
-three ways: by brute summation, by a weighted-Motzkin continued fraction,
-and from a closed-form quadratic.  Run::
+three ways: by summing the block walk that enumerates them one gap length
+at a time, by a weighted-Motzkin continued fraction, and from a
+closed-form quadratic.  The gap sum needs no enumeration, so it counts
+the partitions far past the sizes that can be listed.  Run::
 
     python3 demos/linked_partition_combinatorics.py
 """
@@ -19,9 +21,13 @@ F = Fraction
 
 
 def main():
-    print("counts of non-crossing linked partitions (large Schroeder):")
-    for n in range(1, 9):
-        print(f"  n = {n}: {len(enumerate_ncl(n))}")
+    print("counts of non-crossing linked partitions (large Schroeder),")
+    print("listed for n <= 8 and summed by gaps to n = 16:")
+    counts = gamma_poly(16, 1, 1, 1)
+    for n in range(1, 17):
+        if n <= 8:
+            assert len(enumerate_ncl(n)) == counts[n]
+        print(f"  n = {n}: {counts[n]}")
 
     print("\nall 6 linked partitions of {1,2,3}:")
     for p in enumerate_ncl(3):
@@ -41,8 +47,8 @@ def main():
     abc = (F(2), F(3, 2), F(5))
     cf = gamma_series(6, *abc, route="cf")
     closed = gamma_series(6, *abc, route="closed")
+    assert gamma_poly(6, *abc) == cf.coefficients == closed.coefficients
     for n in range(1, 7):
-        assert gamma_poly(n, *abc) == cf[n] == closed[n]
         print(f"  n = {n}: {closed[n]}")
 
     ref = LinkedPartition(

@@ -147,8 +147,8 @@ def _emit(args, params: dict, results, provenance) -> None:
 
 # Largest exact series order (moments --n, gamma-gf --n, t-coeffs --order).
 # At 100 with small rationals the slowest route, moments transform, takes
-# 0.9-1.1 s end to end and gamma-gf cf 0.3-0.4 s, of which ~0.25 s is
-# start-up.
+# 0.5-0.8 s end to end, moments --route all (ncl included) 0.6-0.7 s, and
+# gamma-gf brute, cf or all 0.2-0.3 s, of which ~0.2 s is start-up.
 _MAX_ORDER = 100
 # Largest evaluation grid (density --grid count, score-check --points,
 # mc-fisher --bins): at 10000 points score-check takes 0.6-0.9 s end to end

@@ -194,7 +194,7 @@ class FreePoisson(Family):
             lo, hi,
             lambda x: math.sqrt(x - lo) * math.sqrt(hi - x) / x
             / (2 * math.pi),
-            [(0.0, 1 - float(self.lam))],
+            [(0.0, float(1 - self.lam))],
         )
 
     def _closed_g(self) -> tuple:
@@ -266,13 +266,13 @@ class FreeBetaPrime(Family):
                        lambda z: 2 * z * (1 + z))
 
     def _measure(self) -> MeasureSpec:
-        a, den = float(self.a), float(self.b - 1)
+        den = float(self.b - 1)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
             lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (1 + x) / x
             / (2 * math.pi),
-            [(0.0, 1 - a)],
+            [(0.0, float(1 - self.a))],
         )
 
     def _closed_g(self) -> tuple:
@@ -311,13 +311,13 @@ class FreeF(Family):
                        ((fb + s) / den) ** 2, lambda z: 2 * z * (z + r))
 
     def _measure(self) -> MeasureSpec:
-        a, den, r = float(self.a), float(self.b - 1), float(self.b / self.a)
+        den, r = float(self.b - 1), float(self.b / self.a)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
             lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (x + r) / x
             / (2 * math.pi),
-            [(0.0, 1 - a)],
+            [(0.0, float(1 - self.a))],
         )
 
     def _closed_g(self) -> tuple:
@@ -384,13 +384,13 @@ class FreeBeta(Family):
                        lambda z: 2 * z * (1 - z))
 
     def _measure(self) -> MeasureSpec:
-        a, b, den = float(self.a), float(self.b), float(self.a + self.b)
+        den = float(self.a + self.b)
         lo, hi = support_of(self)
         return _measure_on(
             lo, hi,
             lambda x: den * math.sqrt(x - lo) * math.sqrt(hi - x) / (1 - x) / x
             / (2 * math.pi),
-            [(0.0, 1 - a), (1.0, 1 - b)],
+            [(0.0, float(1 - self.a)), (1.0, float(1 - self.b))],
         )
 
     def _closed_g(self) -> tuple:

@@ -10,11 +10,12 @@ gaps it leaves (Dykema, Adv. Math. 208, 2007; Chen, Wu & Yan, European J.
 Combin. 29, 2008).  The card model checks it from ``tests/test_ncl.py``:
 every partition corresponds to a Motzkin path of length n decorated with
 one admissible card per step, and expanding all paths yields each
-partition exactly once.  The statistic
-triple (dc, sc, sg) — doubly covered elements, singly covered minima of
-non-singleton blocks, singletons — drives the generating polynomial
-``gamma_poly`` (the brute sum); ``gamma_series`` expands it by two more
-independent routes that the tests pin against it.
+partition exactly once.  The statistic triple (dc, sc, sg) — doubly
+covered elements, singly covered minima of non-singleton blocks,
+singletons — drives the generating polynomial Gamma_n.  A gap of the walk
+fills alike wherever it sits, so ``gamma_poly`` sums the walk one gap
+length at a time, at any n and without enumerating; ``gamma_series``
+expands Gamma by two more independent routes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
-from .distributions import FreeBetaPrime, t_coeffs_of
+from .distributions import fbp_t_params
 from .errors import FreeBetaError, SizeLimitExceeded
 from .series import PowerSeries, cf_expand
 from .series import _poly, _quadratic_root, _truncation
@@ -43,16 +45,15 @@ __all__ = [
     "gamma_poly",
     "gamma_series",
     "gamma_quadratic_residual",
-    "moment_via_ncl",
     "fbp_moment",
     "NCL_SIZE_LIMIT",
 ]
 
-# Largest n with an exhaustive NCL(n).  One enumerate-and-validate pass
-# (``ncl_table``) takes ~0.4-0.6 s at n = 9 and ~2-3 s at n = 10
-# (Python 3.11, 2-vCPU x86_64, fresh processes); n = 11 has five times as
-# many partitions, so ~5x the time (estimated, not run) and the memory to
-# hold a million partitions.
+# Largest n with an exhaustive NCL(n).  No route reads the enumeration, so
+# this caps only it.  One enumerate-and-validate pass (``ncl_table``) takes
+# ~0.4-0.6 s at n = 9 and ~2-3 s at n = 10 (Python 3.11, 2-vCPU x86_64,
+# fresh processes); n = 11 has five times as many partitions, so ~5x the
+# time (estimated, not run) and the memory to hold a million partitions.
 NCL_SIZE_LIMIT = 10
 
 
@@ -286,7 +287,7 @@ def doubly_covered_types(
 
 
 # --------------------------------------------------------------------------
-# Jacobi weights and the Gamma generating polynomial
+# Jacobi weights, the Gamma generating polynomial and the fbp moments
 # --------------------------------------------------------------------------
 
 def level_weights(alpha, beta, gamma, levels: int
@@ -359,54 +360,44 @@ def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:
     return res.truncate(n)
 
 
-def gamma_poly(n: int, alpha, beta, gamma) -> Fraction:
-    """Gamma_n(alpha, beta, gamma) = sum over NCL(n) of alpha^dc beta^sc gamma^sg.
+def gamma_poly(n: int, alpha, beta, gamma) -> tuple[Fraction, ...]:
+    """Gamma_0..Gamma_n; Gamma_k sums alpha^dc beta^sc gamma^sg over NCL(k).
 
-    The brute route: sums the tabulated statistics of the exhaustive
-    enumeration (n <= NCL_SIZE_LIMIT).  The continued-fraction and closed
-    routes give Gamma_n as ``gamma_series(n, ..., route=...)[n]``.
+    The walk of :func:`enumerate_ncl` summed bottom-up in O(n^2) products.
+    A gap of L elements after x sums to free[L] when no linked block may
+    open at x, to linked[L] when one may; a block at its minimum with more
+    members to come sums to body[r], and one at a later member to chain[r],
+    r the elements to its right.  With alpha, beta, gamma = a/D, b/D, c/D,
+    the integers D^L free[L], D^L linked[L], D^L chain[L] and
+    D^(r-1) body[r] are held instead.
     """
-    if n == 0:
-        return Fraction(1)
-    alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
-    return sum(
-        (count * alpha ** dc * beta ** sc * gamma ** sg
-         for (dc, sc, sg, _), count in ncl_table(n)),
-        Fraction(0),
-    )
+    if n < 0:
+        raise FreeBetaError(f"Gamma_n needs n >= 0, got n = {n}")
+    params = _frac(alpha), _frac(beta), _frac(gamma)
+    den = lcm(*(x.denominator for x in params))
+    a, b, c = (x.numerator * (den // x.denominator) for x in params)
+    free, linked, chain, body = [1], [1], [1], [0]
+    for k in range(1, n + 1):
+        # x + 1 is a singleton or the minimum of a larger block
+        free.append(c * free[k - 1] + b * den * body[k - 1])
+        # its next member, at distance d, leaves a free inner gap
+        body.append(sum(free[d - 1] * chain[k - d] for d in range(1, k + 1)))
+        # or a linked block opens at x first
+        linked.append(free[k] + a * body[k])
+        # the block ends, leaving a linked tail, or goes on past a linked gap
+        chain.append(linked[k] + den * sum(
+            linked[d - 1] * chain[k - d] for d in range(1, k + 1)))
+    return tuple(Fraction(x, den ** k) for k, x in enumerate(free))
 
 
-# --------------------------------------------------------------------------
-# Moment formulas
-# --------------------------------------------------------------------------
+def fbp_moment(a, b, n: int) -> tuple[Fraction, ...]:
+    """m_0..m_n of the free beta prime law by the linked-partition sum.
 
-def moment_via_ncl(alphas: PowerSeries, n: int) -> Fraction:
-    """m_n = sum over NCL(n) of alpha_0^{n - #blocks} prod_B alpha_{|B|-1}.
-
-    ``alphas`` is the T-transform T(z) = 1/S(z) = sum alpha_k z^k.
+    m_k sums alpha_0^{k - #blocks} prod_B alpha_{|B|-1} over NCL(k) at the
+    T-coefficients alpha_0 = s, alpha_k = t*u^k, which is
+    (su)^k * Gamma_k(t/s, t/(su), 1/u) for (s, t, u) from fbp_t_params.
     """
-    if alphas[0] == 0:
-        raise ValueError("T-transform needs alpha_0 != 0")
-    if n == 0:
-        return Fraction(1)
-    if alphas.order < n - 1:
-        raise ValueError("need alpha_k through k = n - 1")
-    a0 = alphas[0]
-    total = Fraction(0)
-    for (*_, sizes), count in ncl_table(n):
-        prod = count * a0 ** (n - len(sizes))
-        for size in sizes:
-            prod *= alphas[size - 1]
-        total += prod
-    return total
-
-
-def fbp_moment(a, b, n: int) -> Fraction:
-    """n-th moment of the free beta prime law by the linked-partition sum.
-
-    Evaluates :func:`moment_via_ncl` at the T-coefficients alpha_0 = s,
-    alpha_k = t*u^k; this equals (su)^n * Gamma_n(t/s, t/(su), 1/u) with
-    (s, t, u) from :func:`freebeta.distributions.fbp_t_params`.
-    """
-    alphas = t_coeffs_of(FreeBetaPrime(a, b), max(n - 1, 0))
-    return moment_via_ncl(alphas, n)
+    s, t, u = fbp_t_params(a, b)
+    c = s * u
+    gammas = gamma_poly(n, t / s, t / c, 1 / u)
+    return tuple(c ** k * g for k, g in enumerate(gammas))

@@ -33,8 +33,9 @@ _FBP_PARAMS = (
     (Fraction(1, 2), Fraction(2)),
     (Fraction(3), Fraction(3, 2)),
 )
-# Exact series routes are checked to _DEEP_ORDER; the NCL brute sums, whose
-# cost grows like the large Schroeder numbers, stop at _NCL_ORDER.
+# Every exact route is checked to _DEEP_ORDER; the criteria that read the
+# enumeration, whose cost grows like the large Schroeder numbers, stop at
+# _NCL_ORDER.
 _DEEP_ORDER = 16
 _NCL_ORDER = 8
 
@@ -44,12 +45,11 @@ _NCL_ORDER = 8
 # an eighth as much as b's.  At n^2.5 * (bits(b) + bits(a) / 8) = 2e6 it takes
 # 5-7 s from n = 25 to 100 (7 s at n = 10 with the bits in b, 14 s with them in
 # a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
-# 0.1 s inputs at n = 10.)  The NCL and Fock routes share the bound: at it,
-# the NCL sums take 1-6 s for n = 3..10, on top of building NCL(n) (2-3 s at
-# n = 10), and the Fock route, on ceil(n/2) levels and each step on the levels
-# that can still return, 0.1-2.9 s (2.9 s at n = 3 with the bits in b, about
-# 0.5 s at n = 10, under 0.2 s with the bits in a; over the bound, n = 100 at
-# b = 2^256 + 1 takes 7.6 s).
+# 0.1 s inputs at n = 10.)  The Fock route shares the bound: at it, on
+# ceil(n/2) levels and each step on the levels that can still return, it
+# takes 0.1-2.9 s (2.9 s at n = 3 with the bits in b, about 0.5 s at n = 10,
+# under 0.2 s with the bits in a; over the bound, n = 100 at b = 2^256 + 1
+# takes 7.6 s).
 _SIZE_LIMIT = 2_000_000
 
 
@@ -66,17 +66,19 @@ def _size_limit(route: str, fam: FreeBetaPrime, n: int) -> str | None:
                 f"of a / 8) <= {_SIZE_LIMIT}, got {size:.0f}")
 
 
-# The series, cf and closed routes take time about n^3 to n^3.5 times bits^2,
-# where bits sums _bits over the family's parameters or alpha, beta and gamma,
-# so each has its own bound on n^1.5 * bits.  At it, for n = 10 to 100:
-# series 2.4-6.2 s on the slowest family, fb with its bits in a = 2^k + 1
-# (ff 2.3-4.9 s and fbp 1.8-3.2 s with them in b, ifp 1.1-2.2 s, the others
-# under 0.9 s; FBP(2, 2^7000 + 1) took over 120 s at n = 100); cf
-# 2.2-6.2 s and closed 3.0-6.9 s with the bits in one random rational or
-# spread over all three (alpha, beta = 2^1024 + 1, 2^1024 + 3 took 2.7-2.8 s
-# at n = 100).  n^1.75 * bits would even out series and cf, but let closed
-# take 17 s at n = 10.  64-bit parameters pass every bound at n = 100.
-_PARAMS_LIMITS = {"series": 300_000, "cf": 1_300_000, "closed": 1_200_000}
+# The other routes take time about n^3 to n^3.5 times bits^2, where bits sums
+# _bits over the family's parameters or alpha, beta and gamma, so each has its
+# own bound on n^1.5 * bits.  At it, for n = 10 to 100: series 2.4-6.2 s on
+# the slowest family, fb with its bits in a = 2^k + 1 (ff 2.3-4.9 s and fbp
+# 1.8-3.2 s with them in b, ifp 1.1-2.2 s, the others under 0.9 s;
+# FBP(2, 2^7000 + 1) took over 120 s at n = 100); ncl 0.7-5.3 s with the bits
+# in a = 2^k + 1, in b or in random rationals; cf 2.2-6.2 s, closed 3.0-6.9 s
+# and brute 1.2-3.5 s with them in one random rational or spread over all
+# three (alpha, beta = 2^1024 + 1, 2^1024 + 3 took 2.7-2.8 s by cf at
+# n = 100).  n^1.75 * bits would even out series and cf, but let closed take
+# 17 s at n = 10.  64-bit parameters pass every bound at n = 100.
+_PARAMS_LIMITS = {"series": 300_000, "cf": 1_300_000, "closed": 1_200_000,
+                  "ncl": 800_000, "brute": 1_500_000}
 # The t-coeffs command is held to the series route's bound.  At it, orders 5
 # to 100 take at most 0.12 s, printing included; a 4000-digit b at order 100
 # printed 21 M characters in 119 s without it.
@@ -92,12 +94,6 @@ def _params_limit(route: str, subject, n: int) -> str | None:
                 f"parameters) <= {bound}, got {size:.0f}")
 
 
-def _ncl_limit(subject, n: int) -> str | None:
-    """Why NCL(n) is too large to enumerate exhaustively, if it is."""
-    if n > ncl.NCL_SIZE_LIMIT:
-        return f"exhaustive enumeration capped at n = {ncl.NCL_SIZE_LIMIT}"
-
-
 # One table per exact quantity, read by the CLI and the criteria: route ->
 # (fn(subject, n) giving terms 0..n, type of subject).  Each fn looks its
 # layer function up at call time, so a traced rebinding is the one called.
@@ -108,8 +104,8 @@ def _capped(fn, family, limit) -> Route:
     """A Route whose fn checks limit(subject, n), the reason an input is
     over the route's cap or None, before any work.
 
-    An input over the cap raises SizeLimitExceeded with that reason before
-    any table is built; the CLI relays the refusal.
+    An input over the cap raises SizeLimitExceeded with that reason; the
+    CLI relays the refusal.
     """
     def checked(subject, n):
         reason = limit(subject, n)
@@ -120,10 +116,8 @@ def _capped(fn, family, limit) -> Route:
 
 
 MOMENT_ROUTES = {
-    "ncl": _capped(lambda fam, n: [ncl.fbp_moment(fam.a, fam.b, k)
-                                   for k in range(n + 1)], FreeBetaPrime,
-                   lambda fam, n: (_ncl_limit(fam, n)
-                                   or _size_limit("ncl", fam, n))),
+    "ncl": _capped(lambda fam, n: ncl.fbp_moment(fam.a, fam.b, n),
+                   FreeBetaPrime, lambda fam, n: _params_limit("ncl", fam, n)),
     "series": _capped(lambda fam, n: distributions.moment_series(
         fam, n).moments, distributions.Family,
         lambda fam, n: _params_limit("series", fam, n)),
@@ -136,8 +130,8 @@ MOMENT_ROUTES = {
         FreeBetaPrime, lambda fam, n: _size_limit("transform", fam, n)),
 }
 GAMMA_ROUTES = {
-    "brute": _capped(lambda abc, n: [ncl.gamma_poly(k, *abc)
-                                     for k in range(n + 1)], tuple, _ncl_limit),
+    "brute": _capped(lambda abc, n: ncl.gamma_poly(n, *abc), tuple,
+                     lambda abc, n: _params_limit("brute", abc, n)),
     "cf": _capped(lambda abc, n: ncl.gamma_series(
         n, *abc, route="cf").coefficients, tuple,
         lambda abc, n: _params_limit("cf", abc, n)),
@@ -165,14 +159,14 @@ def _disagreement(columns: dict) -> str | None:
     return None
 
 
-def _moment_routes(depths: dict, passed: str) -> tuple[bool, str]:
+def _moment_routes(routes: tuple, passed: str) -> tuple[bool, str]:
     """The routes agree on each fbp law, and with m1 and m2 ("spot") read
     off the exact mean and variance of its Meixner standardization."""
     for a, b in _FBP_PARAMS:
         std = distributions.standardize_to_meixner(a, b)
         spot = (1, std.mean, std.mean ** 2 + std.variance)
         fam = FreeBetaPrime(a, b)
-        columns = {r: MOMENT_ROUTES[r].fn(fam, d) for r, d in depths.items()}
+        columns = {r: MOMENT_ROUTES[r].fn(fam, _DEEP_ORDER) for r in routes}
         bad = _disagreement({**columns, "spot": spot})
         if bad:
             return False, f"(a,b)=({a},{b}) {bad}"
@@ -180,19 +174,19 @@ def _moment_routes(depths: dict, passed: str) -> tuple[bool, str]:
 
 
 def criterion_triple_route_moments() -> tuple[bool, str]:
-    """Closed-form series and Fock vacuum agree exactly; NCL to a lower n."""
+    """Linked-partition sum, closed-form series and Fock vacuum agree."""
     return _moment_routes(
-        {"ncl": _NCL_ORDER, "series": _DEEP_ORDER, "fock": _DEEP_ORDER},
-        f"3 parameter sets, series == fock for n=1..{_DEEP_ORDER}, "
-        f"ncl too for n=1..{_NCL_ORDER}, identical rationals")
+        ("ncl", "series", "fock"),
+        f"3 parameter sets, ncl == series == fock for n=1..{_DEEP_ORDER}, "
+        "identical rationals")
 
 
 def criterion_mult_convolution() -> tuple[bool, str]:
     """Multiplicative free convolution of the Poisson factors rebuilds fbp."""
     return _moment_routes(
-        {"ncl": _NCL_ORDER, "series": _DEEP_ORDER, "transform": _DEEP_ORDER},
-        f"S-product route equals closed-form series for n=1..{_DEEP_ORDER} "
-        f"and NCL route for n=1..{_NCL_ORDER}")
+        ("ncl", "series", "transform"),
+        "S-product route equals closed-form series and NCL route for "
+        f"n=1..{_DEEP_ORDER}")
 
 
 def criterion_gamma_routes() -> tuple[bool, str]:
@@ -202,47 +196,59 @@ def criterion_gamma_routes() -> tuple[bool, str]:
         tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3))
         for _ in range(10)
     ]
-    depths = {"brute": _NCL_ORDER, "cf": _NCL_ORDER, "closed": _NCL_ORDER}
     for abc in triples:
-        columns = {r: GAMMA_ROUTES[r].fn(abc, d) for r, d in depths.items()}
+        columns = {r: route.fn(abc, _DEEP_ORDER)
+                   for r, route in GAMMA_ROUTES.items()}
         bad = _disagreement(columns)
         if bad:
             return False, f"{abc} {bad}"
         closed = PowerSeries(columns["closed"])
         if any(ncl.gamma_quadratic_residual(closed, *abc).coefficients):
             return False, f"nonzero residual at {abc}"
-    return True, (f"10 random rational triples, n=1..{_NCL_ORDER}, "
+    return True, (f"10 random rational triples, n=1..{_DEEP_ORDER}, "
                   "zero residual")
 
 
 def criterion_counts() -> tuple[bool, str]:
-    """Linked-partition counts are the large Schroeder numbers."""
-    expected = [1, 2, 6, 22, 90, 394, 1806, 8558]
-    for n, want in enumerate(expected, start=1):
-        got = sum(count for _, count in ncl.ncl_table(n))
-        if got != want:
-            return False, f"|NCL({n})| = {got}, expected {want}"
-    return True, "counts 1..8 match"
+    """|NCL(n)| and, by the gap sum, Gamma_n(1, 1, 1) are the large
+    Schroeder numbers (OEIS A006318)."""
+    want = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718,
+            5293446, 27297738, 142078746, 745387038, 3937603038)
+    counted = [sum(count for _, count in ncl.ncl_table(n))
+               for n in range(1, _NCL_ORDER + 1)]
+    summed = ncl.gamma_poly(len(want), 1, 1, 1)[1:]
+    for label, column in (("|NCL({})|", counted), ("Gamma_{}(1,1,1)", summed)):
+        for n, (got, count) in enumerate(zip(column, want), start=1):
+            if got != count:
+                return False, f"{label.format(n)} = {got}, expected {count}"
+    return True, (f"enumerated counts 1..{_NCL_ORDER} and Gamma_n(1,1,1) "
+                  f"for n=1..{len(want)} match")
 
 
 def criterion_statistics() -> tuple[bool, str]:
-    """dc+sc+sg = #blocks and sum|B| = n+dc for every partition of NCL(n)."""
+    """dc+sc+sg = #blocks and sum|B| = n+dc for every partition of NCL(n),
+    and the table sums to the gap sum's Gamma_n at one triple."""
+    alpha, beta, gamma = Fraction(2, 3), Fraction(5, 7), Fraction(3, 2)
+    summed = ncl.gamma_poly(_NCL_ORDER, alpha, beta, gamma)
     for n in range(1, _NCL_ORDER + 1):
-        for key, _ in ncl.ncl_table(n):
+        total = Fraction(0)
+        for key, count in ncl.ncl_table(n):
             dc, sc, sg, sizes = key
             if dc + sc + sg != len(sizes):
                 return False, f"block-count identity fails at n={n}, {key}"
             if sum(sizes) != n + dc:
                 return False, f"size identity fails at n={n}, {key}"
+            total += count * alpha ** dc * beta ** sc * gamma ** sg
+        if total != summed[n]:
+            return False, f"table sum {total} != gamma_poly at n={n}"
     ref = ncl.LinkedPartition(
         10, ((1, 2, 7), (2, 4), (3,), (5, 6), (7, 8, 9), (9, 10))
     )
     st = ncl.statistics(ref)
     if (st.dc, st.sc, st.sg) != (3, 2, 1):
         return False, f"reference partition stats {(st.dc, st.sc, st.sg)}"
-    return True, (
-        f"identities exhaustive n<={_NCL_ORDER}; reference triple (3,2,1)"
-    )
+    return True, (f"identities and table sum == gamma_poly exhaustive "
+                  f"n<={_NCL_ORDER}; reference triple (3,2,1)")
 
 
 # Gate of score-identities on |2H - V'|.  Its 7 laws x 20 points deviate by

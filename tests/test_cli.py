@@ -554,25 +554,37 @@ class TestInputGuards:
         return elapsed
 
     @pytest.mark.parametrize("route", ["ncl", "all"])
-    def test_moments_size_guard_fires_first(self, capsys, route):
+    def test_moments_size_guard_fires_first(self, capsys, monkeypatch,
+                                            route):
+        # 4^1.5 * (3 + 3) for the bits of a = 2 and b = 3
+        monkeypatch.setitem(verification._PARAMS_LIMITS, "ncl", 40)
         elapsed = self.assert_over_limit(
-            capsys, route, {"ncl": "exhaustive enumeration capped at n = 10"},
+            capsys, route,
+            {"ncl": "the ncl route is capped at n^1.5 * (bits of all "
+                    "parameters) <= 40, got 48"},
             "moments", "--family", "fbp", "--a", "2", "--b", "3",
-            "--n", "13",
+            "--n", "4",
         )
         assert elapsed < 0.5
 
-    @pytest.mark.parametrize("route", ["ncl", "fock", "all"])
-    def test_ncl_route_is_capped_in_parameter_size(self, capsys, route):
-        # at n = 10 the ncl route took 16.5 s on this b before it had this
-        # cap; 10^2.5 * (bits of b + bits of a / 8) = 10^2.5 * (7002 + 3/8)
+    # b = 2^7000 + 1.  At n = 10 fock and transform are over their cap,
+    # 10^2.5 * (bits of b + bits of a / 8) = 10^2.5 * (7002 + 3/8), while
+    # ncl (10^1.5 * 7005 = 221518, where its table sum took 16.5 s before
+    # it had a cap) and series answer; at n = 30 ncl is over its own cap.
+    @pytest.mark.parametrize("route, n", [("ncl", 30), ("fock", 10),
+                                          ("all", 10)],
+                             ids=["ncl", "fock", "all"])
+    def test_ncl_route_is_capped_in_parameter_size(self, capsys, route, n):
         reason = ("the {} route is capped at n^2.5 * (bits of b + bits of "
                   "a / 8) <= 2000000, got 2214345")
+        skipped = {r: reason.format(r) for r in ("fock", "transform")}
+        if route == "ncl":
+            skipped["ncl"] = ("the ncl route is capped at n^1.5 * (bits of "
+                              "all parameters) <= 800000, got 1151039")
         elapsed = self.assert_over_limit(
-            capsys, route,
-            {r: reason.format(r) for r in ("ncl", "fock", "transform")},
+            capsys, route, skipped,
             "moments", "--family", "fbp", "--a", "2", "--b",
-            str(2 ** 7000 + 1), "--n", "10",
+            str(2 ** 7000 + 1), "--n", str(n),
         )
         if route != "all":
             assert elapsed < 1
@@ -609,6 +621,9 @@ class TestInputGuards:
                     str(2 ** 7000 + 1), "--n", "100"]),
         ("cf", _FOUND_GAMMA),
         ("closed", _FOUND_GAMMA),
+        ("ncl", ["moments", "--family", "fbp", "--a", "2", "--b",
+                 str(2 ** 7000 + 1), "--n", "100"]),
+        ("brute", _FOUND_GAMMA),
     ])
     def test_parameter_size_caps_fire_first(self, capsys, route, argv):
         start = time.perf_counter()
@@ -621,14 +636,14 @@ class TestInputGuards:
 
     def test_series_route_is_skipped_when_over_its_cap(self, capsys):
         # 11^1.5 * (8302 + 3) = 302990 for the bits of a and b: series is over
-        # its cap while fock and transform, which weigh a's bits by 1/8, run
+        # its cap while ncl, under its higher one, and fock and transform,
+        # which weigh a's bits by 1/8, run
         a = 2 ** 8300 + 1
         reason = ("the series route is capped at n^1.5 * (bits of all "
                   "parameters) <= 300000, got 302990")
         self.assert_over_limit(
             capsys, "all",
-            {"ncl": "exhaustive enumeration capped at n = 10",
-             "series": reason},
+            {"series": reason},
             "moments", "--family", "fbp", "--a", str(a), "--b", "3",
             "--n", "11")
 
@@ -667,12 +682,15 @@ class TestInputGuards:
         assert err == f"error: every route refused: {'; '.join(reasons)}\n"
 
     @pytest.mark.parametrize("route", ["brute", "all"])
-    def test_gamma_gf_size_guard_fires_first(self, capsys, route):
+    def test_gamma_gf_size_guard_fires_first(self, capsys, monkeypatch,
+                                             route):
+        monkeypatch.setitem(verification._PARAMS_LIMITS, "brute", 40)
         elapsed = self.assert_over_limit(
             capsys, route,
-            {"brute": "exhaustive enumeration capped at n = 10"},
+            {"brute": "the brute route is capped at n^1.5 * (bits of all "
+                      "parameters) <= 40, got 48"},
             "gamma-gf", "--alpha", "1", "--beta", "1", "--gamma", "1",
-            "--n", "13",
+            "--n", "4",
         )
         assert elapsed < 0.5
 

@@ -327,6 +327,20 @@ class TestSupportAndMeasure:
         assert dict(fb.atoms) == pytest.approx({0.0: 0.5, 1.0: 0.25})
         assert measure_of(FreeT(2)).atoms == ()
 
+    @pytest.mark.parametrize("fam, exact", [
+        (FreePoisson(1 - F(1, 10**6)), [F(1, 10**6)]),
+        (FreeBetaPrime(1 - F(1, 10**6), 3), [F(1, 10**6)]),
+        (FreeF(F(4, 5), 24), [F(1, 5)]),
+        (FreeBeta(1 - F(1, 10**6), 1 - F(1, 10**7)),
+         [F(1, 10**6), F(1, 10**7)]),
+        (FreeBeta(F(4, 5), 24), [F(1, 5)]),
+    ], ids=["fp", "fbp", "ff", "fb", "fb-4/5"])
+    def test_atom_masses_are_rounded_once(self, fam, exact):
+        # 1 - float(a) rounds a first: FP(1 - 1e-6) read 1.0000000000287557e-06
+        # and FB(4/5, 24) 0.19999999999999996
+        assert [mass for _, mass in measure_of(fam).atoms] == list(
+            map(float, exact))
+
     @pytest.mark.parametrize("theta,tau", [(2.0, 1.0), (4.0, 4.0),
                                            (0.1, 0.0025), (0.2, 0.01)])
     def test_free_gamma_double_pole_has_no_atom(self, theta, tau):
@@ -433,8 +447,7 @@ class TestMomentSeries:
     def test_fbp_matches_ncl(self):
         for a, b in [(F(2), F(3)), (F(1, 2), F(2)), (F(3), F(3, 2))]:
             m = moment_series(FreeBetaPrime(a, b), 8)
-            for n in range(1, 9):
-                assert m[n] == fbp_moment(a, b, n)
+            assert m.moments == fbp_moment(a, b, 8)
 
     def test_poisson_low_moments(self):
         lam = F(3, 2)

@@ -116,9 +116,7 @@ class TestFbpOperator:
     )
     def test_vacuum_moments_equal_ncl_route(self, a, b):
         op = fbp_operator(a, b, 4)
-        vac = vacuum_moments(op, 8)
-        for n in range(1, 9):
-            assert vac[n] == fbp_moment(a, b, n)
+        assert tuple(vacuum_moments(op, 8)) == fbp_moment(a, b, 8)
 
     def test_reference_values(self):
         vac = vacuum_moments(fbp_operator(2, 3, 5), 5)

@@ -2,7 +2,9 @@
 
 The enumeration is checked against an independently written brute-force
 generator and against the Motzkin-path card model, both kept here, so the
-checks share no code paths with the package.
+checks share no code paths with the package.  The gap sums ``gamma_poly``
+and ``fbp_moment`` are checked against sums over the enumerated table,
+also kept here (``table_gamma``, ``moment_via_ncl``).
 """
 
 import gc
@@ -18,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from freebeta.distributions import FreeBetaPrime, fbp_t_params, t_coeffs_of
+from freebeta.distributions import (
+    FreeBetaPrime, fbp_t_params, moment_series, t_coeffs_of,
+)
 from freebeta.errors import FreeBetaError, SizeLimitExceeded
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
@@ -32,7 +36,6 @@ from freebeta.ncl import (
     gamma_quadratic_residual,
     gamma_series,
     level_weights,
-    moment_via_ncl,
     ncl_table,
     statistics,
     validate_ncl,
@@ -264,6 +267,37 @@ def oracle_enumerate(n):
 
     rec(1, [])
     return set(results)
+
+
+# --- sums over the enumerated table ---------------------------------------
+# The per-size sums the package ran before the gap recursion replaced them;
+# they stay here as the oracles gamma_poly and fbp_moment are tested against.
+
+def table_gamma(n, alpha, beta, gamma):
+    """Gamma_n as the table's sum of count * alpha^dc beta^sc gamma^sg."""
+    return sum((count * alpha ** dc * beta ** sc * gamma ** sg
+                for (dc, sc, sg, _), count in ncl_table(n)), F(0))
+
+
+def moment_via_ncl(alphas: PowerSeries, n: int) -> Fraction:
+    """m_n = sum over NCL(n) of alpha_0^{n - #blocks} prod_B alpha_{|B|-1}.
+
+    ``alphas`` is the T-transform T(z) = 1/S(z) = sum alpha_k z^k.
+    """
+    if alphas[0] == 0:
+        raise ValueError("T-transform needs alpha_0 != 0")
+    if n == 0:
+        return Fraction(1)
+    if alphas.order < n - 1:
+        raise ValueError("need alpha_k through k = n - 1")
+    a0 = alphas[0]
+    total = Fraction(0)
+    for (*_, sizes), count in ncl_table(n):
+        prod = count * a0 ** (n - len(sizes))
+        for size in sizes:
+            prod *= alphas[size - 1]
+        total += prod
+    return total
 
 
 # --- the card model -------------------------------------------------------
@@ -614,8 +648,8 @@ class TestGammaPolynomial:
             abc = [F(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(3)]
             cf = gamma_series(6, *abc, route="cf")
             closed = gamma_series(6, *abc, route="closed")
-            for n in range(1, 7):
-                assert gamma_poly(n, *abc) == cf[n] == closed[n]
+            assert (gamma_poly(6, *abc) == cf.coefficients
+                    == closed.coefficients)
 
     @pytest.mark.parametrize("abc", [(F(1, 3), F(-2), F(5)),
                                      (F(0), F(-1), F(1)),
@@ -624,8 +658,7 @@ class TestGammaPolynomial:
         # beta < 0 takes the negated square root in the closed route
         cf = gamma_series(7, *abc, route="cf")
         closed = gamma_series(7, *abc, route="closed")
-        for n in range(1, 8):
-            assert gamma_poly(n, *abc) == cf[n] == closed[n]
+        assert gamma_poly(7, *abc) == cf.coefficients == closed.coefficients
         res = gamma_quadratic_residual(closed, *abc)
         assert all(c == 0 for c in res.coefficients)
 
@@ -656,7 +689,7 @@ class TestGammaPolynomial:
         # third path sum: fff + fud + udf + ufd
         w3 = gamma ** 3 + 2 * beta * gamma + beta * (1 + alpha + gamma)
         assert w3 == gamma_series(3, alpha, beta, gamma, route="cf")[3]
-        assert w3 == gamma_poly(3, alpha, beta, gamma)
+        assert w3 == gamma_poly(3, alpha, beta, gamma)[3]
 
 
 class TestMomentViaNcl:
@@ -667,11 +700,11 @@ class TestMomentViaNcl:
 
     def test_fbp_moments_reference(self):
         want = [F(1), F(2), F(11, 2), F(71, 4), F(503, 8)]
-        assert [fbp_moment(2, 3, n) for n in range(1, 6)] == want
+        assert fbp_moment(2, 3, 5) == (F(1), *want)
 
     def test_first_moment_is_mean(self):
         for a, b in [(F(2), F(3)), (F(1, 2), F(2)), (F(3), F(3, 2))]:
-            assert fbp_moment(a, b, 1) == a / (b - 1)
+            assert fbp_moment(a, b, 1) == (1, a / (b - 1))
 
     def test_moment_via_ncl_partition_weights(self):
         # with alphas (1, x, x, ...) the sum counts blocks of size >= 2
@@ -700,22 +733,23 @@ class TestNclTable:
                 alpha ** st.dc * beta ** st.sc * gamma ** st.sg
                 for st in stats
             )
-            assert gamma_poly(n, alpha, beta, gamma) == direct
+            assert gamma_poly(n, alpha, beta, gamma)[n] == direct
 
     @pytest.mark.parametrize("a,b", _FBP_PARAMS)
     def test_fbp_moment_is_the_ncl_moment_sum(self, a, b):
-        alphas = t_coeffs_of(FreeBetaPrime(a, b), 8)
-        for n in range(1, 9):
-            assert fbp_moment(a, b, n) == moment_via_ncl(alphas, n)
+        # to the enumeration's size cap, past which the table sum stops
+        alphas = t_coeffs_of(FreeBetaPrime(a, b), NCL_SIZE_LIMIT)
+        assert fbp_moment(a, b, NCL_SIZE_LIMIT) == tuple(
+            moment_via_ncl(alphas, n) for n in range(NCL_SIZE_LIMIT + 1))
 
     @pytest.mark.parametrize("a,b", _FBP_PARAMS)
     def test_fbp_moment_is_the_scaled_gamma_polynomial(self, a, b):
         # the block-profile sum and the statistics sum read different
         # marginals of the one joint table
         s, t, u = fbp_t_params(a, b)
-        for n in range(1, 9):
-            gamma = gamma_poly(n, t / s, t / (s * u), 1 / u)
-            assert fbp_moment(a, b, n) == (s * u) ** n * gamma
+        gammas = gamma_poly(8, t / s, t / (s * u), 1 / u)
+        assert fbp_moment(a, b, 8) == tuple((s * u) ** n * gamma
+                                            for n, gamma in enumerate(gammas))
 
     def test_block_profiles_match_enumeration(self):
         # both marginals of the joint table against direct enumeration
@@ -739,12 +773,8 @@ class TestNclTable:
 
     def test_repeated_calls_agree(self):
         abc = (F(3, 4), F(5, 3), F(2))
-        first = [gamma_poly(n, *abc) for n in range(1, 8)]
-        again = [gamma_poly(n, *abc) for n in range(1, 8)]
-        assert first == again
-        assert [fbp_moment(2, 3, n) for n in range(1, 8)] == [
-            fbp_moment(2, 3, n) for n in range(1, 8)
-        ]
+        assert gamma_poly(7, *abc) == gamma_poly(7, *abc)
+        assert fbp_moment(2, 3, 7) == fbp_moment(2, 3, 7)
         assert ncl_table(6) is ncl_table(6)
 
     def test_cached_table_is_immutable(self):
@@ -760,16 +790,52 @@ class TestNclTable:
             table.append(((0, 0, 0, ()), 1))
         assert ncl_table(4) == snapshot
 
-    def test_size_limit_applies_to_every_sum(self):
-        n = NCL_SIZE_LIMIT + 1
-        alphas = PowerSeries((F(1),) * n)
-        with pytest.raises(SizeLimitExceeded):
-            gamma_poly(n, 1, 1, 1)
-        with pytest.raises(SizeLimitExceeded):
-            moment_via_ncl(alphas, n)
-        with pytest.raises(SizeLimitExceeded):
-            fbp_moment(2, 3, n)
-        # n < 1 is malformed input, not over the cap
-        with pytest.raises(FreeBetaError, match="n >= 1, got n = -1") as exc:
-            fbp_moment(2, 3, -1)
-        assert not isinstance(exc.value, SizeLimitExceeded)
+    def test_negative_n_is_refused_by_every_sum(self):
+        # n < 0 is malformed input, not over a cap; the sums have no cap on
+        # n, and answer past the enumeration's
+        for call in (lambda n: gamma_poly(n, 1, 1, 1),
+                     lambda n: fbp_moment(2, 3, n)):
+            with pytest.raises(FreeBetaError, match="n >= 0, got n = -1"
+                               ) as exc:
+                call(-1)
+            assert not isinstance(exc.value, SizeLimitExceeded)
+            assert len(call(0)) == 1
+            assert len(call(NCL_SIZE_LIMIT + 1)) == NCL_SIZE_LIMIT + 2
+
+
+def _random_triples(count, seed):
+    """Signed rational triples, each entry zero about one time in five."""
+    rng = random.Random(seed)
+    return [tuple(F(0) if rng.random() < 0.2
+                  else F(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(3)) for _ in range(count)]
+
+
+class TestGapSum:
+    """gamma_poly against the table sum to the enumeration's size cap, and
+    both gap sums against the other routes past it."""
+
+    @pytest.mark.parametrize(
+        "abc", TestNclTable.TRIPLES + _random_triples(16, 32))
+    def test_equals_the_table_sum_to_the_size_cap(self, abc):
+        want = tuple(table_gamma(n, *abc)
+                     for n in range(1, NCL_SIZE_LIMIT + 1))
+        assert gamma_poly(NCL_SIZE_LIMIT, *abc) == (1, *want)
+
+    @pytest.mark.parametrize("abc", [(F(2, 3), F(5, 7), F(3, 2)),
+                                     (F(0), F(-1), F(1)),
+                                     (F(1, 3), F(-2), F(5)),
+                                     *_random_triples(4, 64)])
+    def test_equals_the_series_routes_to_order_64(self, abc):
+        cf = gamma_series(64, *abc, route="cf").coefficients
+        closed = gamma_series(64, *abc, route="closed").coefficients
+        assert gamma_poly(64, *abc) == cf == closed
+
+    @pytest.mark.parametrize("a,b", _FBP_PARAMS)
+    def test_fbp_moment_equals_the_series_routes_to_order_64(self, a, b):
+        s, t, u = fbp_t_params(a, b)
+        cf = gamma_series(64, t / s, t / (s * u), 1 / u, route="cf")
+        got = fbp_moment(a, b, 64)
+        assert got == moment_series(FreeBetaPrime(a, b), 64).moments
+        assert got == tuple((s * u) ** n * g
+                            for n, g in enumerate(cf.coefficients))

@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freebeta.errors import FreeBetaError
-from freebeta.ncl import moment_via_ncl
 from freebeta.series import PowerSeries
 from freebeta.transforms import (
     MomentSequence,
@@ -22,6 +21,7 @@ from freebeta.transforms import (
     r_to_moments,
     s_to_moments,
 )
+from test_ncl import moment_via_ncl
 
 F = Fraction
 

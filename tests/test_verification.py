@@ -200,13 +200,15 @@ def test_orders_come_from_the_two_constants(fresh_tables, monkeypatch):
     monkeypatch.setattr(verification, "_DEEP_ORDER", 6)
     monkeypatch.setattr(verification, "_NCL_ORDER", 4)
     want = {
-        "triple-route-moments": "3 parameter sets, series == fock for "
-        "n=1..6, ncl too for n=1..4, identical rationals",
-        "mult-convolution": "S-product route equals closed-form series for "
-        "n=1..6 and NCL route for n=1..4",
-        "gamma-routes": "10 random rational triples, n=1..4, zero residual",
-        "ncl-statistics": "identities exhaustive n<=4; reference triple "
-        "(3,2,1)",
+        "triple-route-moments": "3 parameter sets, ncl == series == fock for "
+        "n=1..6, identical rationals",
+        "mult-convolution": "S-product route equals closed-form series and "
+        "NCL route for n=1..6",
+        "gamma-routes": "10 random rational triples, n=1..6, zero residual",
+        "ncl-counts": "enumerated counts 1..4 and Gamma_n(1,1,1) for n=1..16 "
+        "match",
+        "ncl-statistics": "identities and table sum == gamma_poly exhaustive "
+        "n<=4; reference triple (3,2,1)",
         "convolution-identities": "semigroup and both identities exact to "
         "order 6",
     }
@@ -261,16 +263,17 @@ def test_a_perturbed_route_fails_and_disagrees(capsys, monkeypatch, route):
     ("GAMMA_ROUTES", "brute", (1, 1, 1)),
     ("MOMENT_ROUTES", "ncl", FreeBetaPrime(2, 3)),
 ])
-def test_route_refuses_oversized_n_before_any_table(monkeypatch, table,
-                                                    route, subject):
-    # called directly, not through the CLI; building NCL(1..10) on the way
-    # to n = 11 took 8 s
+def test_route_answers_past_the_enumeration_cap_without_a_table(
+        monkeypatch, table, route, subject):
+    # the table sums these routes once were stopped at n = 10, and building
+    # NCL(1..10) on the way took 8 s
     built = []
     monkeypatch.setattr(ncl, "ncl_table", built.append)
+    monkeypatch.setattr(ncl, "enumerate_ncl", built.append)
     start = time.perf_counter()
-    with pytest.raises(SizeLimitExceeded, match="capped at n = 10"):
-        getattr(verification, table)[route].fn(subject, 11)
+    terms = getattr(verification, table)[route].fn(subject, 100)
     assert time.perf_counter() - start < 1
+    assert len(terms) == 101 and terms[11] > 0
     assert built == []
 
 
@@ -280,6 +283,10 @@ def test_route_refuses_oversized_n_before_any_table(monkeypatch, table,
     ("GAMMA_ROUTES", "cf", (ncl, "gamma_series"),
      (2 ** 1024 + 1, 2 ** 1024 + 3, 1)),
     ("GAMMA_ROUTES", "closed", (ncl, "gamma_series"),
+     (2 ** 1024 + 1, 2 ** 1024 + 3, 1)),
+    ("MOMENT_ROUTES", "ncl", (ncl, "fbp_moment"),
+     FreeBetaPrime(2, 2 ** 7000 + 1)),
+    ("GAMMA_ROUTES", "brute", (ncl, "gamma_poly"),
      (2 ** 1024 + 1, 2 ** 1024 + 3, 1)),
 ])
 def test_route_refuses_oversized_parameters_before_its_layer(
