@@ -5,11 +5,17 @@ floating point.  A :class:`PowerSeries` carries an explicit truncation order
 and binary operations truncate to the minimum of the operand orders instead
 of erroring, so series of different precision compose freely without silent
 precision claims.
+
+Products, quotients, square roots and reversion run on integer numerators
+over one common denominator and build one Fraction per output coefficient,
+so the inner sums carry no gcd; a polynomial operand's zero tail is dropped
+before a product or quotient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -113,16 +119,11 @@ class PowerSeries:
         # denominator, convolve the integers, and reduce once per output
         # coefficient instead of twice per term product.
         n = min(self.order, other.order)
-        a, b = self.coefficients[: n + 1], other.coefficients[: n + 1]
-        da = math.lcm(*(c.denominator for c in a))
-        db = math.lcm(*(c.denominator for c in b))
-        ia = [c.numerator * (da // c.denominator) for c in a]
-        ib = [c.numerator * (db // c.denominator) for c in b]
+        ia, da = _integers(self.coefficients[: n + 1])
+        ib, db = _integers(other.coefficients[: n + 1])
         den = da * db
-        return PowerSeries(tuple(
-            Fraction(sum(ia[i] * ib[k - i] for i in range(k + 1)), den)
-            for k in range(n + 1)
-        ))
+        return PowerSeries(tuple(Fraction(x, den)
+                                 for x in _convolve(ia, ib, n)))
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
         if other.coefficients[0] == 0:
@@ -131,20 +132,45 @@ class PowerSeries:
         # integer numerators once and the earlier quotients held as integer
         # numerators over their running lcm: one reduction per output.
         n = min(self.order, other.order)
-        b = other.coefficients[: n + 1]
-        db = math.lcm(*(c.denominator for c in b))
-        ib = [c.numerator * (db // c.denominator) for c in b]
+        ib, db = _integers(other.coefficients[: n + 1])
         tail = ib[1:]
         done = _CommonDenominator()
         out: list[Fraction] = []
         for k in range(n + 1):
             ak = self[k]
-            acc = sum(x * y for x, y in zip(tail, reversed(done.nums)))
+            acc = sum(map(operator.mul, tail, reversed(done.nums)))
             q = Fraction(ak.numerator * db * done.den - acc * ak.denominator,
                          ak.denominator * done.den * ib[0])
             done.append(q)
             out.append(q)
         return PowerSeries(tuple(out))
+
+
+def _integers(coeffs) -> tuple[list[int], int]:
+    """(numerators, den): coeffs as integers over the lcm of their
+    denominators, the zero tail dropped, so a polynomial operand costs its
+    degree and not the truncation order."""
+    end = len(coeffs)
+    while end and not coeffs[end - 1]:
+        end -= 1
+    den = math.lcm(*(c.denominator for c in coeffs[:end]))
+    return [c.numerator * (den // c.denominator) for c in coeffs[:end]], den
+
+
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """Terms 0..n of the Cauchy product of the integer sequences a and b,
+    each read as zero past its end."""
+    rb, last = b[::-1], len(b) - 1
+    return [sum(map(operator.mul, a[max(0, k - last):k + 1],
+                    rb[max(0, last - k):]))
+            for k in range(n + 1)]
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den with the content gcd(den, *nums) divided out, so that den
+    is the lcm of the reduced denominators of nums[i] / den."""
+    g = math.gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
 
 
 class _CommonDenominator:
@@ -170,18 +196,36 @@ def _poly(n: int, *coeffs) -> PowerSeries:
 def ps_reversion(f: PowerSeries) -> PowerSeries:
     """Compositional inverse: returns g with f(g(z)) = z to order.
 
-    Lagrange inversion: with phi = z/f(z), g_k = [z^(k-1)] phi^k / k, so
-    the n coefficients cost one series division and n-1 products.
+    Lagrange inversion: with phi = z/f(z), g_k = [z^(k-1)] phi^k / k.  The
+    baby steps phi^0..phi^s and giant steps phi^(js), s ~ sqrt(n), give
+    each phi^k's coefficient as one dot product, so the n coefficients cost
+    one series division and about 2 sqrt(n) products instead of n - 1
+    (Brent & Kung, J. ACM 25, 1978).  Each power is held as integers P over
+    a denominator D and divided by gcd(D, *P), so D is the lcm of its
+    reduced denominators, and one Fraction is built per output.
     """
     if f.order < 1 or f[0] != 0 or f[1] == 0:
         raise FreeBetaError("reversion needs f(0) = 0 and f'(0) != 0")
     n = f.order
     phi = PowerSeries.constant(1, n - 1) / f.shift_down()
-    power = phi
-    out = [Fraction(0), phi[0]]
-    for k in range(2, n + 1):
-        power = power * phi
-        out.append(power[k - 1] / k)
+
+    def times(x, y):
+        return _reduced(_convolve(x[0], y[0], n - 1), x[1] * y[1])
+
+    s = math.isqrt(n - 1) + 1
+    ints, d = _integers(phi.coefficients)
+    baby = [([1] + [0] * (n - 1), 1), (ints + [0] * (n - len(ints)), d)]
+    while len(baby) <= s:
+        baby.append(times(baby[-1], baby[1]))
+    # baby[r] = phi^r for r = 0..s and giant = phi^(k - r), r = k mod s
+    giant, out = baby[0], [Fraction(0)]
+    for k in range(1, n + 1):
+        r = k % s
+        if r == 0:
+            giant = times(giant, baby[s]) if k > s else baby[s]
+        (a, da), (b, db) = giant, baby[r]
+        dot = sum(map(operator.mul, a[:k], reversed(b[:k])))
+        out.append(Fraction(dot, k * da * db))
     return PowerSeries(tuple(out))
 
 

@@ -40,16 +40,17 @@ _DEEP_ORDER = 16
 _NCL_ORDER = 8
 
 
-# The transform route's time grows about as n^4 bits(b)^1.7, where bits(x)
+# The transform route's time grows about as n^3.2 bits(b)^1.7, where bits(x)
 # sums the bit lengths of x's numerator and denominator; a's bits cost about
-# an eighth as much as b's.  At n^2.5 * (bits(b) + bits(a) / 8) = 2e6 it takes
-# 5-7 s from n = 25 to 100 (7 s at n = 10 with the bits in b, 14 s with them in
-# a).  (n * bits, at a bound that refuses the 79 s n = 100 input, would refuse
-# 0.1 s inputs at n = 10.)  The Fock route shares the bound: at it, on
-# ceil(n/2) levels and each step on the levels that can still return, it
-# takes 0.1-2.9 s (2.9 s at n = 3 with the bits in b, about 0.5 s at n = 10,
-# under 0.2 s with the bits in a; over the bound, n = 100 at b = 2^256 + 1
-# takes 7.6 s).
+# a quarter as much as b's.  The bound n^2.5 * (bits(b) + bits(a) / 8) = 2e6
+# was fitted when the route grew as n^4 and a's bits cost an eighth; at it
+# the route now takes 0.8-2.2 s with the bits in b (2.2 s at n = 10) and
+# 1.5-12.6 s with them in a (12.6 s at n = 10).  (A bound on n * bits low
+# enough to refuse FBP(2, 10^20 + 1) at n = 100, 8 s, would refuse 0.1 s
+# inputs at n = 10.)  The Fock route shares the bound: at it, on ceil(n/2)
+# levels and each step on the levels that can still return, it takes under
+# 1.2 s (1.2 s at n = 3 with the bits in b, under 0.1 s at n = 10 or with
+# the bits in a; over the bound, n = 100 at b = 2^256 + 1 takes 0.2 s).
 _SIZE_LIMIT = 2_000_000
 
 

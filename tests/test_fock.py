@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebeta.errors import FreeBetaError
 from freebeta.fock import (
@@ -11,8 +13,33 @@ from freebeta.fock import (
     vacuum_moments,
 )
 from freebeta.ncl import fbp_moment, gamma_series, level_weights
+from freebeta.series import _truncation
+from freebeta.verification import _FBP_PARAMS
 
 F = Fraction
+
+
+def fraction_walk(op, n_max):
+    """vacuum_moments' oracle: v <- X v on levels 0..n_max - j at step j,
+    two Fraction products and two sums per level."""
+    v = [F(1)] + [F(0)] * op.truncation
+    out = [F(1)]
+    for j in range(n_max):
+        top = min(n_max - j, op.truncation)
+        v = [op.diagonal[i] * v[i]
+             + (op.products[i - 1] * v[i - 1] if i else 0)
+             + (v[i + 1] if i < top else 0) for i in range(top + 1)]
+        out.append(v[0])
+    return tuple(out)
+
+
+# Zeros, small rationals of either sign, and 65-bit parts as 2^64 + 1 has.
+entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.builds(F, st.integers(-2 ** 65, 2 ** 65),
+              st.integers(2 ** 64, 2 ** 65)),
+)
 
 
 def canonical(alpha, beta, gamma, n_levels):
@@ -92,6 +119,18 @@ class TestVacuumMoments:
                                  "got N = 3"):
             vacuum_moments(op, 7)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_walk(self, data):
+        n = data.draw(st.integers(0, 32), label="n")
+        levels = _truncation(n) + 1 + data.draw(st.integers(0, 3))
+        op = TruncatedFockOperator(
+            tuple(data.draw(st.lists(entries, min_size=levels,
+                                     max_size=levels))),
+            tuple(data.draw(st.lists(entries, min_size=levels - 1,
+                                     max_size=levels - 1))))
+        assert vacuum_moments(op, n) == fraction_walk(op, n)
+
     @pytest.mark.parametrize("n", range(1, 17))
     def test_half_depth_is_the_least_exact_truncation(self, n):
         abc = F(1, 2), F(3), F(-2, 5)
@@ -117,6 +156,12 @@ class TestFbpOperator:
     def test_vacuum_moments_equal_ncl_route(self, a, b):
         op = fbp_operator(a, b, 4)
         assert tuple(vacuum_moments(op, 8)) == fbp_moment(a, b, 8)
+
+    @pytest.mark.parametrize(
+        "a,b", _FBP_PARAMS + ((F(2), F(10 ** 20 + 1)),))
+    def test_matches_fraction_walk_to_order_40(self, a, b):
+        op = fbp_operator(a, b, _truncation(40))
+        assert vacuum_moments(op, 40) == fraction_walk(op, 40)
 
     def test_reference_values(self):
         vac = vacuum_moments(fbp_operator(2, 3, 5), 5)

@@ -24,6 +24,7 @@ from freebeta.series import (
     ps_reversion,
     ps_sqrt,
 )
+from freebeta.verification import _FBP_PARAMS
 
 F = Fraction
 
@@ -65,6 +66,14 @@ def series_strategy(min_order=0, max_order=6):
 
 # Oracles: plain Fraction recursions, one reduction per term product.
 
+def plain_product(a, b):
+    """c_k = sum_i a_i b_(k-i), one Fraction product per term."""
+    n = min(a.order, b.order)
+    return PowerSeries(tuple(
+        sum((a[i] * b[k - i] for i in range(k + 1)), F(0))
+        for k in range(n + 1)))
+
+
 def long_division(a, b):
     """q_k = (a_k - sum_i b_i q_(k-i)) / b_0 term by term."""
     n = min(a.order, b.order)
@@ -86,6 +95,19 @@ def plain_sqrt(f, branch=1):
         for i in range(1, k):
             acc -= out[i] * out[k - i]
         out.append(acc / (2 * out[0]))
+    return PowerSeries(tuple(out))
+
+
+def lagrange_reversion(f):
+    """g_k = [z^(k-1)] phi^k / k, phi = z/f, with phi^k = phi^(k-1) * phi
+    one Fraction product after another."""
+    n = f.order
+    phi = long_division(PowerSeries.constant(1, n - 1), f.shift_down())
+    power = phi
+    out = [F(0), phi[0]]
+    for k in range(2, n + 1):
+        power = plain_product(power, phi)
+        out.append(power[k - 1] / k)
     return PowerSeries(tuple(out))
 
 
@@ -120,13 +142,47 @@ cf_weights = st.one_of(nonzero_fracs, nonzero_fracs, nonzero_fracs,
 
 
 @st.composite
+def zero_tailed(draw, coeffs, max_degree=2, max_order=12):
+    """A polynomial of degree <= max_degree padded with zeros to an order
+    up to max_order: the operand whose zero tail a product drops."""
+    head = draw(st.lists(coeffs, min_size=1, max_size=max_degree + 1))
+    order = draw(st.integers(len(head) - 1, max_order))
+    return PowerSeries(head + [F(0)] * (order + 1 - len(head)))
+
+
+@st.composite
 def divisors(draw, max_order=12):
-    """Nonzero constant term (either sign), then mostly zeros."""
-    rest = draw(st.lists(
-        st.one_of(st.just(F(0)), st.just(F(0)), wide_fracs),
-        max_size=max_order,
-    ))
+    """Nonzero constant term (either sign), then mostly zeros, or a
+    polynomial of degree 0, 1 or 2 padded with zeros."""
+    degree = draw(st.sampled_from([None, 0, 1, 2]))
+    if degree is None:
+        rest = draw(st.lists(
+            st.one_of(st.just(F(0)), st.just(F(0)), wide_fracs),
+            max_size=max_order,
+        ))
+    else:
+        order = draw(st.integers(degree, max_order))
+        rest = [draw(nonzero_fracs) for _ in range(degree)]
+        rest += [F(0)] * (order - degree)
     return PowerSeries([draw(nonzero_fracs)] + rest)
+
+
+# Numerators: wide, zero-tailed, or zero throughout.
+numerators = st.one_of(
+    wide_series, zero_tailed(wide_fracs),
+    st.integers(0, 12).map(lambda n: PowerSeries([F(0)] * (n + 1))))
+# Rationals of either sign with 65-bit parts, as 2^64 + 1 has, and zeros.
+big_fracs = st.builds(
+    F, st.integers(-2 ** 65, 2 ** 65), st.integers(2 ** 64, 2 ** 65))
+reversion_fracs = st.one_of(st.just(F(0)), small_fracs, big_fracs)
+
+
+@st.composite
+def revertible(draw, max_order=32):
+    """f(0) = 0 and f'(0) != 0, to an order up to max_order."""
+    f1 = draw(nonzero_fracs | big_fracs.filter(bool))
+    rest = draw(st.lists(reversion_fracs, max_size=max_order - 1))
+    return PowerSeries([F(0), f1] + rest)
 
 
 class TestBasicArithmetic:
@@ -170,22 +226,17 @@ class TestBasicArithmetic:
         assert a.scale(2).coefficients == (F(0), F(2), F(4), F(6))
 
     @given(
-        series_strategy(max_order=8),
+        series_strategy(max_order=8) | zero_tailed(small_fracs, 3, 8),
         st.lists(
             st.fractions(min_value=-50, max_value=50, max_denominator=30)
             | st.just(F(0)),
             min_size=1,
             max_size=9,
-        ),
+        ).map(PowerSeries) | zero_tailed(wide_fracs, 2, 8),
     )
-    def test_mul_is_plain_fraction_convolution(self, a, coeffs):
-        b = PowerSeries(coeffs)
-        n = min(a.order, b.order)
-        want = tuple(
-            sum((a[i] * b[k - i] for i in range(k + 1)), F(0))
-            for k in range(n + 1)
-        )
-        assert (a * b).coefficients == want
+    def test_mul_is_plain_fraction_convolution(self, a, b):
+        assert (a * b).coefficients == plain_product(a, b).coefficients
+        assert (b * a).coefficients == plain_product(a, b).coefficients
 
     @given(series_strategy(), series_strategy())
     def test_mul_commutes(self, a, b):
@@ -204,7 +255,7 @@ class TestBasicArithmetic:
         order = min(a.order, b.order)
         assert (a * b) / b == a.truncate(order)
 
-    @given(wide_series, divisors())
+    @given(numerators, divisors())
     def test_division_matches_long_division(self, a, b):
         assert a / b == long_division(a, b)
 
@@ -272,6 +323,19 @@ class TestReversion:
         z = z_series(order)
         assert ps_compose(f, g) == z
         assert ps_compose(g, f) == z
+
+    @settings(max_examples=100, deadline=None)
+    @given(revertible())
+    def test_matches_fraction_lagrange_oracle(self, f):
+        assert ps_reversion(f) == lagrange_reversion(f)
+
+    @pytest.mark.parametrize(
+        "a,b", _FBP_PARAMS + ((F(2), F(10 ** 20 + 1)),))
+    def test_moment_series_match_the_oracle_to_order_40(self, a, b):
+        """The series moments_to_s reverts, wide parameters included."""
+        m = moment_series(FreeBetaPrime(a, b), 40)
+        f = PowerSeries((F(0),) + m.moments[1:])
+        assert ps_reversion(f) == lagrange_reversion(f)
 
     @given(series_strategy(min_order=2, max_order=6), small_fracs)
     def test_lagrange_inversion_oracle(self, tail, f1):
