@@ -34,7 +34,17 @@ def _rat(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        pass
+    try:
+        # a valid rational can still hold an integer past Python's digit
+        # limit on reading integers (3.10.7+), which flags keep
+        with _all_int_digits():
+            Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    raise argparse.ArgumentTypeError(
+        f"an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "Python's limit on reading one")
 
 
 def _fmt(value):

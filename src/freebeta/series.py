@@ -1,24 +1,31 @@
 """Truncated formal power series over exact rationals.
 
-All coefficients are :class:`fractions.Fraction`; nothing here ever touches
-floating point.  A :class:`PowerSeries` carries an explicit truncation order
+A :class:`PowerSeries` is integer numerators over one denominator, with the
+denominator positive and sharing no factor with every numerator: the
+canonical form of a series over Q (Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 2), so ``==`` and ``hash`` compare the pair.
+Its Fraction coefficients are built on first read and kept.  Nothing here
+ever touches floating point.  A series carries an explicit truncation order
 and binary operations truncate to the minimum of the operand orders instead
 of erroring, so series of different precision compose freely without silent
 precision claims.
 
-Products, quotients, square roots and reversion run on integer numerators
-over one common denominator and build one Fraction per output coefficient,
-so the inner sums carry no gcd; a polynomial operand's zero tail is dropped
-before a product or quotient.
+Sums, products and scalings run on the numerators and divide out the common
+content once per result; a polynomial operand's zero tail is dropped before
+a product or quotient.  Quotients, square roots and reversion reduce each
+output as it comes, which keeps the numbers small: their running numerators
+and denominator become the result, and the reduced outputs, where they are
+its coefficients, its Fractions.  Shifts, pads, truncations, scalings and
+sums pass Fractions on when every operand holds them, so a route that ends
+in a square root and a scaling reduces no coefficient twice.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import FreeBetaError
 
@@ -40,7 +47,6 @@ def _frac(x: RationalLike) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class PowerSeries:
     """A formal power series truncated at a fixed order (inclusive).
 
@@ -49,115 +55,175 @@ class PowerSeries:
     coefficients : iterable of int, str or Fraction
         Slot ``k`` holds the coefficient of ``z**k``; the length fixes the
         truncation order to ``len(coefficients) - 1``.
+
+    The series is held as the integers ``nums`` over ``den``, with
+    ``den > 0`` and ``gcd(den, *nums) == 1``; neither is to be assigned.
     """
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ("nums", "den", "_coefficients")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(_frac(c) for c in self.coefficients)
-        )
-        if len(self.coefficients) == 0:
+    def __init__(self, coefficients: Iterable[RationalLike]):
+        coeffs = tuple(map(_frac, coefficients))
+        if not coeffs:
             raise ValueError("a power series needs at least a constant term")
+        # the lcm of the reduced denominators leaves no common content
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+        self._coefficients = coeffs
 
     # -- construction helpers -------------------------------------------
 
     @classmethod
     def constant(cls, c: RationalLike, order: int) -> "PowerSeries":
-        return cls((_frac(c),) + (Fraction(0),) * order)
+        c = _frac(c)
+        return _series((c.numerator,) + (0,) * order, c.denominator,
+                       (c,) + (_ZERO,) * order)
 
     # -- basic queries ---------------------------------------------------
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, built on first read."""
+        if self._coefficients is None:
+            den = self.den
+            self._coefficients = tuple(Fraction(x, den) for x in self.nums)
+        return self._coefficients
+
+    @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         return self.coefficients[k]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coefficients={self.coefficients!r})"
+
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("truncate cannot extend a series")
-        return PowerSeries(self.coefficients[: order + 1])
+        c = self._coefficients
+        return _series(*_reduced(self.nums[: order + 1], self.den),
+                       c and c[: order + 1])
 
     def pad(self, order: int) -> "PowerSeries":
         """Extend with explicit zero coefficients (a deliberate precision claim)."""
         if order < self.order:
             raise ValueError("pad cannot shrink a series")
-        return PowerSeries(
-            self.coefficients + (Fraction(0),) * (order - self.order)
-        )
+        zeros, c = order - self.order, self._coefficients
+        return _series(self.nums + (0,) * zeros, self.den,
+                       c and c + (_ZERO,) * zeros)
 
     def shift_down(self) -> "PowerSeries":
         """Divide by z; the constant term must vanish."""
-        if self.coefficients[0] != 0:
+        if self.nums[0] != 0:
             raise ValueError("shift_down requires zero constant term")
         if self.order == 0:
             raise ValueError("shift_down needs order >= 1")
-        return PowerSeries(self.coefficients[1:])
+        c = self._coefficients
+        return _series(self.nums[1:], self.den, c and c[1:])
+
+    def shift_up(self) -> "PowerSeries":
+        """Multiply by z, one order higher."""
+        c = self._coefficients
+        return _series((0,) + self.nums, self.den, c and (_ZERO,) + c)
 
     def scale(self, c: RationalLike) -> "PowerSeries":
-        c = _frac(c)
-        return PowerSeries(tuple(c * a for a in self.coefficients))
+        # With c = p/q, the content of p nums / (q den) is gcd(p, den) times
+        # gcd(q, *nums), as both pairs are coprime: two gcds against the
+        # factor of c, none between wide numbers and the wide den.
+        c, known = _frac(c), self._coefficients
+        p, q = c.numerator, c.denominator
+        gp, gq = math.gcd(p, self.den), math.gcd(q, *self.nums)
+        p //= gp
+        return _series(tuple(x // gq * p for x in self.nums),
+                       self.den // gp * (q // gq),
+                       known and tuple(c * x for x in known))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self[k] + other[k] for k in range(n + 1))
-        )
+        return _combine(self, other, operator.add)
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(
-            tuple(self[k] - other[k] for k in range(n + 1))
-        )
+        return _combine(self, other, operator.sub)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        # Scale each operand to integer numerators over one common
-        # denominator, convolve the integers, and reduce once per output
-        # coefficient instead of twice per term product.
+        # Convolve the numerators and reduce once per product instead of
+        # once per output coefficient.
         n = min(self.order, other.order)
-        ia, da = _integers(self.coefficients[: n + 1])
-        ib, db = _integers(other.coefficients[: n + 1])
-        den = da * db
-        return PowerSeries(tuple(Fraction(x, den)
-                                 for x in _convolve(ia, ib, n)))
+        nums = _convolve(_stripped(self.nums[: n + 1]),
+                         _stripped(other.nums[: n + 1]), n)
+        return _series(*_reduced(nums, self.den * other.den))
 
     def __truediv__(self, other: "PowerSeries") -> "PowerSeries":
-        if other.coefficients[0] == 0:
+        if other.nums[0] == 0:
             raise FreeBetaError("division by a series with zero constant term")
-        # q_k = (a_k - sum_i b_i q_(k-i)) / b_0 with the divisor scaled to
-        # integer numerators once and the earlier quotients held as integer
-        # numerators over their running lcm: one reduction per output.
+        # With self = A/da, q' = A / other by q'_k = (A_k - sum_i b_i
+        # q'_(k-i)) / b_0, the divisor's numerators B over db taken once and
+        # the earlier q' held as integers over their running lcm: one
+        # reduction per output, whose denominator carries none of da's bits.
+        # Then q = q' / da, whose content divides da.
         n = min(self.order, other.order)
-        ib, db = _integers(other.coefficients[: n + 1])
-        tail = ib[1:]
+        b = _stripped(other.nums[: n + 1])
+        db, tail = other.den, b[1:]
         done = _CommonDenominator()
-        out: list[Fraction] = []
-        for k in range(n + 1):
-            ak = self[k]
+        for ak in self.nums[: n + 1]:
             acc = sum(map(operator.mul, tail, reversed(done.nums)))
-            q = Fraction(ak.numerator * db * done.den - acc * ak.denominator,
-                         ak.denominator * done.den * ib[0])
-            done.append(q)
-            out.append(q)
-        return PowerSeries(tuple(out))
+            done.append(Fraction(ak * db * done.den - acc, done.den * b[0]))
+        da = self.den
+        if da == 1:
+            return done.series()
+        g = math.gcd(da, *done.nums)
+        return _series([x // g for x in done.nums], done.den * (da // g))
 
 
-def _integers(coeffs) -> tuple[list[int], int]:
-    """(numerators, den): coeffs as integers over the lcm of their
-    denominators, the zero tail dropped, so a polynomial operand costs its
+_ZERO = Fraction(0)
+
+
+def _series(nums, den: int, coefficients: tuple | None = None
+            ) -> PowerSeries:
+    """The series nums / den, which must already be in canonical form, with
+    its Fraction coefficients if the caller has them at hand."""
+    s = object.__new__(PowerSeries)
+    s.nums, s.den, s._coefficients = tuple(nums), den, coefficients
+    return s
+
+
+def _combine(a: PowerSeries, b: PowerSeries, op) -> PowerSeries:
+    """a + b or a - b.  Over da * db / g with g = gcd(da, db), the content
+    divides g, as for a sum of two reduced Fractions, since each operand is
+    in canonical form at the common order: the content gcd runs against g,
+    not against the wide denominator."""
+    n = min(a.order, b.order)
+    a, b = (x if x.order == n else x.truncate(n) for x in (a, b))
+    g = math.gcd(a.den, b.den)
+    fa, fb = b.den // g, a.den // g
+    nums = [op(x * fa, y * fb) for x, y in zip(a.nums, b.nums)]
+    ka, kb = a._coefficients, b._coefficients
+    return _series(*_reduced(nums, a.den * fa, g),
+                   ka and kb and tuple(map(op, ka, kb)))
+
+
+def _stripped(nums: tuple) -> tuple:
+    """nums without its zero tail, so that a polynomial operand costs its
     degree and not the truncation order."""
-    end = len(coeffs)
-    while end and not coeffs[end - 1]:
+    end = len(nums)
+    while end and not nums[end - 1]:
         end -= 1
-    den = math.lcm(*(c.denominator for c in coeffs[:end]))
-    return [c.numerator * (den // c.denominator) for c in coeffs[:end]], den
+    return nums[:end]
 
 
-def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+def _convolve(a, b, n: int) -> list[int]:
     """Terms 0..n of the Cauchy product of the integer sequences a and b,
     each read as zero past its end."""
     rb, last = b[::-1], len(b) - 1
@@ -166,19 +232,24 @@ def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
             for k in range(n + 1)]
 
 
-def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+def _reduced(nums, den: int, bound: int | None = None
+             ) -> tuple[list[int], int]:
     """nums / den with the content gcd(den, *nums) divided out, so that den
-    is the lcm of the reduced denominators of nums[i] / den."""
-    g = math.gcd(den, *nums)
+    is the lcm of the reduced denominators of nums[i] / den.  A caller that
+    knows the content divides bound passes it, and the gcd runs against
+    bound instead of den."""
+    g = math.gcd(den if bound is None else bound, *nums)
     return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
 
 
 class _CommonDenominator:
-    """Reduced fractions kept as integer numerators over their running lcm."""
+    """Reduced fractions kept as integer numerators over their running lcm,
+    which is the canonical form of the series they make."""
 
     def __init__(self):
         self.den = 1
         self.nums: list[int] = []
+        self.fractions: list[Fraction] = []
 
     def append(self, q: Fraction) -> None:
         grow = q.denominator // math.gcd(self.den, q.denominator)
@@ -186,11 +257,15 @@ class _CommonDenominator:
             self.nums = [x * grow for x in self.nums]
             self.den *= grow
         self.nums.append(q.numerator * (self.den // q.denominator))
+        self.fractions.append(q)
+
+    def series(self) -> PowerSeries:
+        return _series(self.nums, self.den, tuple(self.fractions))
 
 
 def _poly(n: int, *coeffs) -> PowerSeries:
     """The polynomial with the given low coefficients, to order n."""
-    return PowerSeries((list(coeffs) + [0] * n)[: n + 1])
+    return PowerSeries(coeffs[: n + 1]).pad(n)
 
 
 def ps_reversion(f: PowerSeries) -> PowerSeries:
@@ -202,9 +277,9 @@ def ps_reversion(f: PowerSeries) -> PowerSeries:
     one series division and about 2 sqrt(n) products instead of n - 1
     (Brent & Kung, J. ACM 25, 1978).  Each power is held as integers P over
     a denominator D and divided by gcd(D, *P), so D is the lcm of its
-    reduced denominators, and one Fraction is built per output.
+    reduced denominators, and each output is reduced as it comes.
     """
-    if f.order < 1 or f[0] != 0 or f[1] == 0:
+    if f.order < 1 or f.nums[0] != 0 or f.nums[1] == 0:
         raise FreeBetaError("reversion needs f(0) = 0 and f'(0) != 0")
     n = f.order
     phi = PowerSeries.constant(1, n - 1) / f.shift_down()
@@ -213,12 +288,12 @@ def ps_reversion(f: PowerSeries) -> PowerSeries:
         return _reduced(_convolve(x[0], y[0], n - 1), x[1] * y[1])
 
     s = math.isqrt(n - 1) + 1
-    ints, d = _integers(phi.coefficients)
-    baby = [([1] + [0] * (n - 1), 1), (ints + [0] * (n - len(ints)), d)]
+    baby = [([1] + [0] * (n - 1), 1), (phi.nums, phi.den)]
     while len(baby) <= s:
         baby.append(times(baby[-1], baby[1]))
     # baby[r] = phi^r for r = 0..s and giant = phi^(k - r), r = k mod s
-    giant, out = baby[0], [Fraction(0)]
+    giant, out = baby[0], _CommonDenominator()
+    out.append(Fraction(0))
     for k in range(1, n + 1):
         r = k % s
         if r == 0:
@@ -226,7 +301,7 @@ def ps_reversion(f: PowerSeries) -> PowerSeries:
         (a, da), (b, db) = giant, baby[r]
         dot = sum(map(operator.mul, a[:k], reversed(b[:k])))
         out.append(Fraction(dot, k * da * db))
-    return PowerSeries(tuple(out))
+    return out.series()
 
 
 def _sqrt_fraction(q: Fraction) -> Fraction:
@@ -243,27 +318,25 @@ def ps_sqrt(f: PowerSeries) -> PowerSeries:
     f(0) must be a positive rational square.  The other root is the
     negation: negating g_0 negates every g_k exactly.
     """
-    if f[0] == 0:
+    if f.nums[0] == 0:
         raise ValueError("series sqrt needs a nonzero constant term")
     g0 = _sqrt_fraction(f[0])
     # g_k = (f_k - sum_{0<i<k} g_i g_(k-i)) / (2 g0), the self-convolution
-    # taken in integers over the running lcm L of g_1..g_(k-1), halved by
+    # taken in integers over the running lcm of g_0..g_(k-1), halved by
     # symmetry, and one reduction per output.
-    two_g0 = 2 * g0.numerator
+    s0, two_r0 = g0.denominator, 2 * g0.numerator
     done = _CommonDenominator()
-    out = [g0]
+    done.append(g0)
     for k in range(1, f.order + 1):
         nums = done.nums
-        half = sum(nums[i] * nums[k - 2 - i] for i in range((k - 1) // 2))
-        acc = 2 * half + (nums[k // 2 - 1] ** 2 if k % 2 == 0 else 0)
+        half = sum(nums[i] * nums[k - i] for i in range(1, (k + 1) // 2))
+        acc = 2 * half + (nums[k // 2] ** 2 if k % 2 == 0 else 0)
         fk, sq = f[k], done.den * done.den
-        g = Fraction(
-            (fk.numerator * sq - acc * fk.denominator) * g0.denominator,
-            fk.denominator * sq * two_g0,
-        )
-        done.append(g)
-        out.append(g)
-    return PowerSeries(tuple(out))
+        done.append(Fraction(
+            (fk.numerator * sq - acc * fk.denominator) * s0,
+            fk.denominator * sq * two_r0,
+        ))
+    return done.series()
 
 
 def _quadratic_root(p: tuple, disc: tuple, q: tuple,
@@ -275,10 +348,16 @@ def _quadratic_root(p: tuple, disc: tuple, q: tuple,
     cancelled; a divisor then constant scales instead of dividing.
     """
     k = next(i for i, c in enumerate(q) if c)
-    num = _poly(order + k, *p) - ps_sqrt(_poly(order + k, *disc))
+    root = ps_sqrt(_poly(order + k, *disc))
+    constant = not any(q[k + 1:])
+    if not constant:
+        # a quotient reads its dividend's integers alone, so the root's
+        # Fractions are not carried through the difference
+        root = _series(root.nums, root.den)
+    num = _poly(order + k, *p) - root
     for _ in range(k):
         num = num.shift_down()
-    if not any(q[k + 1:]):
+    if constant:
         return num.scale(1 / Fraction(q[k]))
     return num / _poly(order, *q[k:])
 
@@ -326,4 +405,4 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
         num, den = [c * x for x in den], [
             c * x - ik * y - ip * w for x, y, w in zip(den, den_z, num_zz)
         ]
-    return PowerSeries(tuple(num)) / PowerSeries(tuple(den))
+    return _series(num, 1) / _series(den, 1)

@@ -57,9 +57,9 @@ def moments_to_r(m: MomentSequence) -> PowerSeries:
     n = m.order
     if n < 1:
         raise FreeBetaError("need at least one moment")
-    w = PowerSeries((Fraction(0),) + m.moments)  # z*M(z), exact to order n+1
-    c = PowerSeries.constant(1, n) / ps_reversion(w).shift_down()
-    return PowerSeries(c.coefficients[1:])
+    w = PowerSeries((0,) + m.moments)  # z*M(z), exact to order n+1
+    one = PowerSeries.constant(1, n)
+    return (one / ps_reversion(w).shift_down() - one).shift_down()
 
 
 def r_to_moments(r: PowerSeries) -> MomentSequence:
@@ -67,11 +67,8 @@ def r_to_moments(r: PowerSeries) -> MomentSequence:
 
     Reverts u / C(u), C(u) = 1 + u R(u), into w = z M(z).
     """
-    n = r.order + 1
-    c = PowerSeries((Fraction(1),) + r.coefficients)
-    u_over_c = PowerSeries(
-        (Fraction(0),) + (PowerSeries.constant(1, n) / c).coefficients
-    )
+    one = PowerSeries.constant(1, r.order + 1)
+    u_over_c = (one / (one + r.shift_up())).shift_up()
     return MomentSequence(ps_reversion(u_over_c).shift_down().coefficients)
 
 
@@ -81,18 +78,17 @@ def moments_to_s(m: MomentSequence) -> PowerSeries:
         raise FreeBetaError("need at least one moment")
     if m[1] == 0:
         raise FreeBetaError("S-transform needs m_1 != 0")
-    phi = PowerSeries((Fraction(0),) + m.moments[1:])  # sum_{n>=1} m_n z^n
+    phi = PowerSeries((0,) + m.moments[1:])  # sum_{n>=1} m_n z^n
     base = ps_reversion(phi).shift_down()  # Phi^{<-1>}(z)/z, order n-1
     return base * _poly(base.order, 1, 1)
 
 
 def s_to_moments(s: PowerSeries) -> MomentSequence:
     """Invert moments_to_s: recover m_1..m_(n+1) from S to order n."""
-    if s[0] == 0:
+    if s.nums[0] == 0:
         raise FreeBetaError("S(0) = 0 has no moment inverse here")
-    phi_inv = PowerSeries((0,) + s.coefficients) / _poly(s.order + 1, 1, 1)
-    phi = ps_reversion(phi_inv)
-    return MomentSequence((Fraction(1),) + phi.coefficients[1:])
+    phi = ps_reversion(s.shift_up() / _poly(s.order + 1, 1, 1))
+    return MomentSequence((1,) + phi.coefficients[1:])
 
 
 def free_add_convolve(ma: MomentSequence, mb: MomentSequence) -> MomentSequence:

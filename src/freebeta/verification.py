@@ -41,16 +41,20 @@ _NCL_ORDER = 8
 
 
 # The transform route's time grows about as n^3.2 bits(b)^1.7, where bits(x)
-# sums the bit lengths of x's numerator and denominator; a's bits cost about
-# a quarter as much as b's.  The bound n^2.5 * (bits(b) + bits(a) / 8) = 2e6
-# was fitted when the route grew as n^4 and a's bits cost an eighth; at it
-# the route now takes 0.8-2.2 s with the bits in b (2.2 s at n = 10) and
-# 1.5-12.6 s with them in a (12.6 s at n = 10).  (A bound on n * bits low
-# enough to refuse FBP(2, 10^20 + 1) at n = 100, 8 s, would refuse 0.1 s
-# inputs at n = 10.)  The Fock route shares the bound: at it, on ceil(n/2)
-# levels and each step on the levels that can still return, it takes under
-# 1.2 s (1.2 s at n = 3 with the bits in b, under 0.1 s at n = 10 or with
-# the bits in a; over the bound, n = 100 at b = 2^256 + 1 takes 0.2 s).
+# sums the bit lengths of x's numerator and denominator, and a's bits cost
+# about a quarter as much as b's: hence the bound n^2.5 * (bits(b) +
+# bits(a) / 4) = 2e6.  At it, in process on 2 vCPUs for n = 10 to 100, the
+# route takes 0.7-2.1 s with the bits in b (2.1 s at n = 10) and 0.4-0.9 s
+# with them in a; a's bits weighed at an eighth admitted
+# FBP(2^50560 + 1, 3) at n = 10 (3.2 s).  Below n = 10 the bits are held
+# to their bound at n = 10: the bits^1.7 outgrows n^2.5 there, and
+# n^2.5 alone admitted inputs that took 4.7-10 s with the bits in b and
+# 4-41 s with them in a at n = 2 to 5.  (A bound on n * bits low enough to
+# refuse FBP(2, 10^20 + 1) at n = 100, 8 s, would refuse 0.1 s inputs at
+# n = 10.)  The Fock route shares the bound: at it, on ceil(n/2) levels
+# and each step on the levels that can still return, it takes under 0.1 s
+# (n^2.5 alone let it take 1.2 s at n = 3 with the bits in b; over the
+# bound, n = 100 at b = 2^256 + 1 takes 0.2 s).
 _SIZE_LIMIT = 2_000_000
 
 
@@ -60,24 +64,26 @@ def _bits(x) -> int:
 
 
 def _size_limit(route: str, fam: FreeBetaPrime, n: int) -> str | None:
-    """Why n^2.5 * (bits(b) + bits(a) / 8) is over _SIZE_LIMIT, if it is."""
-    size = n ** 2.5 * (_bits(fam.b) + _bits(fam.a) / 8)
+    """Why max(n, 10)^2.5 * (bits(b) + bits(a) / 4) is over _SIZE_LIMIT,
+    if it is."""
+    size = max(n, 10) ** 2.5 * (_bits(fam.b) + _bits(fam.a) / 4)
     if size > _SIZE_LIMIT:
-        return (f"the {route} route is capped at n^2.5 * (bits of b + bits "
-                f"of a / 8) <= {_SIZE_LIMIT}, got {size:.0f}")
+        return (f"the {route} route is capped at max(n, 10)^2.5 * (bits of "
+                f"b + bits of a / 4) <= {_SIZE_LIMIT}, got {size:.0f}")
 
 
 # The other routes take time about n^3 to n^3.5 times bits^2, where bits sums
 # _bits over the family's parameters or alpha, beta and gamma, so each has its
-# own bound on n^1.5 * bits.  At it, for n = 10 to 100: series 2.4-6.2 s on
-# the slowest family, fb with its bits in a = 2^k + 1 (ff 2.3-4.9 s and fbp
-# 1.8-3.2 s with them in b, ifp 1.1-2.2 s, the others under 0.9 s;
-# FBP(2, 2^7000 + 1) took over 120 s at n = 100); ncl 0.7-5.3 s with the bits
-# in a = 2^k + 1, in b or in random rationals; cf 2.2-6.2 s, closed 3.0-6.9 s
-# and brute 1.2-3.5 s with them in one random rational or spread over all
-# three (alpha, beta = 2^1024 + 1, 2^1024 + 3 took 2.7-2.8 s by cf at
-# n = 100).  n^1.75 * bits would even out series and cf, but let closed take
-# 17 s at n = 10.  64-bit parameters pass every bound at n = 100.
+# own bound on n^1.5 * bits.  At it, in process on 2 vCPUs for n = 10 to
+# 100: series 1.1-2.9 s on the slowest family, fb with its bits in
+# a = 2^k + 1 (ff 1.1-2.3 s, fb 0.9-2.0 s and fbp 0.8-1.4 s with them in b,
+# ifp 0.5-1.0 s, the others under 0.8 s; FBP(2, 2^7000 + 1) took over 120 s
+# at n = 100); ncl 0.4-2.9 s with the bits in a = 2^k + 1 or in b (up to
+# 5.3 s end to end with them in random rationals); cf 0.6-2.7 s, closed
+# 1.3-2.8 s and brute 0.5-2.6 s with them in one random rational or spread
+# over all three (alpha, beta = 2^1024 + 1, 2^1024 + 3 took 2.7-2.8 s by cf
+# at n = 100).  n^1.75 * bits would even out series and cf, but let closed
+# take 17 s at n = 10.  64-bit parameters pass every bound at n = 100.
 _PARAMS_LIMITS = {"series": 300_000, "cf": 1_300_000, "closed": 1_200_000,
                   "ncl": 800_000, "brute": 1_500_000}
 # The t-coeffs command is held to the series route's bound.  At it, orders 5

@@ -568,15 +568,15 @@ class TestInputGuards:
         assert elapsed < 0.5
 
     # b = 2^7000 + 1.  At n = 10 fock and transform are over their cap,
-    # 10^2.5 * (bits of b + bits of a / 8) = 10^2.5 * (7002 + 3/8), while
+    # 10^2.5 * (bits of b + bits of a / 4) = 10^2.5 * (7002 + 3/4), while
     # ncl (10^1.5 * 7005 = 221518, where its table sum took 16.5 s before
     # it had a cap) and series answer; at n = 30 ncl is over its own cap.
     @pytest.mark.parametrize("route, n", [("ncl", 30), ("fock", 10),
                                           ("all", 10)],
                              ids=["ncl", "fock", "all"])
     def test_ncl_route_is_capped_in_parameter_size(self, capsys, route, n):
-        reason = ("the {} route is capped at n^2.5 * (bits of b + bits of "
-                  "a / 8) <= 2000000, got 2214345")
+        reason = ("the {} route is capped at max(n, 10)^2.5 * (bits of b + "
+                  "bits of a / 4) <= 2000000, got 2214464")
         skipped = {r: reason.format(r) for r in ("fock", "transform")}
         if route == "ncl":
             skipped["ncl"] = ("the ncl route is capped at n^1.5 * (bits of "
@@ -601,12 +601,12 @@ class TestInputGuards:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: the transform route is capped")
 
-    # at n = 100 the cap is bits(b) + bits(a) / 8 <= 20: b = 2^17 + 1 gives
-    # 19 + 3/8 and 2^18 + 1 gives 20 + 3/8; a = 2^133 + 1 gives 3 + 135/8
-    # and 2^135 + 1 gives 3 + 137/8
+    # at n = 100 the cap is bits(b) + bits(a) / 4 <= 20: b = 2^17 + 1 gives
+    # 19 + 3/4 and 2^18 + 1 gives 20 + 3/4; a = 2^65 + 1 gives 3 + 67/4
+    # and 2^67 + 1 gives 3 + 69/4
     @pytest.mark.parametrize("inside, outside", [
         ((2, 2 ** 17 + 1), (2, 2 ** 18 + 1)),
-        ((2 ** 133 + 1, 3), (2 ** 135 + 1, 3)),
+        ((2 ** 65 + 1, 3), (2 ** 67 + 1, 3)),
     ], ids=["bits-in-b", "bits-in-a"])
     def test_transform_size_cap_bound(self, inside, outside):
         fbp = distributions.FreeBetaPrime
@@ -614,6 +614,18 @@ class TestInputGuards:
         assert limit("transform", fbp(*inside), 100) is None
         assert limit("transform", fbp(*outside), 100).startswith(
             "the transform route is capped")
+
+    # below n = 10 the bits stay under their bound at n = 10,
+    # bits(b) + bits(a) / 4 <= 2e6 / 10^2.5 = 6324.6: b = 2^6321 + 1 gives
+    # 6323 + 3/4 and 2^6322 + 1 gives 6324 + 3/4 (n^2.5 alone admitted a
+    # 350,000-bit b at n = 2, 10 s)
+    @pytest.mark.parametrize("n", [1, 2, 9, 10])
+    def test_transform_size_cap_holds_small_n_to_its_bound_at_10(self, n):
+        fbp = distributions.FreeBetaPrime
+        limit = verification._size_limit
+        assert limit("transform", fbp(2, 2 ** 6321 + 1), n) is None
+        assert limit("transform", fbp(2, 2 ** 6322 + 1), n).startswith(
+            "the transform route is capped at max(n, 10)^2.5")
 
     @pytest.mark.parametrize("route, argv", [
         # over 120 s before the series route had a cap
@@ -637,7 +649,7 @@ class TestInputGuards:
     def test_series_route_is_skipped_when_over_its_cap(self, capsys):
         # 11^1.5 * (8302 + 3) = 302990 for the bits of a and b: series is over
         # its cap while ncl, under its higher one, and fock and transform,
-        # which weigh a's bits by 1/8, run
+        # which weigh a's bits by 1/4, run
         a = 2 ** 8300 + 1
         reason = ("the series route is capped at n^1.5 * (bits of all "
                   "parameters) <= 300000, got 302990")
@@ -1008,6 +1020,23 @@ class TestInputGuards:
         self.assert_one_error_line(capsys, "t-coeffs", "--a", "2",
                                    "--b", "1" * 5000, "--order", "3")
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("value", [
+        "1" + "0" * 4299 + "1", "1/1" + "0" * 4300, "0." + "1" * 4301,
+    ], ids=["integer", "denominator", "decimal"])
+    def test_flag_past_the_digit_limit_names_the_limit(self, capsys, value):
+        # valid rationals with 4301 digits in one integer, which the series
+        # cap admits at n = 2, are refused by the limit, not as malformed
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "moments", "--family", "fbp",
+                                 "--a", value, "--b", "3", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == (f"error: argument --a: an integer of more than "
+                       f"{limit} digits, Python's limit on reading one\n")
+        code, out, err = run_cli(capsys, "moments", "--family", "fbp",
+                                 "--a", "x" + value, "--b", "3", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: argument --a: not a rational: 'x")
 
     def test_meixner_class_is_exact(self, capsys):
         # theta^2 - 4 tau = 1/1000000000001000000 > 0, below float resolution

@@ -185,6 +185,102 @@ def revertible(draw, max_order=32):
     return PowerSeries([F(0), f1] + rest)
 
 
+# Zeros, small rationals and wide ones of either sign, and 65-bit parts.
+part_fracs = st.one_of(st.just(F(0)), small_fracs, nonzero_fracs, big_fracs)
+
+
+@st.composite
+def part_series(draw, max_order=10):
+    """A series of part_fracs, sometimes with a zero tail."""
+    head = draw(st.lists(part_fracs, min_size=1, max_size=max_order + 1))
+    return PowerSeries(head + [F(0)] * draw(st.integers(0, 3)))
+
+
+def termwise(op, *series):
+    """The Fraction oracle of a termwise operation, to the minimum order."""
+    n = min(s.order for s in series)
+    return PowerSeries(tuple(op(*(s[k] for s in series))
+                             for k in range(n + 1)))
+
+
+def assert_canonical(s):
+    """Integer numerators over a positive denominator with no common
+    content, whose Fractions, built or handed over, are nums[k] / den."""
+    assert all(type(x) is int for x in s.nums) and type(s.den) is int
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert s.coefficients == tuple(F(x, s.den) for x in s.nums)
+
+
+def assert_same(got, want):
+    assert_canonical(got)
+    assert got == want and hash(got) == hash(want)
+    assert got.coefficients == want.coefficients
+
+
+class TestRepresentation:
+    """A series is (nums, den) in canonical form after every operation, so
+    equal values compare and hash equal however they were built."""
+
+    def test_floats_and_empty_series_are_refused(self):
+        for coeffs in ([0.5], [1, 2, 0.25], (F(1), 1.0)):
+            with pytest.raises(TypeError, match="not floats"):
+                PowerSeries(coeffs)
+        for coeffs in ([], (), iter([])):
+            with pytest.raises(ValueError, match="constant term"):
+                PowerSeries(coeffs)
+
+    def test_constructor_takes_ints_strings_fractions_and_iterators(self):
+        want = PowerSeries([F(1, 2), F(0), F(-3)])
+        for coeffs in (["1/2", 0, -3], ("0.5", "0", "-3"),
+                       (F(x) for x in ("1/2", "0", "-3"))):
+            assert_same(PowerSeries(coeffs), want)
+        assert (want.nums, want.den) == ((1, 0, -6), 2)
+        assert PowerSeries([1]) != PowerSeries([1, 0])
+        assert PowerSeries([0, 0]).den == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(part_series(), part_series(), part_fracs)
+    def test_termwise_operations_match_fractions(self, a, b, c):
+        assert_same(a + b, termwise(lambda x, y: x + y, a, b))
+        assert_same(a - b, termwise(lambda x, y: x - y, a, b))
+        assert_same(a - a, PowerSeries.constant(0, a.order))
+        assert_same(a.scale(c), termwise(lambda x: c * x, a))
+        assert_same(a.truncate(0), PowerSeries([a[0]]))
+        assert_same(a.pad(a.order + 2), PowerSeries(a.coefficients + (0, 0)))
+        assert_same(a.shift_up(), PowerSeries((0,) + a.coefficients))
+        if a.order and a[0] == 0:
+            assert_same(a.shift_down(), PowerSeries(a.coefficients[1:]))
+        # the same operations on a fresh product, which holds no Fractions
+        assert_same(a * b - a, termwise(lambda x, y: x - y, a * b, a))
+        assert_same((a * b).scale(c), termwise(lambda x: c * x, a * b))
+        assert_same((a * b).truncate(0), PowerSeries([(a * b)[0]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(part_series(), part_series(), part_fracs.filter(bool))
+    def test_products_and_quotients_match_fractions(self, a, b, b0):
+        assert_same(a * b, plain_product(a, b))
+        divisor = PowerSeries((b0,) + b.coefficients[1:])
+        assert_same(a / divisor, long_division(a, divisor))
+        assert_same((a * b) / divisor, long_division(a * b, divisor))
+
+    @settings(max_examples=100, deadline=None)
+    @given(part_fracs.filter(bool), part_series(max_order=12))
+    def test_sqrt_and_reversion_match_fractions(self, c0, tail):
+        f = PowerSeries((c0 * c0,) + tail.coefficients)
+        assert_same(ps_sqrt(f), plain_sqrt(f))
+        g = PowerSeries((0, c0) + tail.coefficients)
+        assert_same(ps_reversion(g), lagrange_reversion(g))
+
+    @given(part_series(), part_series())
+    def test_equal_values_built_apart_hash_equal(self, a, b):
+        n = min(a.order, b.order)
+        seen = {a.truncate(n), (a + b) - b, b + (a - b), (a - b) + b}
+        assert seen == {a.truncate(n)}
+        one = PowerSeries.constant(1, a.order)
+        assert len({a.scale(2).scale(F(1, 2)), a * one, a / one,
+                    PowerSeries(map(str, a.coefficients)), a}) == 1
+
+
 class TestBasicArithmetic:
     def test_add_matches_termwise(self):
         a = poly(1, 2, 3)
