@@ -30,21 +30,41 @@ from .verification import (GAMMA_ROUTES, MOMENT_ROUTES, _params_limit,
 SCHEMA_VERSION = "1.0"
 
 
+# A decimal exponent k at the end of a rational flag, as Fraction reads it
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def _rat(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
+    read, past = text, (f"an integer of more than {limit} digits, "
+                        "Python's limit on reading one")
+    exp = _EXPONENT.search(text)
+    if exp and limit:
+        digits = exp[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") >= limit:
+            # Fraction computes 10^|k| before anything can look at its size
+            # (103 s at k = 6e7), so such a k is refused unread; the rest of
+            # the flag, read with k = 0, must still parse
+            read = text[:exp.start()] + "e0"
+            past = (f"an exponent of {limit} or more, whose power of ten "
+                    f"passes {limit} digits, Python's limit on reading an "
+                    "integer")
     try:
-        return Fraction(text)
+        value = Fraction(read)
     except (ValueError, ZeroDivisionError):
         pass
+    else:
+        if read == text:
+            return value
+        raise argparse.ArgumentTypeError(past)
     try:
         # a valid rational can still hold an integer past Python's digit
         # limit on reading integers (3.10.7+), which flags keep
         with _all_int_digits():
-            Fraction(text)
+            Fraction(read)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
-    raise argparse.ArgumentTypeError(
-        f"an integer of more than {sys.get_int_max_str_digits()} digits, "
-        "Python's limit on reading one")
+    raise argparse.ArgumentTypeError(past)
 
 
 def _fmt(value):

@@ -99,17 +99,18 @@ def _canonical(n: int, blocks: tuple[tuple[int, ...], ...]) -> LinkedPartition:
 
 
 def _sweep(p: LinkedPartition
-           ) -> tuple[list[int], list, tuple[int, int, int]] | None:
-    """Cover counts, ``inner`` (both indexed by element) and (dc, sc, sg).
+           ) -> tuple[list, list, tuple[int, int, int]] | None:
+    """``first``, ``inner`` (both indexed by element) and (dc, sc, sg).
 
     None when ``p`` is not a non-crossing linked partition.  Blocks are
-    filed under their minima and other elements under their blocks
-    (``inner``), so a second opener or a second non-minimum holder fails
-    before any walk over 1..n.  The walk fails at an element nothing
-    covers, and keeps the open blocks on a stack: the block holding x must
-    be on top (it pops at its maximum), then a block opening at x is
-    pushed.  It counts each opener once: with a host toward dc, host-free
-    with more than one element toward sc, a host-free singleton toward sg.
+    filed under their minima (``first``) and other elements under their
+    blocks (``inner``), so a second opener or a second non-minimum holder
+    fails before any walk over 1..n; an element with both is doubly
+    covered.  The walk fails at an element nothing covers, and keeps the
+    open blocks on a stack: the block holding x must be on top (it pops at
+    its maximum), then a block opening at x is pushed.  It counts each
+    opener once: with a host toward dc, host-free with more than one
+    element toward sc, a host-free singleton toward sg.
     """
     n = p.n
     # fewer listed elements than n cannot cover 1..n; past this check the
@@ -126,7 +127,6 @@ def _sweep(p: LinkedPartition
             if inner[x] is not None:
                 return None  # a second non-minimum holder
             inner[x] = b
-    cover = [0] + [1] * n
     dc = sc = sg = 0
     stack: list[tuple[int, ...]] = [()]  # the sentinel is never a host
     for x in range(1, n + 1):
@@ -147,10 +147,9 @@ def _sweep(p: LinkedPartition
         if block is not None:
             if len(block) == 1:
                 return None  # a shared singleton
-            cover[x] = 2
             dc += 1
             stack.append(block)
-    return cover, inner, (dc, sc, sg)
+    return first, inner, (dc, sc, sg)
 
 
 def validate_ncl(p: LinkedPartition) -> bool:
@@ -236,7 +235,8 @@ def statistics(p: LinkedPartition) -> NclStatistics:
 
     Each block's minimum falls in exactly one class, so
     dc + sc + sg = number of blocks, and counting elements with
-    multiplicity gives sum of block sizes = n + dc.
+    multiplicity gives sum of block sizes = n + dc.  The public face of
+    the sweep that :func:`ncl_table` reads directly.
     """
     swept = _sweep(p)
     if swept is None:
@@ -253,15 +253,18 @@ def ncl_table(n: int) -> tuple[tuple[tuple, int], ...]:
     """NCL(n) counted as immutable ``((dc, sc, sg, sizes), count)`` pairs.
 
     One pass over :func:`enumerate_ncl`; each partition goes through the
-    validating :func:`statistics`, so the triples come from the blocks and
-    not from the walk.  ``sizes`` are the sorted block sizes.  Only the
-    counts are kept, never the partitions.
+    validating sweep, so the triples come from the blocks and not from the
+    walk, and a partition that fails it raises.  ``sizes`` are the sorted
+    block sizes.  Only the counts are kept, never the partitions.
     """
     counts: Counter = Counter()
     for p in enumerate_ncl(n):
-        st = statistics(p)
-        sizes = tuple(sorted(map(len, p.blocks)))
-        counts[st.dc, st.sc, st.sg, sizes] += 1
+        swept = _sweep(p)
+        if swept is None:
+            raise FreeBetaError(
+                f"NCL({n}) holds {p.blocks}, "
+                "not a non-crossing linked partition")
+        counts[(*swept[2], tuple(sorted(map(len, p.blocks))))] += 1
     return tuple(counts.items())
 
 
@@ -278,11 +281,11 @@ def doubly_covered_types(
     swept = _sweep(p)
     if swept is None:
         raise FreeBetaError("not a non-crossing linked partition")
-    cover, host, _ = swept
+    first, inner, _ = swept
     t1, t2 = [], []
-    for x, c in enumerate(cover):
-        if c == 2:
-            (t1 if x == host[x][-1] else t2).append(x)
+    for x, (block, host) in enumerate(zip(first, inner)):
+        if block is not None and host is not None:
+            (t1 if x == host[-1] else t2).append(x)
     return tuple(t1), tuple(t2)
 
 

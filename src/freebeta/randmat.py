@@ -161,8 +161,9 @@ def theoretical_cdf(f: Family):
     width = hi - lo
     theta = np.linspace(0.0, np.pi / 2, _CDF_RESOLUTION + 1)
     xs = lo + width * np.sin(theta) ** 2
+    # the density of Python floats is the same bits at half the cost
     integrand = np.array(
-        [spec.density(x) for x in xs]
+        [spec.density(x) for x in xs.tolist()]
     ) * width * np.sin(2 * theta)
     cont = np.concatenate(
         ([0.0], np.cumsum(np.diff(theta) * (integrand[1:] + integrand[:-1]) / 2))
@@ -209,7 +210,7 @@ def histogram_rows(eigs, f: Family, bins: int):
     emp = counts / (len(eigs) * widths)
     spec = measure_of(f)
     mids = (edges[:-1] + edges[1:]) / 2
-    theo = np.array([spec.density(x) for x in mids])
+    theo = np.array([spec.density(x) for x in mids.tolist()])
     return [
         (float(edges[i]), float(edges[i + 1]), float(emp[i]), float(theo[i]))
         for i in range(bins)

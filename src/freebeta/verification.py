@@ -23,7 +23,7 @@ from .distributions import (
     FreeT,
     InverseFreePoisson,
 )
-from .errors import SizeLimitExceeded
+from .errors import FreeBetaError, SizeLimitExceeded
 from .series import PowerSeries, _truncation
 
 __all__ = ["CRITERIA", "run_all"]
@@ -217,12 +217,16 @@ def criterion_gamma_routes() -> tuple[bool, str]:
 
 
 def criterion_counts() -> tuple[bool, str]:
-    """|NCL(n)| and, by the gap sum, Gamma_n(1, 1, 1) are the large
-    Schroeder numbers (OEIS A006318)."""
+    """Each enumerated partition is a non-crossing linked one, and |NCL(n)|
+    and, by the gap sum, Gamma_n(1, 1, 1) are the large Schroeder numbers
+    (OEIS A006318)."""
     want = (1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718,
             5293446, 27297738, 142078746, 745387038, 3937603038)
-    counted = [sum(count for _, count in ncl.ncl_table(n))
-               for n in range(1, _NCL_ORDER + 1)]
+    try:
+        counted = [sum(count for _, count in ncl.ncl_table(n))
+                   for n in range(1, _NCL_ORDER + 1)]
+    except FreeBetaError as exc:  # the enumerator gave a wrong partition
+        return False, str(exc)
     summed = ncl.gamma_poly(len(want), 1, 1, 1)[1:]
     for label, column in (("|NCL({})|", counted), ("Gamma_{}(1,1,1)", summed)):
         for n, (got, count) in enumerate(zip(column, want), start=1):

@@ -1038,6 +1038,40 @@ class TestInputGuards:
         assert (code, out) == (2, "")
         assert err.startswith("error: argument --a: not a rational: 'x")
 
+    @pytest.mark.parametrize("value", ["1e60000000", "1e-60000000"])
+    def test_flag_past_the_exponent_limit_is_refused_unread(self, capsys,
+                                                             value):
+        # Fraction would compute 10^60000000 first, which takes minutes
+        limit = sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "moments", "--family", "fbp",
+                                 "--a", value, "--b", "3", "--n", "2")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (f"error: argument --a: an exponent of {limit} or "
+                       f"more, whose power of ten passes {limit} digits, "
+                       "Python's limit on reading an integer\n")
+
+    @pytest.mark.parametrize("value, want", [
+        ("1e300", Fraction(10) ** 300), ("1.5e3", Fraction(1500)),
+        ("1e4299", Fraction(10) ** 4299), ("1e-4299", Fraction(10) ** -4299),
+    ])
+    def test_exponent_below_the_limit_parses(self, value, want):
+        assert cli._rat(value) == want
+
+    @pytest.mark.parametrize("value", ["1e4300", "-1.5E-0_4300",
+                                       "1e" + "9" * 5000])
+    def test_exponent_at_the_limit_is_refused(self, value):
+        with pytest.raises(argparse.ArgumentTypeError, match="an exponent"):
+            cli._rat(value)
+
+    @pytest.mark.parametrize("value", ["1/2e99999", "x1e99999", "1e_99999"])
+    def test_malformed_flag_with_a_large_exponent_is_not_a_rational(
+            self, value):
+        with pytest.raises(argparse.ArgumentTypeError,
+                           match=f"not a rational: '{value}'"):
+            cli._rat(value)
+
     def test_meixner_class_is_exact(self, capsys):
         # theta^2 - 4 tau = 1/1000000000001000000 > 0, below float resolution
         payload = run_json(capsys, "meixner", "--a", "1000000",

@@ -146,11 +146,15 @@ def pairwise_statistics(p: LinkedPartition) -> NclStatistics:
 
 def sweep_statistics(p: LinkedPartition) -> NclStatistics:
     """statistics() as it read the triple off the sweep's cover in three
-    passes, before the sweep counted it; kept verbatim as its oracle."""
+    passes, before the sweep counted it; kept as its oracle, with the cover
+    (2 where an element opens one block and sits inside another) rebuilt
+    from the sweep's ``first`` and ``inner``."""
     swept = _sweep(p)
     if swept is None:
         raise FreeBetaError("not a non-crossing linked partition")
-    cover = swept[0]
+    first, inner, _ = swept
+    cover = [0] + [1 + (first[x] is not None and inner[x] is not None)
+                   for x in range(1, p.n + 1)]
     dc = cover.count(2)
     sg = sum(1 for b in p.blocks if len(b) == 1)
     sc = sum(1 for b in p.blocks if len(b) >= 2 and cover[b[0]] == 1)

@@ -238,6 +238,17 @@ class TestTheoreticalCdf:
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
         assert (np.diff(vals) >= -1e-12).all()
 
+    @pytest.mark.parametrize("a, b", [(2, 3), (Fraction(1, 2), 3),
+                                      (2, 40), (40, 2)])
+    def test_density_of_python_floats_has_the_numpy_scalars_bits(self, a,
+                                                                 b):
+        # the CDF and the histogram evaluate the density over tolist()
+        spec = measure_of(FreeF(a, b))
+        lo, hi = spec.support
+        xs = np.linspace(lo - 1, hi + 1, 2001)
+        assert np.array_equal([spec.density(x) for x in xs],
+                              [spec.density(x) for x in xs.tolist()])
+
     def test_atom_jump(self):
         cdf = theoretical_cdf(FreePoisson(0.5))
         assert cdf(-1e-9) == 0.0

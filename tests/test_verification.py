@@ -56,17 +56,39 @@ def test_counts_catch_a_dropped_partition(fresh_tables, monkeypatch):
     assert detail == "|NCL(5)| = 89, expected 90"
 
 
+def test_counts_fail_on_a_crossing_partition(fresh_tables, monkeypatch,
+                                             capsys):
+    # a crossing partition in place of NCL(5)'s first, the count unchanged,
+    # fails ncl-counts by name, with the envelope and exit 3
+    enumerate_ncl = ncl.enumerate_ncl
+    crossing = ncl.LinkedPartition(5, ((1, 3), (2, 4), (5,)))
+    monkeypatch.setattr(
+        ncl, "enumerate_ncl",
+        lambda n: [crossing, *enumerate_ncl(n)[1:]] if n == 5
+        else enumerate_ncl(n))
+    code = cli.main(["verify"])
+    out, err = capsys.readouterr()
+    detail = ("NCL(5) holds ((1, 3), (2, 4), (5,)), "
+              "not a non-crossing linked partition")
+    assert code == 3
+    assert err.splitlines()[-1] == f"FAIL ncl-counts: {detail}"
+    results = json.loads(out)["results"]
+    assert results["ok"] is False
+    assert results["criteria"][-1]["criterion"] == "ncl-counts"
+    assert results["criteria"][-1]["detail"] == detail
+
+
 def test_statistics_catch_a_wrong_dc(fresh_tables, monkeypatch):
-    statistics = ncl.statistics
+    sweep = ncl._sweep
     victim = ncl.enumerate_ncl(4)[7]
 
     def faulty(p):
-        st = statistics(p)
+        first, inner, (dc, sc, sg) = sweep(p)
         if p == victim:
-            return ncl.NclStatistics(dc=st.dc + 1, sc=st.sc, sg=st.sg)
-        return st
+            dc += 1
+        return first, inner, (dc, sc, sg)
 
-    monkeypatch.setattr(ncl, "statistics", faulty)
+    monkeypatch.setattr(ncl, "_sweep", faulty)
     ok, detail = criterion_statistics()
     assert not ok
     assert detail.startswith("block-count identity fails at n=4, ")
