@@ -12,9 +12,10 @@ deterministically.  Each family evaluates its closed form on the open upper
 half-plane only; :func:`cauchy_eval` refuses a real z and conjugates the
 lower half-plane.
 
-Exact-rational moments expand the same closed forms, written in exact
-coefficients as M(w) = G(1/w)/w = (P(w) - sqrt(D(w)))/Q(w), by one helper;
-each D(0) is a rational square, so no algebraic numbers appear.
+Exact-rational moments come from the same closed forms, written in exact
+coefficients as the quadratic A(w) M^2 - B(w) M + C = 0 that
+M(w) = G(1/w)/w solves, by one helper that reads each moment off it as one
+rational quotient, so no algebraic numbers appear.
 
 Each family is one frozen dataclass of exact rational parameters carrying
 its own pieces (Cauchy parameters, measure, moments, potential V', atom
@@ -119,7 +120,7 @@ def _measure_on(lo: float, hi: float, body: Callable[[float], float],
 
 
 def _substitute(g: tuple, c: Fraction, step: int) -> tuple:
-    """The (P, D, Q) of M(c w^step), from the (P, D, Q) of M(w)."""
+    """The (A, B, C) of M(c w^step), from the (A, B, C) of M(w)."""
     def sub(poly: tuple) -> tuple:
         out = [Fraction(0)] * (step * len(poly))
         out[::step] = [x * c ** i for i, x in enumerate(poly)]
@@ -146,7 +147,8 @@ class Family:
     The fields are the parameters, coerced to ``Fraction`` and then checked
     by ``_check``.  The underscore members are the family's operations
     (``_atom_sites`` holds the candidate atom locations; ``_closed_g`` the
-    exact (P, D, Q) of the moment series).  The default of ``_v_prime``
+    exact (A, B, C) of the quadratic A M^2 - B M + C = 0 whose root with
+    M(0) = 1 is the moment series).  The default of ``_v_prime``
     raises FreeBetaError for a family without one.
 
     Every family defines ``_pieces``, which builds the closed-form Cauchy
@@ -198,8 +200,7 @@ class FreePoisson(Family):
         )
 
     def _closed_g(self) -> tuple:
-        lam = self.lam
-        return (1, 1 - lam), (1, -2 * (1 + lam), (1 - lam) ** 2), (0, 2)
+        return (0, 1), (1, 1 - self.lam), (1,)
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,7 @@ class InverseFreePoisson(Family):
         )
 
     def _closed_g(self) -> tuple:
-        b = self.b
-        return (b + 1, -1), ((b - 1) ** 2, -2 * (b + 1), 1), (2,)
+        return (1,), (self.b + 1, -1), (self.b,)
 
 
 def fbp_t_params(a, b) -> tuple[Fraction, Fraction, Fraction]:
@@ -276,9 +276,7 @@ class FreeBetaPrime(Family):
         )
 
     def _closed_g(self) -> tuple:
-        a, b = self.a, self.b
-        return ((b + 1, 1 - a),
-                ((b - 1) ** 2, -2 * (a * b + a + b - 1), (a - 1) ** 2), (2, 2))
+        return (1, 1), (self.b + 1, 1 - self.a), (self.b,)
 
     def _v_prime(self, x: float) -> float:
         if x <= 0:
@@ -395,9 +393,7 @@ class FreeBeta(Family):
 
     def _closed_g(self) -> tuple:
         a, b = self.a, self.b
-        return ((a + b - 2, 1 - a),
-                ((a + b) ** 2, -2 * (a * b + a * a - a + b), (a - 1) ** 2),
-                (-2, 2))
+        return (-1, 1), (a + b - 2, 1 - a), (a + b - 1,)
 
     def _v_prime(self, x: float) -> float:
         if not 0 < x < 1:
@@ -470,10 +466,8 @@ class FreeMeixnerStd(Family):
         return _measure_on(lo, hi, body, atoms)
 
     def _closed_g(self) -> tuple:
-        # Q has a zero at w = 0 when tau = 0, a double one when theta = 0 too
         th, tau = self.theta, self.tau
-        return ((1 + 2 * tau, th), (1, -2 * th, th ** 2 - 4 * (1 + tau)),
-                (2 * tau, 2 * th, 2))
+        return (tau, th, 1), (1 + 2 * tau, th), (1 + tau,)
 
     @property
     def _atom_sites(self) -> tuple[float, ...]:

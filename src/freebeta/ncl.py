@@ -313,13 +313,20 @@ def level_weights(alpha, beta, gamma, levels: int
 
 def gamma_series(order: int, alpha, beta, gamma,
                  route: str = "cf") -> PowerSeries:
-    """The generating series sum_n Gamma_n z^n by the cf or closed route."""
+    """The generating series sum_n Gamma_n z^n by the cf or closed route.
+
+    The closed route is the root with G(0) = 1 of the defining quadratic,
+    whose term k is linear in Gamma_k with coefficient beta.
+    """
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     if route == "cf":
         depth = _truncation(order) + 1
         return cf_expand(*level_weights(alpha, beta, gamma, depth), order)
     if route == "closed":
-        return _gamma_closed(order, alpha, beta, gamma)
+        if beta == 0:
+            # no weighted path ever leaves the ground: Gamma_n = gamma^n
+            return PowerSeries(gamma ** k for k in range(order + 1))
+        return _quadratic_root(*_gamma_quadratic(alpha, beta, gamma), order)
     raise ValueError(f"unknown series route {route!r}")
 
 
@@ -331,25 +338,6 @@ def _gamma_quadratic(alpha: Fraction, beta: Fraction, gamma: Fraction
             (2 * alpha + beta,
              beta * (1 + alpha + gamma) - 2 * (alpha + beta) * gamma),
             (alpha + beta,))
-
-
-def _gamma_closed(order: int, alpha: Fraction, beta: Fraction,
-                  gamma: Fraction) -> PowerSeries:
-    """Expand the algebraic solution of the defining quadratic.
-
-    The discriminant's constant term is beta^2, so G = (s B - sqrt(D)) /
-    (2 s A), with s the sign of beta and the root of value |beta| at z = 0,
-    is the solution with G(0) = 1.
-    """
-    if beta == 0:
-        # no weighted path ever leaves the ground: Gamma_n = gamma^n
-        return PowerSeries(gamma ** k for k in range(order + 1))
-    (a0, a1, a2), (b0, b1), (c0,) = _gamma_quadratic(alpha, beta, gamma)
-    disc = (b0 * b0 - 4 * a0 * c0, 2 * b0 * b1 - 4 * a1 * c0,
-            b1 * b1 - 4 * a2 * c0)
-    s = 1 if beta > 0 else -1
-    return _quadratic_root((s * b0, s * b1), disc,
-                           (2 * s * a0, 2 * s * a1, 2 * s * a2), order)
 
 
 def gamma_quadratic_residual(g: PowerSeries, alpha, beta, gamma) -> PowerSeries:

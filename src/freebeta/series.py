@@ -12,12 +12,12 @@ precision claims.
 
 Sums, products and scalings run on the numerators and divide out the common
 content once per result; a polynomial operand's zero tail is dropped before
-a product or quotient.  Quotients, square roots and reversion reduce each
-output as it comes, which keeps the numbers small: their running numerators
-and denominator become the result, and the reduced outputs, where they are
-its coefficients, its Fractions.  Shifts, pads, truncations, scalings and
-sums pass Fractions on when every operand holds them, so a route that ends
-in a square root and a scaling reduces no coefficient twice.
+a product or quotient.  Quotients, the quadratic solve and reversion reduce
+each output as it comes, which keeps the numbers small: their running
+numerators and denominator become the result, and the reduced outputs, where
+they are its coefficients, its Fractions.  Shifts, pads, truncations,
+scalings and sums pass Fractions on when every operand holds them, so no
+coefficient is reduced twice.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ RationalLike = Union[int, str, Fraction]
 __all__ = [
     "PowerSeries",
     "ps_reversion",
-    "ps_sqrt",
     "cf_expand",
 ]
 
@@ -304,62 +303,50 @@ def ps_reversion(f: PowerSeries) -> PowerSeries:
     return out.series()
 
 
-def _sqrt_fraction(q: Fraction) -> Fraction:
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{q} is not the square of a rational")
-    return Fraction(rn, rd)
+def _quadratic_root(a: tuple, b: tuple, c: tuple, order: int) -> PowerSeries:
+    """The root M with M(0) = 1 of A M^2 - B M + C = 0 to order, for
+    polynomials A, B, C given as coefficient tuples lowest first.
 
-
-def ps_sqrt(f: PowerSeries) -> PowerSeries:
-    """Exact series square root with a positive constant term.
-
-    f(0) must be a positive rational square.  The other root is the
-    negation: negating g_0 negates every g_k exactly.
+    Term k of the equation is linear in m_k, with coefficient B(0) - 2 A(0),
+    so each m_k is one reduced quotient of the earlier terms (undetermined
+    coefficients; Flajolet & Sedgewick, *Analytic Combinatorics*, 2009,
+    ch. VII).  M is held as integers over its running lcm, and the terms of
+    M^2 that A reads as integers over that lcm squared.  A form of which
+    M(0) = 1 is not a simple root raises FreeBetaError.
     """
-    if f.nums[0] == 0:
-        raise ValueError("series sqrt needs a nonzero constant term")
-    g0 = _sqrt_fraction(f[0])
-    # g_k = (f_k - sum_{0<i<k} g_i g_(k-i)) / (2 g0), the self-convolution
-    # taken in integers over the running lcm of g_0..g_(k-1), halved by
-    # symmetry, and one reduction per output.
-    s0, two_r0 = g0.denominator, 2 * g0.numerator
+    d = math.lcm(*(_frac(x).denominator for x in a + b + c))
+    a, b, c = ([_frac(x).numerator * (d // _frac(x).denominator) for x in p]
+               for p in (a, b, c))
+    if a[0] - b[0] + c[0] or b[0] == 2 * a[0]:
+        raise FreeBetaError("M(0) = 1 is not a simple root of A M^2 - B M + C")
+    pivot, reach = b[0] - 2 * a[0], len(a) - 1
     done = _CommonDenominator()
-    done.append(g0)
-    for k in range(1, f.order + 1):
-        nums = done.nums
-        half = sum(nums[i] * nums[k - i] for i in range(1, (k + 1) // 2))
-        acc = 2 * half + (nums[k // 2] ** 2 if k % 2 == 0 else 0)
-        fk, sq = f[k], done.den * done.den
-        done.append(Fraction(
-            (fk.numerator * sq - acc * fk.denominator) * s0,
-            fk.denominator * sq * two_r0,
-        ))
+    done.append(Fraction(1))
+    squares = [1]  # (M^2)_j for the last `reach` j < k, over den^2
+    for k in range(1, order + 1):
+        nums, den = done.nums, done.den
+        # (M^2)_k less its terms in m_k, the products halved by symmetry,
+        # which A(0) reads now and A's higher terms at the steps to come
+        inner, h = 0, (k - 1) // 2
+        if a[0] or reach and k < order:
+            inner = 2 * sum(map(operator.mul, nums[1:h + 1],
+                                reversed(nums[k - h:k])))
+            if k % 2 == 0:
+                inner += nums[k // 2] ** 2
+        den2 = den * den
+        acc = (a[0] * inner
+               + sum(map(operator.mul, a[1:], reversed(squares)))
+               - den * sum(map(operator.mul, b[1:], reversed(nums)))
+               + (c[k] * den2 if k < len(c) else 0))
+        done.append(Fraction(acc, den2 * pivot))
+        if reach:
+            grow2 = (done.den // den) ** 2
+            if grow2 > 1:
+                squares = [x * grow2 for x in squares]
+                inner *= grow2
+            squares.append(2 * done.den * done.nums[k] + inner)
+            del squares[:-reach]
     return done.series()
-
-
-def _quadratic_root(p: tuple, disc: tuple, q: tuple,
-                    order: int) -> PowerSeries:
-    """(p - sqrt(disc)) / q to order, the root with a positive constant
-    term, for polynomials given as coefficient tuples lowest first.
-
-    The numerator is expanded to order + k and the k leading zeros of q
-    cancelled; a divisor then constant scales instead of dividing.
-    """
-    k = next(i for i, c in enumerate(q) if c)
-    root = ps_sqrt(_poly(order + k, *disc))
-    constant = not any(q[k + 1:])
-    if not constant:
-        # a quotient reads its dividend's integers alone, so the root's
-        # Fractions are not carried through the difference
-        root = _series(root.nums, root.den)
-    num = _poly(order + k, *p) - root
-    for _ in range(k):
-        num = num.shift_down()
-    if constant:
-        return num.scale(1 / Fraction(q[k]))
-    return num / _poly(order, *q[k:])
 
 
 def _truncation(order: int) -> int:

@@ -24,7 +24,7 @@ from .distributions import (
     InverseFreePoisson,
 )
 from .errors import FreeBetaError, SizeLimitExceeded
-from .series import PowerSeries, _truncation
+from .series import PowerSeries, _truncation, cf_expand
 
 __all__ = ["CRITERIA", "run_all"]
 
@@ -368,7 +368,8 @@ def criterion_symmetric_square() -> tuple[bool, str]:
 
 
 def criterion_meixner() -> tuple[bool, str]:
-    """Exact disc (b-1)/(a(a+b-1)) and class; G_std(z) = sd G(sd z + mean)."""
+    """Exact disc (b-1)/(a(a+b-1)) and class; G_std(z) = sd G(sd z + mean);
+    one free Meixner law per class, its exact moments its Jacobi path sum."""
     grid_a = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2),
               Fraction(7, 3)]
     grid_b = [Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3),
@@ -394,8 +395,34 @@ def criterion_meixner() -> tuple[bool, str]:
             if err > 1e-11:
                 return False, (f"(a,b)=({a},{b}): "
                                f"|G_std - sd G_fbp| = {err:.2e}")
+    # one rational law (theta, tau) per class, its exact moments the path
+    # sum of its Jacobi bands (0, theta, theta, ...), (1, 1 + tau, ...)
+    classes = {(Fraction(3, 2), Fraction(1)): "pure free Meixner",
+               (Fraction(5, 2), Fraction(-9, 10)): "free binomial",
+               (Fraction(3), Fraction(2)): "free negative binomial",
+               (Fraction(2), Fraction(1)): "free gamma",
+               (Fraction(1), Fraction(0)): "free Poisson",
+               (Fraction(0), Fraction(0)): "semicircle"}
+    depth = _truncation(_DEEP_ORDER) + 1
+    for (theta, tau), want in classes.items():
+        law = f"(theta,tau)=({theta},{tau})"
+        label = distributions._meixner_class(theta * theta, tau)
+        if label != want:
+            return False, f"{law} classified {label}, expected {want}"
+        jacobi = cf_expand((Fraction(0),) + (theta,) * (depth - 1),
+                           (Fraction(1),) + (1 + tau,) * (depth - 2),
+                           _DEEP_ORDER).coefficients
+        try:
+            exact = distributions.moment_series(FreeMeixnerStd(theta, tau),
+                                                _DEEP_ORDER).moments
+        except FreeBetaError as exc:
+            return False, f"{law} {exc}"
+        bad = _disagreement({"series": exact, "jacobi": jacobi})
+        if bad:
+            return False, f"{law} {bad}"
     return True, ("5x5 grid: exact discriminants, all free negative binomial, "
-                  f"standardized G max deviation {worst:.2e}")
+                  f"standardized G max deviation {worst:.2e}; one law per "
+                  f"class, moments == Jacobi path sum, n=1..{_DEEP_ORDER}")
 
 
 # KS bound of the Fisher Monte Carlo at p = 500.  Over seeds 0..249,

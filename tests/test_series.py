@@ -22,7 +22,6 @@ from freebeta.series import (
     _quadratic_root,
     cf_expand,
     ps_reversion,
-    ps_sqrt,
 )
 from freebeta.verification import _FBP_PARAMS
 
@@ -266,8 +265,12 @@ class TestRepresentation:
     @settings(max_examples=100, deadline=None)
     @given(part_fracs.filter(bool), part_series(max_order=12))
     def test_sqrt_and_reversion_match_fractions(self, c0, tail):
+        # the quadratic solve of M^2 - f / c0^2 = 0 with M(0) = 1: the
+        # square root of f over |c0|
         f = PowerSeries((c0 * c0,) + tail.coefficients)
-        assert_same(ps_sqrt(f), plain_sqrt(f))
+        c = tuple(-x / f[0] for x in f.coefficients)
+        assert_same(_quadratic_root((1,), (0,), c, f.order), PowerSeries(
+            x / abs(c0) for x in plain_sqrt(f).coefficients))
         g = PowerSeries((0, c0) + tail.coefficients)
         assert_same(ps_reversion(g), lagrange_reversion(g))
 
@@ -451,42 +454,17 @@ class TestReversion:
             assert n * g[n] == power[n - 1]
 
 
-class TestSqrt:
-    def test_sqrt_of_perfect_square(self):
-        sq = poly(1, 1).pad(4) * poly(1, 1).pad(4)
-        r = ps_sqrt(sq)
-        assert r.coefficients[:2] == (F(1), F(1))
-
-    def test_binomial_series(self):
-        # sqrt(1+z) = 1 + z/2 - z^2/8 + z^3/16 - ...
-        r = ps_sqrt(poly(1, 1, 0, 0))
-        assert r.coefficients == (F(1), F(1, 2), F(-1, 8), F(1, 16))
-
-    def test_branch_sign(self):
-        # the positive root; callers that want the other one negate it
-        assert ps_sqrt(poly(4, 4, 1))[0] == F(2)
-        r = ps_sqrt(poly(4, 4, 1)).scale(-1)
-        assert r == plain_sqrt(poly(4, 4, 1), -1)
-        assert (r * r) == poly(4, 4, 1)
-
-    def test_non_square_constant_rejected(self):
-        with pytest.raises(ValueError):
-            ps_sqrt(poly(2, 1))
-
-    @given(series_strategy(min_order=1, max_order=5))
-    def test_square_round_trip(self, f):
-        c0 = f[0] if f[0] > 0 else F(1)
-        g = PowerSeries((c0 * c0,) + f.coefficients[1:])
-        r = ps_sqrt(g)
-        assert r * r == g
-
-    @given(nonzero_fracs, st.lists(wide_fracs, min_size=1, max_size=24),
-           st.sampled_from([1, -1]))
-    def test_sqrt_matches_term_by_term_oracle(self, c0, tail, branch):
-        f = PowerSeries([c0 * c0] + tail)
-        r = ps_sqrt(f).scale(branch)
-        assert r == plain_sqrt(f, branch)
-        assert r * r == f
+# (A, B, C) with C(0) = B(0) - A(0), so that M(0) = 1 solves the constant
+# term, and B(0) != 2 A(0), so that it is a simple root: wide coefficients,
+# and polynomials padded with zeros.
+@st.composite
+def quadratics(draw):
+    a = draw(st.lists(wide_fracs, min_size=1, max_size=3))
+    b0 = draw(wide_fracs.filter(lambda x: x != 2 * a[0]))
+    b = [b0] + draw(st.lists(wide_fracs, max_size=2)) + [F(0)] * draw(
+        st.integers(0, 2))
+    c = [b0 - a[0]] + draw(st.lists(wide_fracs, max_size=1))
+    return tuple(a), tuple(b), tuple(c)
 
 
 class TestQuadraticRoot:
@@ -494,27 +472,34 @@ class TestQuadraticRoot:
         assert _poly(3, 1, 2).coefficients == (1, 2, 0, 0)
         assert _poly(0, 1, 2).coefficients == (1,)
 
-    def test_cancels_a_simple_zero(self):
-        # (1 - sqrt(1 - 4z)) / (2z) generates the Catalan numbers
-        assert _quadratic_root((1,), (1, -4), (0, 2), 6).coefficients == (
+    def test_catalan_numbers(self):
+        # z M^2 - M + 1 = 0 generates the Catalan numbers
+        assert _quadratic_root((0, 1), (1,), (1,), 6).coefficients == (
             1, 1, 2, 5, 14, 42, 132)
 
-    def test_cancels_a_double_zero(self):
-        # (1 - sqrt(1 - 4z^2)) / (2z^2): the Catalan numbers on even powers
-        got = _quadratic_root((1,), (1, 0, -4), (0, 0, 2), 6)
+    def test_catalan_numbers_on_even_powers(self):
+        got = _quadratic_root((0, 0, 1), (1,), (1,), 6)
         assert got.coefficients == (1, 0, 1, 0, 2, 0, 5)
 
-    @given(nonzero_fracs, st.lists(wide_fracs, min_size=2, max_size=2),
-           st.lists(wide_fracs, min_size=1, max_size=2), nonzero_fracs,
-           st.lists(wide_fracs, max_size=2), st.integers(0, 8))
-    def test_solves_its_quadratic(self, d0, p, tail, q0, q_tail, order):
-        # p - q r is the square root of disc with a positive constant term
-        disc, q = (d0 * d0, *tail), (q0, *q_tail)
-        r = _quadratic_root(tuple(p), disc, q, order)
-        root = _poly(order, *p) - _poly(order, *q) * r
-        assert r.order == order
-        assert root * root == _poly(order, *disc)
-        assert root[0] == abs(d0)
+    def test_refuses_a_form_m0_does_not_solve(self):
+        for abc in (((1,), (3,), (1,)),  # 1 - 3 + 1 != 0
+                    ((1,), (2,), (1,))):  # the double root M = 1
+            with pytest.raises(FreeBetaError, match="simple root"):
+                _quadratic_root(*abc, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(quadratics(), st.integers(0, 12))
+    def test_solves_its_quadratic(self, abc, order):
+        # A M M - B M + C vanishes, and B - 2 A M is the square root of
+        # B^2 - 4 A C whose constant term has the sign of B(0) - 2 A(0)
+        a, b, c = (_poly(order, *p) for p in abc)
+        m = _quadratic_root(*abc, order)
+        assert_canonical(m)
+        assert m.order == order and m[0] == 1
+        assert a * m * m - b * m + c == PowerSeries.constant(0, order)
+        sign = 1 if abc[1][0] > 2 * abc[0][0] else -1
+        root = b - (a * m).scale(2)
+        assert root == plain_sqrt(b * b - (a * c).scale(4), sign)
 
 
 def brute_motzkin_gf(up, flat, order):
@@ -578,7 +563,7 @@ class TestContinuedFraction:
                 (F(0), F(7, 2), F(-1, 4))]
     )
     def test_gamma_closed_at_alpha_zero_matches_cf(self, abc):
-        # A(0) = alpha = 0: the closed route cancels a factor z
+        # A(0) = alpha = 0: the quadratic's leading coefficient vanishes
         cf = gamma_series(32, *abc, route="cf")
         assert cf == gamma_series(32, *abc, route="closed")
 

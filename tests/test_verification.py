@@ -210,6 +210,33 @@ def test_meixner_checks_the_standardized_law(monkeypatch, field, factor):
     assert "|G_std - sd G_fbp|" in detail
 
 
+def test_meixner_reads_each_class_laws_exact_moments(monkeypatch):
+    # C = 1 + 2 tau in place of 1 + tau: M(0) = 1 no longer solves the
+    # quadratic of the pure law, the first one read
+    def closed(self):
+        th, tau = self.theta, self.tau
+        return (tau, th, 1), (1 + 2 * tau, th), (1 + 2 * tau,)
+
+    monkeypatch.setattr(distributions.FreeMeixnerStd, "_closed_g", closed)
+    ok, detail = dict(CRITERIA)["meixner-classification"]()
+    assert not ok
+    assert detail.startswith("(theta,tau)=(3/2,1) M(0) = 1 is not")
+
+
+def test_meixner_names_the_free_gamma_class(monkeypatch):
+    meixner_class = distributions._meixner_class
+
+    def relabelled(theta_sq, tau):
+        label = meixner_class(theta_sq, tau)
+        return "pure free Meixner" if label == "free gamma" else label
+
+    monkeypatch.setattr(distributions, "_meixner_class", relabelled)
+    ok, detail = dict(CRITERIA)["meixner-classification"]()
+    assert not ok
+    assert detail == ("(theta,tau)=(2,1) classified pure free Meixner, "
+                      "expected free gamma")
+
+
 def test_orders_come_from_the_two_constants(fresh_tables, monkeypatch):
     calls = []
     enumerate_ncl = ncl.enumerate_ncl
