@@ -76,6 +76,9 @@ def vacuum_moments(op: TruncatedFockOperator, n_max: int) -> tuple[Fraction, ...
     X^j e_0 is held as integers v over a running denominator D, divided
     after each step by gcd(D, *v), and m_j is v_0 / D.
     """
+    if n_max < 0:
+        raise FreeBetaError(
+            f"vacuum moments need n_max >= 0, got n_max = {n_max}")
     if _truncation(n_max) > op.truncation:
         raise FreeBetaError(
             f"n_max = {n_max} needs truncation N >= {_truncation(n_max)}, "

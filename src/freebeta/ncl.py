@@ -316,14 +316,15 @@ def gamma_series(order: int, alpha, beta, gamma,
     """The generating series sum_n Gamma_n z^n by the cf or closed route.
 
     The closed route is the root with G(0) = 1 of the defining quadratic,
-    whose term k is linear in Gamma_k with coefficient beta.
+    whose term k is linear in Gamma_k with coefficient beta.  Either route
+    refuses a negative order.
     """
     alpha, beta, gamma = _frac(alpha), _frac(beta), _frac(gamma)
     if route == "cf":
         depth = _truncation(order) + 1
         return cf_expand(*level_weights(alpha, beta, gamma, depth), order)
     if route == "closed":
-        if beta == 0:
+        if beta == 0 and order >= 0:
             # no weighted path ever leaves the ground: Gamma_n = gamma^n
             return PowerSeries(gamma ** k for k in range(order + 1))
         return _quadratic_root(*_gamma_quadratic(alpha, beta, gamma), order)

@@ -4,20 +4,19 @@ A :class:`PowerSeries` is integer numerators over one denominator, with the
 denominator positive and sharing no factor with every numerator: the
 canonical form of a series over Q (Geddes, Czapor & Labahn, *Algorithms for
 Computer Algebra*, 1992, ch. 2), so ``==`` and ``hash`` compare the pair.
-Its Fraction coefficients are built on first read and kept.  Nothing here
-ever touches floating point.  A series carries an explicit truncation order
-and binary operations truncate to the minimum of the operand orders instead
-of erroring, so series of different precision compose freely without silent
-precision claims.
+Nothing here ever touches floating point.  A series carries an explicit
+truncation order and binary operations truncate to the minimum of the
+operand orders instead of erroring, so series of different precision
+compose freely without silent precision claims.
 
-Sums, products and scalings run on the numerators and divide out the common
-content once per result; a polynomial operand's zero tail is dropped before
-a product or quotient.  Quotients, the quadratic solve and reversion reduce
+Sums and products run on the numerators and divide out the common content
+once per result; a polynomial operand's zero tail is dropped before a
+product or quotient.  Quotients, the quadratic solve and reversion reduce
 each output as it comes, which keeps the numbers small: their running
-numerators and denominator become the result, and the reduced outputs, where
-they are its coefficients, its Fractions.  Shifts, pads, truncations,
-scalings and sums pass Fractions on when every operand holds them, so no
-coefficient is reduced twice.
+numerators and denominator become the result.  A series holds Fractions
+only where they were at hand when it was made, the constructor's arguments
+or those reduced outputs where they are its coefficients; any other series
+builds them on first read and keeps them.
 """
 
 from __future__ import annotations
@@ -76,8 +75,7 @@ class PowerSeries:
     @classmethod
     def constant(cls, c: RationalLike, order: int) -> "PowerSeries":
         c = _frac(c)
-        return _series((c.numerator,) + (0,) * order, c.denominator,
-                       (c,) + (_ZERO,) * order)
+        return _series((c.numerator,) + (0,) * order, c.denominator)
 
     # -- basic queries ---------------------------------------------------
 
@@ -110,17 +108,13 @@ class PowerSeries:
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
             raise ValueError("truncate cannot extend a series")
-        c = self._coefficients
-        return _series(*_reduced(self.nums[: order + 1], self.den),
-                       c and c[: order + 1])
+        return _series(*_reduced(self.nums[: order + 1], self.den))
 
     def pad(self, order: int) -> "PowerSeries":
         """Extend with explicit zero coefficients (a deliberate precision claim)."""
         if order < self.order:
             raise ValueError("pad cannot shrink a series")
-        zeros, c = order - self.order, self._coefficients
-        return _series(self.nums + (0,) * zeros, self.den,
-                       c and c + (_ZERO,) * zeros)
+        return _series(self.nums + (0,) * (order - self.order), self.den)
 
     def shift_down(self) -> "PowerSeries":
         """Divide by z; the constant term must vanish."""
@@ -128,25 +122,11 @@ class PowerSeries:
             raise ValueError("shift_down requires zero constant term")
         if self.order == 0:
             raise ValueError("shift_down needs order >= 1")
-        c = self._coefficients
-        return _series(self.nums[1:], self.den, c and c[1:])
+        return _series(self.nums[1:], self.den)
 
     def shift_up(self) -> "PowerSeries":
         """Multiply by z, one order higher."""
-        c = self._coefficients
-        return _series((0,) + self.nums, self.den, c and (_ZERO,) + c)
-
-    def scale(self, c: RationalLike) -> "PowerSeries":
-        # With c = p/q, the content of p nums / (q den) is gcd(p, den) times
-        # gcd(q, *nums), as both pairs are coprime: two gcds against the
-        # factor of c, none between wide numbers and the wide den.
-        c, known = _frac(c), self._coefficients
-        p, q = c.numerator, c.denominator
-        gp, gq = math.gcd(p, self.den), math.gcd(q, *self.nums)
-        p //= gp
-        return _series(tuple(x // gq * p for x in self.nums),
-                       self.den // gp * (q // gq),
-                       known and tuple(c * x for x in known))
+        return _series((0,) + self.nums, self.den)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -186,15 +166,10 @@ class PowerSeries:
         return _series([x // g for x in done.nums], done.den * (da // g))
 
 
-_ZERO = Fraction(0)
-
-
-def _series(nums, den: int, coefficients: tuple | None = None
-            ) -> PowerSeries:
-    """The series nums / den, which must already be in canonical form, with
-    its Fraction coefficients if the caller has them at hand."""
+def _series(nums, den: int) -> PowerSeries:
+    """The series nums / den, which must already be in canonical form."""
     s = object.__new__(PowerSeries)
-    s.nums, s.den, s._coefficients = tuple(nums), den, coefficients
+    s.nums, s.den, s._coefficients = tuple(nums), den, None
     return s
 
 
@@ -208,9 +183,7 @@ def _combine(a: PowerSeries, b: PowerSeries, op) -> PowerSeries:
     g = math.gcd(a.den, b.den)
     fa, fb = b.den // g, a.den // g
     nums = [op(x * fa, y * fb) for x, y in zip(a.nums, b.nums)]
-    ka, kb = a._coefficients, b._coefficients
-    return _series(*_reduced(nums, a.den * fa, g),
-                   ka and kb and tuple(map(op, ka, kb)))
+    return _series(*_reduced(nums, a.den * fa, g))
 
 
 def _stripped(nums: tuple) -> tuple:
@@ -259,7 +232,10 @@ class _CommonDenominator:
         self.fractions.append(q)
 
     def series(self) -> PowerSeries:
-        return _series(self.nums, self.den, tuple(self.fractions))
+        """The series of the fractions, which are its coefficients."""
+        s = _series(self.nums, self.den)
+        s._coefficients = tuple(self.fractions)
+        return s
 
 
 def _poly(n: int, *coeffs) -> PowerSeries:
@@ -311,9 +287,11 @@ def _quadratic_root(a: tuple, b: tuple, c: tuple, order: int) -> PowerSeries:
     so each m_k is one reduced quotient of the earlier terms (undetermined
     coefficients; Flajolet & Sedgewick, *Analytic Combinatorics*, 2009,
     ch. VII).  M is held as integers over its running lcm, and the terms of
-    M^2 that A reads as integers over that lcm squared.  A form of which
-    M(0) = 1 is not a simple root raises FreeBetaError.
+    M^2 that A reads as integers over that lcm squared.  A negative order,
+    or a form of which M(0) = 1 is not a simple root, raises FreeBetaError.
     """
+    if order < 0:
+        raise FreeBetaError(f"a series needs order >= 0, got order = {order}")
     d = math.lcm(*(_frac(x).denominator for x in a + b + c))
     a, b, c = ([_frac(x).numerator * (d // _frac(x).denominator) for x in p]
                for p in (a, b, c))
@@ -363,9 +341,11 @@ def cf_expand(diagonal: tuple[Fraction, ...], products: tuple[Fraction, ...],
     ``diagonal`` holds the level weights (k0, k1, ...) of the flat steps
     and ``products[i]`` the weight of a matched up/down pair between levels
     i and i+1, so the coefficient of ``z**n`` is the weighted Motzkin path
-    sum.  Fractions shallower than ``_truncation(order) + 1`` levels are
-    rejected.
+    sum.  Fractions shallower than ``_truncation(order) + 1`` levels, and
+    negative orders, are rejected.
     """
+    if order < 0:
+        raise FreeBetaError(f"a series needs order >= 0, got order = {order}")
     depth = len(diagonal)
     if len(products) != depth - 1:
         raise ValueError("products must have one entry fewer than diagonal")

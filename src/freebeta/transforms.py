@@ -69,7 +69,7 @@ def r_to_moments(r: PowerSeries) -> MomentSequence:
     """
     one = PowerSeries.constant(1, r.order + 1)
     u_over_c = (one / (one + r.shift_up())).shift_up()
-    return MomentSequence(ps_reversion(u_over_c).shift_down().coefficients)
+    return MomentSequence(ps_reversion(u_over_c).coefficients[1:])
 
 
 def moments_to_s(m: MomentSequence) -> PowerSeries:

@@ -112,10 +112,11 @@ def _capped(fn, family, limit) -> Route:
     over the route's cap or None, before any work.
 
     An input over the cap raises SizeLimitExceeded with that reason; the
-    CLI relays the refusal.
+    CLI relays the refusal.  A negative n is not over a cap: it skips the
+    check and meets the layer's own refusal.
     """
     def checked(subject, n):
-        reason = limit(subject, n)
+        reason = n >= 0 and limit(subject, n)
         if reason:
             raise SizeLimitExceeded(reason)
         return fn(subject, n)

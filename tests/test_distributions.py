@@ -570,7 +570,7 @@ class TestSTransforms:
             FreePoisson(2): _poly(6, 1) / _poly(6, 2, 1),  # 1/(lam + z)
             InverseFreePoisson(3): _poly(6, 2, -1),  # b - 1 - z
             FreeBetaPrime(2, 3): fbp,
-            FreeF(2, 3): fbp.scale(F(2, 3)),  # the dilation by b/a
+            FreeF(2, 3): _poly(6, F(2, 3)) * fbp,  # the dilation by b/a
         }
         for fam, want in closed.items():
             assert moments_to_s(moment_series(fam, 7)).truncate(6) == want

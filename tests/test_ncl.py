@@ -24,6 +24,7 @@ from freebeta.distributions import (
     FreeBetaPrime, fbp_t_params, moment_series, t_coeffs_of,
 )
 from freebeta.errors import FreeBetaError, SizeLimitExceeded
+from freebeta.fock import fbp_operator, vacuum_moments
 from freebeta.ncl import (
     NCL_SIZE_LIMIT,
     LinkedPartition,
@@ -40,8 +41,8 @@ from freebeta.ncl import (
     statistics,
     validate_ncl,
 )
-from freebeta.series import PowerSeries
-from freebeta.verification import _FBP_PARAMS
+from freebeta.series import PowerSeries, cf_expand
+from freebeta.verification import _FBP_PARAMS, GAMMA_ROUTES, MOMENT_ROUTES
 
 F = Fraction
 
@@ -805,6 +806,21 @@ class TestNclTable:
             assert not isinstance(exc.value, SizeLimitExceeded)
             assert len(call(0)) == 1
             assert len(call(NCL_SIZE_LIMIT + 1)) == NCL_SIZE_LIMIT + 2
+        # so is it by every exact route, ahead of the route's cap, and by
+        # the series and Fock layers under them
+        fbp, abc = FreeBetaPrime(2, 3), (F(1), F(1), F(1))
+        calls = [lambda n, fn=r.fn: fn(fbp, n) for r in MOMENT_ROUTES.values()]
+        calls += [lambda n, fn=r.fn: fn(abc, n) for r in GAMMA_ROUTES.values()]
+        calls += [lambda n: gamma_series(n, 1, 0, 1, route="closed"),
+                  lambda n: moment_series(fbp, n),
+                  lambda n: cf_expand(*level_weights(1, 1, 1, 2), n),
+                  lambda n: vacuum_moments(fbp_operator(2, 3, 2), n)]
+        for call in calls:
+            for n in (-1, -3):
+                with pytest.raises(FreeBetaError, match=f">= 0, got .* {n}$"
+                                   ) as exc:
+                    call(n)
+                assert not isinstance(exc.value, SizeLimitExceeded)
 
 
 def _random_triples(count, seed):
